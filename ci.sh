@@ -11,6 +11,7 @@
 #                  matrix bit-identically to the streaming reader) +
 #                  four end-to-end serving smoke tests (single-model
 #                  with telemetry:
+#                  a repeated body answered from the feature memo,
 #                  access-log trace IDs, the Prometheus /metrics
 #                  exposition and `monitor -once`; the full registry:
 #                  multi-arch routing, batch, authenticated reload,
@@ -105,6 +106,9 @@ while [ ! -s "$SMOKE/port" ] && [ $i -lt 100 ]; do sleep 0.1; i=$((i+1)); done
 ADDR=$(cat "$SMOKE/port")
 OUT=$("$SMOKE/spmvselect" request -addr "$ADDR" -mtx "$MTX" -request-id trace-ci-42)
 echo "$OUT" | grep -q '"format"' || { echo "ci: bad matrix prediction response: $OUT"; exit 1; }
+# The same body again: its memoized features answer it, unparsed.
+OUT=$("$SMOKE/spmvselect" request -addr "$ADDR" -mtx "$MTX")
+echo "$OUT" | grep -q '"cached":true' || { echo "ci: repeated matrix request not answered from the feature memo: $OUT"; exit 1; }
 ZEROS='0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0'
 OUT=$("$SMOKE/spmvselect" request -addr "$ADDR" -features "$ZEROS")
 echo "$OUT" | grep -q '"format"' || { echo "ci: bad feature-vector prediction response: $OUT"; exit 1; }
@@ -182,7 +186,7 @@ fi
 echo '== replay smoke test (record, feedback, replay; race-enabled server)'
 go build -race -o "$SMOKE/spmvselect.race" ./cmd/spmvselect
 "$SMOKE/spmvselect.race" serve -models "turing=$SMOKE/model.gob" -admin-token "$ADMIN_TOKEN" \
-	-addr 127.0.0.1:0 -portfile "$SMOKE/port3" -cache -1 \
+	-addr 127.0.0.1:0 -portfile "$SMOKE/port3" \
 	-record "$SMOKE/capture" -access-log "$SMOKE/access3.log" -access-log-sample 4 &
 SERVE_PID=$!
 i=0
@@ -244,7 +248,7 @@ echo '== cascade smoke test (cheap-first artifact, stage metrics, capture replay
 "$SMOKE/spmvselect" train -save "$SMOKE/cascade.gob" -quick -clusters 16 \
 	-cascade -cascade-target-agreement 0.85 >/dev/null
 "$SMOKE/spmvselect" serve -models "turing=$SMOKE/cascade.gob" -admin-token "$ADMIN_TOKEN" \
-	-addr 127.0.0.1:0 -portfile "$SMOKE/port4" -cache -1 -record "$SMOKE/capture2" &
+	-addr 127.0.0.1:0 -portfile "$SMOKE/port4" -record "$SMOKE/capture2" &
 SERVE_PID=$!
 i=0
 while [ ! -s "$SMOKE/port4" ] && [ $i -lt 100 ]; do sleep 0.1; i=$((i+1)); done

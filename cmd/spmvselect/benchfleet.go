@@ -2,8 +2,8 @@ package main
 
 // benchfleet measures the fleet tier: the same request mix served
 // through the proxy fronting one replica versus N replicas, with every
-// replica pinned to serial execution (-max-concurrent 1) and all
-// caches off, so added throughput can only come from the ring actually
+// replica pinned to serial execution (-max-concurrent 1) and the
+// feature memo off, so added throughput can only come from the ring actually
 // spreading load. Correctness gates before speed: every prediction
 // fetched through the proxy must be byte-identical to the same body
 // asked of a replica directly — consistent hashing, hedging and
@@ -103,11 +103,11 @@ func cmdBenchFleet(args []string) error {
 		bodies[i] = buf.Bytes()
 	}
 
-	// Each replica: serial execution, caches off. A fleet of one is
+	// Each replica: serial execution, feature memo off. A fleet of one is
 	// then an honest sequential baseline, and any fleet speedup has to
 	// come from the ring spreading bodies across replicas.
 	startReplica := func() (string, func(), error) {
-		srv, err := serve.NewServer(art, serve.Config{CacheSize: -1, FeatMemoSize: -1, MaxConcurrent: 1})
+		srv, err := serve.NewServer(art, serve.Config{FeatMemoSize: -1, MaxConcurrent: 1})
 		if err != nil {
 			return "", nil, err
 		}

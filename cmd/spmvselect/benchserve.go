@@ -174,9 +174,9 @@ func cmdBenchServe(args []string) error {
 		batchBodies = append(batchBodies, bytes.Join(bodies[lo:hi], nil))
 	}
 
-	// Cache and feature memo disabled: round two onward must recompute —
-	// parse, extract, infer — not replay either cache.
-	srv, err := serve.NewServer(art, serve.Config{CacheSize: -1, FeatMemoSize: -1, MaxBatchItems: *count})
+	// Feature memo disabled: round two onward must recompute — parse,
+	// extract, infer — not skip parsing for a repeat body.
+	srv, err := serve.NewServer(art, serve.Config{FeatMemoSize: -1, MaxBatchItems: *count})
 	if err != nil {
 		return err
 	}
@@ -289,7 +289,7 @@ func cmdBenchServe(args []string) error {
 	}
 	cart := *art
 	cart.Cascade = casc
-	csrv, err := serve.NewServer(&cart, serve.Config{CacheSize: -1, FeatMemoSize: -1, MaxBatchItems: *count})
+	csrv, err := serve.NewServer(&cart, serve.Config{FeatMemoSize: -1, MaxBatchItems: *count})
 	if err != nil {
 		return err
 	}
@@ -365,7 +365,7 @@ func cmdBenchServe(args []string) error {
 	// memo enabled, on its own listener. measure's warmup pass populates
 	// the memo (one miss per body), so every timed request afterwards is
 	// a repeat — exactly the traffic the memo fronts.
-	msrv, err := serve.NewServer(art, serve.Config{CacheSize: -1, MaxBatchItems: *count})
+	msrv, err := serve.NewServer(art, serve.Config{MaxBatchItems: *count})
 	if err != nil {
 		return err
 	}

@@ -88,12 +88,10 @@ func cmdBenchTrace(args []string) error {
 		bodies[i] = buf.Bytes()
 	}
 
-	// Both servers recompute every request — answer cache and feature
-	// memo off — so the span pipeline wraps real parse/extract/predict
-	// work, not a cache hit. The only difference between the two is
-	// TraceCapacity.
+	// Both servers recompute every request — feature memo off — so the
+	// span pipeline wraps real parse/extract/predict work, not a memo
+	// hit. The only difference between the two is TraceCapacity.
 	startServer := func(cfg serve.Config) (string, func(), error) {
-		cfg.CacheSize = -1
 		cfg.FeatMemoSize = -1
 		srv, err := serve.NewServer(art, cfg)
 		if err != nil {

@@ -159,7 +159,7 @@ func usage() {
              [-cascade [-cascade-target-agreement X] [-cascade-model logreg|forest]]
   spmvselect serve (-model FILE | -models arch=path,...) [-shadow arch=path,...] [-default-arch A]
              [-admin-token T] [-addr :8080] [-portfile PATH] [-max-concurrent N] [-max-batch N]
-             [-cache N] [-feat-memo N] [-timeout D] [-obs ADDR] [-access-log PATH] [-access-log-sample N]
+             [-feat-memo N] [-timeout D] [-obs ADDR] [-access-log PATH] [-access-log-sample N]
              [-slo-target X] [-record DIR] [-record-max-mb N]
              [-trace N] [-trace-slow D] [-trace-sample N] [-debug-dir DIR] [-burn-threshold X]
   spmvselect request -addr HOST:PORT (-mtx FILE | -batch "f1,f2,..." | -features "v1,v2,..." | -get PATH | -post PATH [-json BODY]) [-arch A] [-token T] [-request-id ID] [-timeout D] [-retries N] [-keep-trace] [-v]

@@ -358,8 +358,8 @@ func cmdBenchReplay(args []string) error {
 	}
 
 	// Serve it from the registry (the quality windows need one) with a
-	// capture writer attached and the cache off, so replayed requests
-	// recompute instead of replaying the LRU.
+	// capture writer attached. Replayed requests run the live model
+	// again; the feature memo only spares them the parse.
 	capture, err := obs.NewCaptureWriter(filepath.Join(tmp, "capture"), obs.DefaultCaptureFileBytes)
 	if err != nil {
 		return err
@@ -369,7 +369,6 @@ func cmdBenchReplay(args []string) error {
 		return err
 	}
 	srv, err := serve.NewBackendServer(reg, serve.Config{
-		CacheSize:     -1,
 		MaxBatchItems: *batchSize,
 		AdminToken:    adminToken,
 		Capture:       capture,
@@ -377,7 +376,6 @@ func cmdBenchReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	reg.OnSwap(srv.FlushCache)
 	if err := reg.LoadAll(); err != nil {
 		return err
 	}

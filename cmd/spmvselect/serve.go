@@ -188,8 +188,7 @@ func cmdServe(args []string) error {
 	portFile := fs.String("portfile", "", "write the bound address to this file once listening")
 	maxConc := fs.Int("max-concurrent", 0, "bound on in-flight predictions (0 = one per CPU)")
 	maxBatch := fs.Int("max-batch", 0, "max matrices per /v1/predict/batch request (0 = 64)")
-	cacheSize := fs.Int("cache", 512, "prediction LRU capacity in entries (negative disables)")
-	featMemo := fs.Int("feat-memo", 0, "feature-vector memo capacity in entries (0 = 4096, negative disables); survives model swaps, unlike -cache")
+	featMemo := fs.Int("feat-memo", 0, "feature-vector memo capacity in entries (0 = 4096, negative disables); survives model swaps")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout, queueing included")
 	obsAddr := fs.String("obs", "", "serve expvar+pprof (with the serve/* metrics) on this address too")
 	accessLog := fs.String("access-log", "", `write one JSON access-log line per request here ("-" for stderr)`)
@@ -273,7 +272,6 @@ func cmdServe(args []string) error {
 
 	srv, err := serve.NewBackendServer(reg, serve.Config{
 		MaxConcurrent:   *maxConc,
-		CacheSize:       *cacheSize,
 		FeatMemoSize:    *featMemo,
 		Timeout:         *timeout,
 		MaxBatchItems:   *maxBatch,
@@ -291,11 +289,6 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Every swap — reload, promote, whatever the path — must drop the
-	// prediction cache; entries keyed by the old artifact hash are
-	// unreachable anyway, but there is no reason to keep them warm.
-	reg.OnSwap(srv.FlushCache)
-
 	if *obsAddr != "" {
 		bound, stopObs, err := obs.Serve(*obsAddr)
 		if err != nil {
@@ -540,8 +533,7 @@ func doRequestFull(method, addr, path, contentType, token, requestID string, bod
 
 // cmdPromote flips an arch's shadow candidate to live through the
 // admin API of a running serve instance: the candidate artifact starts
-// answering that arch's requests, the prediction cache is flushed, and
-// the shadow pairing is cleared.
+// answering that arch's requests and the shadow pairing is cleared.
 func cmdPromote(args []string) error {
 	fs := flag.NewFlagSet("promote", flag.ExitOnError)
 	addr := fs.String("addr", "", "server address host:port (required)")

@@ -89,16 +89,24 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Reset drops every instrument and vector. Intended for tests.
+// Reset zeroes every instrument in place: counters and gauges read 0,
+// histograms are empty and hold no exemplars. Vector children are
+// registered instruments, so they are zeroed too. Nothing is
+// unregistered: instruments that callers hold in package variables or
+// struct fields keep reaching Snapshot and /metrics afterwards.
+// Intended for tests.
 func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.counters = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
-	r.hists = map[string]*Histogram{}
-	r.cvecs = map[string]*CounterVec{}
-	r.gvecs = map[string]*GaugeVec{}
-	r.hvecs = map[string]*HistogramVec{}
-	r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, c := range r.counters {
+		c.v.Store(0)
+	}
+	for _, g := range r.gauges {
+		g.Set(0)
+	}
+	for _, h := range r.hists {
+		h.reset()
+	}
 }
 
 // Snapshot returns a consistent-enough copy of every instrument's state
@@ -186,9 +194,20 @@ func newHistogram(bounds []float64) *Histogram {
 		counts:    make([]atomic.Int64, len(bounds)+1),
 		exemplars: make([]atomic.Pointer[exemplar], len(bounds)+1),
 	}
+	h.reset()
+	return h
+}
+
+// reset empties the histogram, keeping its bounds.
+func (h *Histogram) reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+		h.exemplars[i].Store(nil)
+	}
+	h.count.Store(0)
+	h.sumBits.Store(0)
 	h.minBits.Store(math.Float64bits(math.Inf(1)))
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
 }
 
 // Observe records one value.

@@ -92,6 +92,60 @@ func TestCounterGaugeHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestResetKeepsCachedInstruments: instrumented packages resolve their
+// instruments once and hold the pointers. Reset must zero those
+// instruments in place (exemplars included) rather than orphan them, so
+// what they count afterwards still reaches Snapshot.
+func TestResetKeepsCachedInstruments(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("cached/counter")
+	h := r.Histogram("cached/seconds", []float64{1, 10})
+	child := r.CounterVec("cached/requests", "status").With("200")
+	gchild := r.GaugeVec("cached/level", "window").With("5m")
+	c.Add(3)
+	h.ObserveExemplar(5, "trace-before")
+	child.Add(2)
+	gchild.Set(0.5)
+
+	r.Reset()
+	s := r.Snapshot()
+	if s.Counters["cached/counter"] != 0 || s.Counters[`cached/requests{status="200"}`] != 0 {
+		t.Fatalf("counters after Reset = %v, want zeros", s.Counters)
+	}
+	if v, ok := s.Gauges[`cached/level{window="5m"}`]; !ok || v != 0 {
+		t.Fatalf("gauge child after Reset = %v (present %v), want 0", v, ok)
+	}
+	if hs := s.Histograms["cached/seconds"]; hs.Count != 0 || hs.Sum != 0 || len(hs.Exemplars) != 0 || hs.Counts[1] != 0 {
+		t.Fatalf("histogram after Reset = %+v, want empty", hs)
+	}
+
+	c.Inc()
+	h.ObserveExemplar(0.5, "trace-after")
+	child.Inc()
+	gchild.Set(2)
+	s = r.Snapshot()
+	if s.Counters["cached/counter"] != 1 {
+		t.Errorf("cached counter after Reset: snapshot %d, want 1", s.Counters["cached/counter"])
+	}
+	if got := s.Counters[`cached/requests{status="200"}`]; got != 1 {
+		t.Errorf("cached vec child after Reset: snapshot %d, want 1", got)
+	}
+	if got := s.Gauges[`cached/level{window="5m"}`]; got != 2 {
+		t.Errorf("cached gauge child after Reset: snapshot %v, want 2", got)
+	}
+	hs := s.Histograms["cached/seconds"]
+	if hs.Count != 1 || hs.Min != 0.5 || hs.Max != 0.5 {
+		t.Errorf("cached histogram after Reset: %+v, want one 0.5 observation", hs)
+	}
+	if len(hs.Exemplars) != 1 || hs.Exemplars[0].TraceID != "trace-after" {
+		t.Errorf("histogram exemplars after Reset = %+v, want only trace-after", hs.Exemplars)
+	}
+	if r.Counter("cached/counter") != c || r.Histogram("cached/seconds", nil) != h ||
+		r.CounterVec("cached/requests", "status").With("200") != child {
+		t.Error("Reset replaced a registered instrument")
+	}
+}
+
 func TestHistogramBucketEdges(t *testing.T) {
 	h := newHistogram([]float64{1, 10})
 	h.Observe(1)   // bucket 0 (v <= 1)

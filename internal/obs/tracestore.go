@@ -10,7 +10,7 @@ import (
 // trees. Every request offers its root span; the store keeps the full
 // tree when the request is interesting after the fact — slow (above a
 // static threshold or a dynamic SLO-window p99), errored, or force-kept
-// by the caller (hedged, failover, memo-then-miss, requested) — plus a
+// by the caller (hedged, failover, requested) — plus a
 // small deterministic sample of ordinary traffic so the store is never
 // empty. When full, eviction drops sampled-only entries first, then
 // force-kept ones, and touches slow/error traces last.
@@ -90,7 +90,6 @@ const (
 	KeepSampled   = "sampled"
 	KeepHedged    = "hedged"
 	KeepFailover  = "failover"
-	KeepMemoMiss  = "memo-then-miss"
 	KeepRequested = "requested"
 )
 

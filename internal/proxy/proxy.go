@@ -115,11 +115,11 @@ func (c Config) withDefaults() Config {
 //	GET  /v1/admin/trace/{id}  one trace, replica spans stitched in
 //
 // Prediction requests hash on the request body's content (the same
-// identity serve's prediction LRU and feature memo key on), so a
-// repeated matrix always lands on the replica whose caches are hot for
-// it; requests with no body route by arch. The admin fan-outs forward
-// the client's Authorization header verbatim — the proxy holds no
-// tokens of its own.
+// identity serve's feature memo keys on), so a repeated matrix always
+// lands on the replica whose memo already holds its features; requests
+// with no body route by arch. The admin fan-outs forward the client's
+// Authorization header verbatim — the proxy holds no tokens of its
+// own.
 //
 // Metrics, in the shared obs registry:
 //
@@ -378,9 +378,9 @@ func newTraceID() string {
 }
 
 // handlePredict routes one prediction request: consistent-hash on the
-// body content (the identity the replica caches key on), forward to
-// the ring owner, hedge onto the next distinct replica when the owner
-// is slow, fail over when an attempt dies.
+// body content (the identity the replica's feature memo keys on),
+// forward to the ring owner, hedge onto the next distinct replica when
+// the owner is slow, fail over when an attempt dies.
 //
 // The proxy is the trace root for fleet requests: it mints (or adopts)
 // the X-Request-ID, opens an always-on root span, and every upstream
@@ -728,7 +728,7 @@ func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error)
 }
 
 // routeKey is the consistent-hash identity of one prediction request:
-// the body's content hash — the same bytes serve keys its caches on —
+// the body's content hash — the same bytes serve keys its feature memo on —
 // with the arch as the fallback for empty bodies.
 func routeKey(body []byte, arch string) string {
 	if len(body) == 0 {

@@ -1,7 +1,7 @@
 // Package proxy is the fleet tier in front of N serve replicas: an
 // HTTP front door that consistent-hashes prediction requests by matrix
-// content hash (so each replica's prediction LRU and feature memo stay
-// hot on their own slice of the keyspace), health-checks replicas via
+// content hash (so each replica's feature memo stays hot on its own
+// slice of the keyspace), health-checks replicas via
 // /readyz with eject/readmit backoff, hedges slow shards onto the next
 // ring replica, and aggregates the fleet's telemetry (/metrics,
 // /v1/admin/slo, /v1/admin/quality) behind one address. The rollout

@@ -17,8 +17,9 @@ import (
 // operator's early signal to retrain or to route traffic elsewhere.
 //
 // Every signal keeps its own ring so the format stream (advanced on
-// every served answer, including cache hits) and the feature streams
-// (advanced only when the request body was parsed) never desynchronise.
+// every served answer) and the feature streams (advanced only when the
+// full feature vector was computed or memoized; a cheap-stage cascade
+// answer never computes it) never desynchronise.
 //
 // Scores land in the obs registry as labeled gauges, refreshed by every
 // DriftReport call (the /metrics handler runs one per scrape):
@@ -127,8 +128,8 @@ func (r *Registry) installDriftLocked(arch string, art *serve.Artifact) {
 }
 
 // RecordServed feeds one served prediction into arch's monitor
-// (serve.DriftBackend). vec is nil on cache hits; only the format
-// stream advances then.
+// (serve.DriftBackend). vec is nil when the cascade's cheap stage
+// answered; only the format stream advances then.
 func (r *Registry) RecordServed(arch string, p serve.Prediction, vec []float64) {
 	a := serve.NormalizeArch(arch)
 	r.mu.RLock()

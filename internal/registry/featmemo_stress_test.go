@@ -16,8 +16,8 @@ import (
 
 // TestStressFeatMemoAcrossSwaps drives the feature-vector memo under
 // exactly the conditions it exists for — repeat bodies arriving across
-// concurrent hot-swaps and a promotion — with the prediction cache
-// disabled so every repeat must go through the memo. A tiny memo
+// concurrent hot-swaps and a promotion; the memo is the server's only
+// request cache, so every repeat goes through it. A tiny memo
 // capacity forces concurrent evictions (hits and misses interleave),
 // and every answer is checked against the prediction the responding
 // artifact computes for that body offline: a memoized feature vector
@@ -78,13 +78,11 @@ func TestStressFeatMemoAcrossSwaps(t *testing.T) {
 	}
 	srv, err := serve.NewBackendServer(r, serve.Config{
 		MaxConcurrent: 16,
-		CacheSize:     -1, // repeats must take the memo, not the prediction LRU
-		FeatMemoSize:  4,  // smaller than the body set: constant eviction churn
+		FeatMemoSize:  4, // smaller than the body set: constant eviction churn
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.OnSwap(srv.FlushCache)
 	h := srv.Handler()
 	hits0, misses0 := srv.FeatMemoStats() // counters are process-global
 
@@ -158,9 +156,9 @@ func TestStressFeatMemoAcrossSwaps(t *testing.T) {
 		t.Fatalf("%d failures under concurrent memo traffic and swaps", n)
 	}
 
-	// The memo did real work: with the prediction cache off and only 6
-	// distinct bodies for 480 requests, hits must vastly outnumber
-	// bodies, and swaps must not have emptied it.
+	// The memo did real work: with only 6 distinct bodies for 480
+	// requests, hits must vastly outnumber bodies, and swaps must not
+	// have emptied it.
 	hits, misses := srv.FeatMemoStats()
 	hits, misses = hits-hits0, misses-misses0
 	if hits == 0 {

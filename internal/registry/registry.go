@@ -223,7 +223,7 @@ func (r *Registry) SetDefault(arch string) error {
 }
 
 // OnSwap registers fn to run after every swap (reload that changed
-// something, or promotion). The serve layer hooks its cache flush here.
+// something, or promotion).
 func (r *Registry) OnSwap(fn func()) {
 	r.mu.Lock()
 	r.onSwap = append(r.onSwap, fn)

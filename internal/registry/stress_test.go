@@ -55,7 +55,6 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.OnSwap(srv.FlushCache)
 	h := srv.Handler()
 
 	ms, _ := labelledCorpus(t)

@@ -70,14 +70,11 @@ type reloadResponse struct {
 }
 
 // adminReload re-reads every artifact from disk, swapping only the
-// changed ones, and flushes the prediction cache when anything swapped.
+// changed ones.
 func (s *Server) adminReload(w http.ResponseWriter, r *http.Request) {
 	changed, err := s.admin.Reload()
 	if changed == nil {
 		changed = []string{}
-	}
-	if len(changed) > 0 {
-		s.FlushCache()
 	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, reloadResponse{Changed: changed, Error: err.Error()})
@@ -94,7 +91,7 @@ type promoteResponse struct {
 }
 
 // adminPromote flips ?arch='s shadow candidate to live (default arch
-// when absent) and flushes the prediction cache.
+// when absent).
 func (s *Server) adminPromote(w http.ResponseWriter, r *http.Request) {
 	arch := r.URL.Query().Get("arch")
 	if arch == "" {
@@ -105,7 +102,6 @@ func (s *Server) adminPromote(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 		return
 	}
-	s.FlushCache()
 	writeJSON(w, http.StatusOK, promoteResponse{Arch: NormalizeArch(arch), Hash: hash})
 }
 

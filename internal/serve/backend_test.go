@@ -130,13 +130,15 @@ func mmBytes(t *testing.T, m *sparse.CSR) []byte {
 	return buf.Bytes()
 }
 
-// TestCacheKeyIncludesModelHash is the regression test for the
-// stale-cache bug: a cached answer for one model version must be
-// unreachable after the backend swaps to a different artifact, even
-// when nobody flushed the cache.
-func TestCacheKeyIncludesModelHash(t *testing.T) {
+// TestSwapWithoutFlushServesNewModel is the regression test for the
+// stale-answer bug: once the backend swaps to a different artifact, a
+// repeat body must be answered by the new artifact — with no flush or
+// swap hook involved — even though its memoized features still serve
+// the request.
+func TestSwapWithoutFlushServesNewModel(t *testing.T) {
 	ms, best := labelledCorpus(t, "Turing")
 	artA := trainArtifact(t, ms, best, 10, 7)
+	artB := trainArtifact(t, ms, best, 6, 99)
 	fb := newFakeBackend("turing")
 	fb.set("turing", artA, "hash-a")
 	srv, err := NewBackendServer(fb, Config{})
@@ -144,35 +146,47 @@ func TestCacheKeyIncludesModelHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
-	mm := mmBytes(t, ms[0])
 
-	rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
-	if rec.Code != http.StatusOK || out["cached"] != false {
-		t.Fatalf("first request: %d %v", rec.Code, out)
+	// A body the two artifacts answer differently, so a stale answer
+	// cannot pass for a fresh one.
+	var m *sparse.CSR
+	var wantA, wantB Prediction
+	for _, cand := range ms {
+		wantA, wantB = artA.MustPredict(t, cand), artB.MustPredict(t, cand)
+		if wantA != wantB {
+			m = cand
+			break
+		}
 	}
-	rec, out = postJSON(t, h, "/v1/predict/matrix", mm)
-	if rec.Code != http.StatusOK || out["cached"] != true || out["model_hash"] != "hash-a" {
-		t.Fatalf("repeat request: %d %v, want cached hash-a", rec.Code, out)
+	if m == nil {
+		t.Fatal("artifacts A and B agree on every corpus matrix")
+	}
+	mm := mmBytes(t, m)
+	answer := func(label string) (Prediction, map[string]any) {
+		t.Helper()
+		rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
+		var resp predictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: %d %s", label, rec.Code, rec.Body.String())
+		}
+		return resp.Prediction, out
 	}
 
-	// Hot-swap WITHOUT flushing: the hash in the key must force a miss.
-	artB := trainArtifact(t, ms, best, 6, 99)
+	if got, out := answer("first request"); got != wantA || out["cached"] != false || out["model_hash"] != "hash-a" {
+		t.Fatalf("first request: %v, want uncached hash-a %+v", out, wantA)
+	}
+	if got, out := answer("repeat request"); got != wantA || out["cached"] != true || out["model_hash"] != "hash-a" {
+		t.Fatalf("repeat request: %v, want memoized hash-a %+v", out, wantA)
+	}
+
+	// Hot-swap straight in the backend: no flush, no hook.
 	fb.set("turing", artB, "hash-b")
-	rec, out = postJSON(t, h, "/v1/predict/matrix", mm)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("post-swap request: %d %v", rec.Code, out)
+	got, out := answer("post-swap request")
+	if out["model_hash"] != "hash-b" || got != wantB {
+		t.Fatalf("post-swap request = %v, want hash-b answering %+v (artifact A says %+v)", out, wantB, wantA)
 	}
-	if out["cached"] != false || out["model_hash"] != "hash-b" {
-		t.Fatalf("post-swap request served stale cache: %v", out)
-	}
-
-	// And the flush hook empties the cache outright.
-	if srv.cache.Len() == 0 {
-		t.Fatal("expected cached entries before flush")
-	}
-	srv.FlushCache()
-	if got := srv.cache.Len(); got != 0 {
-		t.Fatalf("cache has %d entries after FlushCache", got)
+	if out["cached"] != true {
+		t.Fatalf("post-swap repeat did not reuse the memoized features: %v", out)
 	}
 }
 
@@ -210,10 +224,11 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Errorf("batch response missing identity: %+v", resp)
 	}
 
-	// A single request for the same matrix hits the batch-populated cache.
+	// A single request for the same matrix reuses the features the
+	// batch memoized.
 	rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
 	if rec.Code != http.StatusOK || out["cached"] != true {
-		t.Errorf("single request after batch: %d %v, want cache hit", rec.Code, out)
+		t.Errorf("single request after batch: %d %v, want memo hit", rec.Code, out)
 	}
 
 	// The text form: concatenated MatrixMarket files split on their
@@ -343,10 +358,10 @@ func TestReadyz(t *testing.T) {
 	}
 }
 
-// TestShadowScoringBypassesCache: with a candidate registered, every
-// request is computed (no cache hits) and every request records one
-// live-vs-candidate comparison.
-func TestShadowScoringBypassesCache(t *testing.T) {
+// TestShadowScoresEveryRequest: with a candidate registered, every
+// request records one live-vs-candidate comparison, whether the body
+// was parsed or its memoized features answered.
+func TestShadowScoresEveryRequest(t *testing.T) {
 	ms, best := labelledCorpus(t, "Turing")
 	fb := newFakeBackend("turing")
 	fb.set("turing", trainArtifact(t, ms, best, 10, 7), "hash-live")
@@ -360,8 +375,8 @@ func TestShadowScoringBypassesCache(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
-		if rec.Code != http.StatusOK || out["cached"] != false {
-			t.Fatalf("shadowed request %d: %d %v, want uncached", i, rec.Code, out)
+		if rec.Code != http.StatusOK || out["cached"] != (i > 0) {
+			t.Fatalf("shadowed request %d: %d %v, want cached=%v", i, rec.Code, out, i > 0)
 		}
 	}
 	if got := len(fb.records); got != 3 {
@@ -441,7 +456,8 @@ func TestAdminAuth(t *testing.T) {
 }
 
 // TestAdminEndpointsWithBackend drives reload/promote/shadow against
-// the fake admin backend and checks the cache flushes on mutation.
+// the fake admin backend, and checks that neither mutation drops the
+// feature memo.
 func TestAdminEndpointsWithBackend(t *testing.T) {
 	ms, best := labelledCorpus(t, "Turing")
 	fb := newFakeBackend("turing")
@@ -453,9 +469,6 @@ func TestAdminEndpointsWithBackend(t *testing.T) {
 	}
 	h := srv.Handler()
 
-	// Populate the cache with a non-shadowed arch... turing is
-	// shadowed, so use the features endpoint pre-promote? Shadowed
-	// arches bypass the cache; promote first clears the shadow.
 	rec := adminReq(t, h, http.MethodGet, "/v1/admin/shadow", "s3cret")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "fake") {
 		t.Fatalf("shadow report: %d %s", rec.Code, rec.Body.String())
@@ -478,29 +491,26 @@ func TestAdminEndpointsWithBackend(t *testing.T) {
 	if recP.Code != http.StatusOK || out["model_hash"] != "hash-cand" {
 		t.Fatalf("post-promote predict: %d %v", recP.Code, out)
 	}
-	// Cache now live (no shadow); fill it, then reload-with-changes must flush.
+	// The repeat body reuses its memoized features, and a reload that
+	// swapped something keeps them: features do not depend on the model.
 	if _, out = postJSON(t, h, "/v1/predict/matrix", mm); out["cached"] != true {
-		t.Fatalf("expected cache hit, got %v", out)
+		t.Fatalf("expected memo hit, got %v", out)
 	}
 	fb.reloadCh = []string{"turing"}
 	rec = adminReq(t, h, http.MethodPost, "/v1/admin/reload", "s3cret")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"turing"`) {
 		t.Fatalf("reload: %d %s", rec.Code, rec.Body.String())
 	}
-	if got := srv.cache.Len(); got != 0 {
-		t.Fatalf("cache has %d entries after a reload that swapped", got)
-	}
-	// A no-op reload leaves the cache alone.
-	if _, out = postJSON(t, h, "/v1/predict/matrix", mm); out["cached"] != false {
-		t.Fatalf("expected miss after flush, got %v", out)
+	if _, out = postJSON(t, h, "/v1/predict/matrix", mm); out["cached"] != true || out["model_hash"] != "hash-cand" {
+		t.Fatalf("expected memo hit answered by hash-cand after reload, got %v", out)
 	}
 	fb.reloadCh = nil
 	rec = adminReq(t, h, http.MethodPost, "/v1/admin/reload", "s3cret")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"changed":[]`) {
 		t.Fatalf("idempotent reload: %d %s", rec.Code, rec.Body.String())
 	}
-	if got := srv.cache.Len(); got != 1 {
-		t.Fatalf("no-op reload flushed the cache (len %d)", got)
+	if got := srv.featMemo.Len(); got != 1 {
+		t.Fatalf("feature memo holds %d entries after the reloads, want 1", got)
 	}
 	// Promoting again fails: no candidate left.
 	rec = adminReq(t, h, http.MethodPost, "/v1/admin/promote?arch=turing", "s3cret")

@@ -20,7 +20,7 @@ import (
 // batch is answered by one resolved model (a hot-swap mid-request
 // never splits a batch across two model versions), holds one
 // concurrency slot (the obs pool's global worker cap bounds the actual
-// CPU fan-out), and each item hits the same content-hash LRU as the
+// CPU fan-out), and each item goes through the same feature memo as the
 // single-matrix endpoint.
 
 // batchRequest is the JSON body of /v1/predict/batch. The endpoint
@@ -64,8 +64,10 @@ func splitMatrixMarket(body []byte) [][]byte {
 	return parts
 }
 
-// batchItem is one positional answer. Error is set (and the prediction
-// fields zero) when that item failed; other items are unaffected.
+// batchItem is one positional answer. Cached means what it means on
+// the single-matrix endpoint: memoized features answered. Error is set
+// (and the prediction fields zero) when that item failed; other items
+// are unaffected.
 type batchItem struct {
 	Prediction
 	Cached bool   `json:"cached"`

@@ -7,13 +7,13 @@ import (
 	"repro/internal/obs"
 )
 
-// The feature-vector memo fronts the serve hot path's parse + extract
-// work: feature vectors depend only on the request body, never on the
-// model, so they are keyed by body content hash alone and — unlike the
-// prediction LRU — survive hot-swaps, promotions and arch routing. A
-// repeat matrix therefore skips MatrixMarket parsing and feature
-// extraction entirely even right after a reload, when the prediction
-// cache is cold.
+// The feature-vector memo is the serve hot path's only request cache,
+// fronting parse + extract: feature vectors depend only on the request
+// body, never on the model, so they are keyed by body content hash
+// alone and survive hot-swaps, promotions and arch routing. A repeat
+// matrix therefore skips MatrixMarket parsing and feature extraction
+// entirely even right after a reload, while the live model still
+// predicts every request.
 //
 // Invalidation rules: there are none. An entry can only ever be
 // superseded by a richer one for the same key (cheap-only upgraded to

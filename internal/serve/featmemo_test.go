@@ -76,20 +76,20 @@ func TestFeatMemoLRUSemantics(t *testing.T) {
 	}
 }
 
-// TestFeatMemoServesRepeatMatrix is the memo's core contract: with the
-// prediction cache disabled, a repeat body is answered without parsing
-// or extraction (the hit counter moves), with exactly the prediction
-// the computed path produced — and the memo survives FlushCache, the
-// hook every hot-swap and promotion fires.
+// TestFeatMemoServesRepeatMatrix is the memo's core contract: a repeat
+// body is answered without parsing or extraction (the hit counter
+// moves, and the response says cached), with exactly the prediction
+// the computed path produced — and FlushCache, which callers may still
+// wire into registry.OnSwap, leaves the memo alone.
 func TestFeatMemoServesRepeatMatrix(t *testing.T) {
-	srv, art, m, mm := testServer(t, Config{CacheSize: -1})
+	srv, art, m, mm := testServer(t, Config{})
 	h := srv.Handler()
 	want := art.MustPredict(t, m)
 
 	hits0, misses0 := srv.memoHits.Value(), srv.memoMisses.Value()
 	rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
-	if rec.Code != http.StatusOK || out["format"] != want.Format {
-		t.Fatalf("first predict = %d %v, want %s", rec.Code, out, want.Format)
+	if rec.Code != http.StatusOK || out["format"] != want.Format || out["cached"] != false {
+		t.Fatalf("first predict = %d %v, want uncached %s", rec.Code, out, want.Format)
 	}
 	if d := srv.memoMisses.Value() - misses0; d != 1 {
 		t.Fatalf("featmemo misses after first request = %d, want 1", d)
@@ -102,15 +102,14 @@ func TestFeatMemoServesRepeatMatrix(t *testing.T) {
 	if rec.Code != http.StatusOK || out["format"] != want.Format {
 		t.Fatalf("repeat predict = %d %v, want %s", rec.Code, out, want.Format)
 	}
-	if out["cached"] != false {
-		t.Fatal("memo hit reported cached=true; it must count as a computed answer")
+	if out["cached"] != true {
+		t.Fatal("memo hit reported cached=false; cached means memoized features answered")
 	}
 	if d := srv.memoHits.Value() - hits0; d != 1 {
 		t.Fatalf("featmemo hits after repeat = %d, want 1", d)
 	}
 
-	// The swap/promote invalidation hook flushes predictions, never
-	// features.
+	// FlushCache is a no-op: no swap invalidates body→features.
 	srv.FlushCache()
 	if srv.featMemo.Len() != 1 {
 		t.Fatalf("FlushCache emptied the feature memo (%d entries left)", srv.featMemo.Len())
@@ -125,12 +124,12 @@ func TestFeatMemoServesRepeatMatrix(t *testing.T) {
 }
 
 func TestFeatMemoDisabledByConfig(t *testing.T) {
-	srv, _, _, mm := testServer(t, Config{CacheSize: -1, FeatMemoSize: -1})
+	srv, _, _, mm := testServer(t, Config{FeatMemoSize: -1})
 	h := srv.Handler()
 	hits0, misses0 := srv.memoHits.Value(), srv.memoMisses.Value()
 	for i := 0; i < 2; i++ {
-		if rec, _ := postJSON(t, h, "/v1/predict/matrix", mm); rec.Code != http.StatusOK {
-			t.Fatalf("predict %d: %d", i, rec.Code)
+		if rec, out := postJSON(t, h, "/v1/predict/matrix", mm); rec.Code != http.StatusOK || out["cached"] != false {
+			t.Fatalf("predict %d: %d %v, want uncached", i, rec.Code, out)
 		}
 	}
 	if srv.memoHits.Value() != hits0 || srv.memoMisses.Value() != misses0 {
@@ -154,7 +153,7 @@ func memoKeyOf(body []byte) string {
 // included).
 func TestFeatMemoCascadeEntries(t *testing.T) {
 	art, ms := cascadeArtifact(t, 0.6)
-	srv, err := NewServer(art, Config{CacheSize: -1})
+	srv, err := NewServer(art, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestFeatMemoCascadeEntries(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("cheap repeat: %d", code)
 		}
-		if again["format"] != first["format"] || again["stage"] != StageCheap {
+		if again["format"] != first["format"] || again["stage"] != StageCheap || again["cached"] != true {
 			t.Fatalf("cheap memo repeat %v differs from computed %v", again, first)
 		}
 		if srv.memoHits.Value() != hits0+1 {
@@ -225,7 +224,7 @@ func TestFeatMemoCascadeEntries(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("fall-through repeat: %d", code)
 		}
-		if again["format"] != first["format"] || again["stage"] != StageFull {
+		if again["format"] != first["format"] || again["stage"] != StageFull || again["cached"] != true {
 			t.Fatalf("full memo repeat %v differs from computed %v", again, first)
 		}
 		if srv.memoHits.Value() != hits0+1 {
@@ -244,7 +243,7 @@ func TestPredictBodyMemoHitAllocs(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	srv, _, _, mm := testServer(t, Config{CacheSize: -1})
+	srv, _, _, mm := testServer(t, Config{})
 	lm, err := srv.backend.Live("")
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func predictWithID(t *testing.T, h http.Handler, path, id string, body []byte) *
 
 func TestFeedbackFullSweep(t *testing.T) {
 	defer obs.Default.Reset()
-	srv, qb, mm, want := qualityServer(t, Config{CacheSize: -1})
+	srv, qb, mm, want := qualityServer(t, Config{})
 	h := srv.Handler()
 
 	predictWithID(t, h, "/v1/predict/matrix", "fb-full", mm)
@@ -125,7 +125,7 @@ func TestFeedbackFullSweep(t *testing.T) {
 
 func TestFeedbackServedOnlyAndBatchItems(t *testing.T) {
 	defer obs.Default.Reset()
-	srv, qb, mm, want := qualityServer(t, Config{CacheSize: -1})
+	srv, qb, mm, want := qualityServer(t, Config{})
 	h := srv.Handler()
 
 	// served_ms alone is a partial outcome: volume and latency, no
@@ -169,7 +169,7 @@ func TestFeedbackServedOnlyAndBatchItems(t *testing.T) {
 
 func TestFeedbackValidation(t *testing.T) {
 	defer obs.Default.Reset()
-	srv, qb, mm, want := qualityServer(t, Config{CacheSize: -1})
+	srv, qb, mm, want := qualityServer(t, Config{})
 	h := srv.Handler()
 	predictWithID(t, h, "/v1/predict/matrix", "fb-valid", mm)
 
@@ -267,7 +267,7 @@ func TestBatchTraceIDPropagation(t *testing.T) {
 	obs.SetSink(col)
 	defer obs.SetSink(nil)
 
-	srv, _, mm, _ := qualityServer(t, Config{CacheSize: -1})
+	srv, _, mm, _ := qualityServer(t, Config{})
 	h := srv.Handler()
 	const traceID = "batch-trace-test"
 	batch := bytes.Join([][]byte{mm, mm, mm, mm}, nil)
@@ -332,7 +332,6 @@ func TestAccessLogSampling(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&lockedWriter{buf: &buf, mu: &mu}, nil))
 
 	srv, _, mm, _ := qualityServer(t, Config{
-		CacheSize:       -1,
 		AccessLog:       logger,
 		AccessLogSample: 5,
 	})
@@ -393,7 +392,7 @@ func TestCaptureRoundTripThroughServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, mm, want := qualityServer(t, Config{CacheSize: -1, Capture: cw})
+	srv, _, mm, want := qualityServer(t, Config{Capture: cw})
 	h := srv.Handler()
 
 	predictWithID(t, h, "/v1/predict/matrix", "cap-1", mm)

@@ -48,7 +48,7 @@ func TestModelHashHeader(t *testing.T) {
 		t.Fatalf("batch X-Model-Hash = %q, want hash-a", got)
 	}
 
-	// Hot-swap: the header must flip with the backend, cached or not.
+	// Hot-swap: the header must flip with the backend, memo hit or not.
 	fb.set("turing", artB, "hash-b")
 	if got := header("/v1/predict/matrix", mm); got != "hash-b" {
 		t.Fatalf("post-swap X-Model-Hash = %q, want hash-b", got)

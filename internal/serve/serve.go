@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,15 +27,12 @@ type Config struct {
 	// GOMAXPROCS — the same bound the repository's parallel helpers
 	// use, since prediction is CPU-bound.
 	MaxConcurrent int
-	// CacheSize is the content-hash LRU capacity in entries (default
-	// 512; negative disables caching).
-	CacheSize int
 	// FeatMemoSize is the feature-vector memo capacity in entries
-	// (default 4096; negative disables). The memo fronts MatrixMarket
-	// parsing and feature extraction: it is keyed by body content alone
-	// and — feature vectors being model-independent — survives
-	// hot-swaps, promotions and arch routing, unlike the prediction
-	// cache.
+	// (default 4096; negative disables). The memo is the only request
+	// cache: it fronts MatrixMarket parsing and feature extraction, is
+	// keyed by body content alone and — feature vectors being
+	// model-independent — survives hot-swaps, promotions and arch
+	// routing.
 	FeatMemoSize int
 	// Timeout bounds one request end to end, including time spent
 	// queueing for a concurrency slot (default 30s).
@@ -53,7 +49,8 @@ type Config struct {
 	AdminToken string
 	// AccessLog, when non-nil, receives one structured line per HTTP
 	// request (trace ID, method, path, status, latency, arch, model
-	// hash, cache disposition). Nil disables access logging.
+	// hash, whether memoized features answered). Nil disables access
+	// logging.
 	AccessLog *slog.Logger
 	// SLOObjective is the availability target the SLO windows report
 	// burn rates against (default 0.999).
@@ -95,9 +92,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = obs.Workers(runtime.GOMAXPROCS(0))
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 512
 	}
 	if c.FeatMemoSize == 0 {
 		c.FeatMemoSize = 4096
@@ -141,17 +135,16 @@ func (c Config) withDefaults() Config {
 //
 // Predictions route by the request's arch (query parameter, or body
 // field on the JSON endpoints); an empty arch selects the backend's
-// default. Requests are bounded-concurrency (CPU-bound inference),
-// cached by request content hash together with the live artifact hash
-// (so a hot-swap structurally invalidates old entries), and
-// instrumented in the obs.Default metrics registry:
+// default. Requests are bounded-concurrency (CPU-bound inference).
+// MatrixMarket bodies go through the feature memo, keyed by body content
+// hash: a repeat body skips parsing and extraction, and the live
+// artifact still predicts every request, so a hot-swap needs no
+// invalidation. Everything is instrumented in the obs.Default metrics
+// registry:
 //
 //	serve/requests            counter    requests accepted per endpoint path
 //	serve/errors              counter    requests answered with an error status
 //	serve/rejected            counter    requests shed (queue wait exceeded the timeout)
-//	serve/cache/hits          counter    predictions answered from the LRU
-//	serve/cache/misses        counter    predictions computed
-//	serve/cache/flushes       counter    whole-cache invalidations (swap/promote)
 //	serve/featmemo/hits       counter    matrix predictions answered from memoized features (parse + extract skipped)
 //	serve/featmemo/misses     counter    matrix predictions computed without a usable feature-memo entry
 //	serve/featmemo/entries    gauge      feature-memo entries resident
@@ -190,7 +183,6 @@ type Server struct {
 	installer ShadowInstaller // nil when the backend cannot accept pushed candidates
 	cfg       Config
 	sem       chan struct{}
-	cache     *lruCache
 	featMemo  *featMemo
 	capture   *obs.CaptureWriter // nil unless recording traffic
 	pending   *pendingStore      // nil unless quality != nil
@@ -205,9 +197,6 @@ type Server struct {
 	requests     *obs.Counter
 	errors       *obs.Counter
 	rejected     *obs.Counter
-	cacheHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	cacheFlushes *obs.Counter
 	memoHits     *obs.Counter
 	memoMisses   *obs.Counter
 	batchReqs    *obs.Counter
@@ -265,7 +254,6 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 		installer:    installer,
 		cfg:          cfg,
 		sem:          make(chan struct{}, cfg.MaxConcurrent),
-		cache:        newLRUCache(cfg.CacheSize),
 		featMemo:     newFeatMemo(cfg.FeatMemoSize),
 		capture:      cfg.Capture,
 		pending:      pending,
@@ -275,9 +263,6 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 		requests:     obs.Default.Counter("serve/requests"),
 		errors:       obs.Default.Counter("serve/errors"),
 		rejected:     obs.Default.Counter("serve/rejected"),
-		cacheHits:    obs.Default.Counter("serve/cache/hits"),
-		cacheMisses:  obs.Default.Counter("serve/cache/misses"),
-		cacheFlushes: obs.Default.Counter("serve/cache/flushes"),
 		memoHits:     obs.Default.Counter("serve/featmemo/hits"),
 		memoMisses:   obs.Default.Counter("serve/featmemo/misses"),
 		batchReqs:    obs.Default.Counter("serve/batch/requests"),
@@ -339,17 +324,11 @@ func (s *Server) burnRate5m() float64 {
 	return 0
 }
 
-// FlushCache empties the prediction LRU. The registry calls it (via its
-// OnSwap hook) on every hot-swap and promotion, and the admin handlers
-// call it directly, so stale answers for a replaced model are
-// unreachable — on top of the artifact hash already being part of
-// every cache key. The feature memo is deliberately NOT flushed here:
-// body→features is model-independent, so memoized vectors stay valid
-// across swaps — that persistence is the memo's whole point.
-func (s *Server) FlushCache() {
-	s.cache.Flush()
-	s.cacheFlushes.Inc()
-}
+// FlushCache does nothing. The server caches no answers: the feature
+// memo holds body→features, which no model swap can invalidate, and
+// every request runs the live artifact. It stays so that callers which
+// still wire it into a swap hook (registry.OnSwap) keep compiling.
+func (s *Server) FlushCache() {}
 
 // FeatMemoStats reports the feature-memo hit/miss tallies (the
 // process-wide serve/featmemo/* counters), for tests and diagnostics.
@@ -365,7 +344,9 @@ type predictResponse struct {
 	// ModelHash identifies the artifact that produced the answer; it
 	// changes on every hot-swap or promotion.
 	ModelHash string `json:"model_hash"`
-	// Cached reports whether the answer came from the content-hash LRU.
+	// Cached reports that memoized features answered: the body was not
+	// parsed and no features were extracted. The live model still ran.
+	// Always false on /v1/predict/features.
 	Cached bool `json:"cached"`
 }
 
@@ -604,9 +585,10 @@ func (s *Server) readBody(r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// answered is one resolved prediction: the served answer, its cache
-// disposition, and the shadow candidate's answer when one scored the
-// same request — what feedback joins measured outcomes against.
+// answered is one resolved prediction: the served answer, whether
+// memoized features produced it, and the shadow candidate's answer when
+// one scored the same request — what feedback joins measured outcomes
+// against.
 type answered struct {
 	pred   Prediction
 	cached bool
@@ -615,51 +597,28 @@ type answered struct {
 }
 
 // predictBody answers one MatrixMarket body against a resolved live
-// model: cache lookup (keyed by body content and the live artifact
-// hash), feature-memo lookup (keyed by body content alone), parse,
+// model: feature-memo lookup (keyed by body content alone), parse,
 // extract (through the caller's scratches), predict, shadow score.
 // Shared by the single-matrix endpoint and every batch item, so the two
 // paths cannot drift.
 //
-// While a shadow candidate is registered for the arch the cache is
-// bypassed entirely: shadow evaluation wants every request scored by
-// both models, and serving the live answer from the LRU would silently
-// shrink the comparison sample. The feature memo still serves shadowed
-// requests when it holds the full vector — both models then score the
-// memoized features, which is exactly what the parse path would feed
-// them.
+// The memo holds features, never answers, so the live artifact scores
+// every request: a hot-swap takes effect on the next request with no
+// invalidation step, and a registered shadow candidate scores every
+// request too — from the memoized full vector when there is one, which
+// is exactly what the parse path would feed both models.
 func (s *Server) predictBody(ctx context.Context, lm LiveModel, cand LiveModel, shadowed bool, scratch *features.Scratch, ps *sparse.ParseScratch, body []byte) (answered, error) {
-	sum := sha256.Sum256(body)
-	key := contentKeySum("matrix", lm.Hash, sum)
-	if !shadowed {
-		_, csp := obs.StartChild(ctx, "cache")
-		pred, ok := s.cache.Get(key)
-		csp.End()
-		if ok {
-			s.cacheHits.Inc()
-			// Cache hits never parse the body, so the drift monitor only
-			// sees the label stream (vec is nil).
-			s.recordPrediction(ctx, lm.Arch, pred, nil)
-			return answered{pred: pred, cached: true}, nil
-		}
-	}
-	s.cacheMisses.Inc()
-	// Feature memo: a repeat body skips parse + extract even when the
-	// prediction cache missed (different model hash after a swap, cache
-	// disabled, or a different arch).
 	memoKey := ""
 	if s.featMemo.Enabled() {
+		sum := sha256.Sum256(body)
 		memoKey = string(sum[:16])
 		mctx, msp := obs.StartChild(ctx, "memo")
 		if e, ok := s.featMemo.Get(memoKey); ok {
-			// The prediction cache missed but the features were already
-			// known — a model swapped, an arch changed, or caching is off.
-			// That disposition is worth a trace, so flag it for the store.
-			noteMemoThenMiss(ctx)
-			if ans, served := s.answerFromMemo(mctx, lm, cand, shadowed, key, e); served {
+			if ans, served := s.answerFromMemo(mctx, lm, cand, shadowed, e); served {
 				msp.SetMetric("hit", 1)
 				msp.End()
 				s.memoHits.Inc()
+				ans.cached = true
 				return ans, nil
 			}
 		}
@@ -695,8 +654,6 @@ func (s *Server) predictBody(ctx context.Context, lm LiveModel, cand LiveModel, 
 		_, ssp := obs.StartChild(ctx, "shadow")
 		ans.cand, ans.candOK = s.scoreShadow(lm.Arch, cand, pred, vec)
 		ssp.End()
-	} else {
-		s.cache.Put(key, pred)
 	}
 	if memoKey != "" {
 		// Memoize whatever this request actually extracted. The vectors
@@ -709,18 +666,18 @@ func (s *Server) predictBody(ctx context.Context, lm LiveModel, cand LiveModel, 
 			s.featMemo.Put(memoKey, featEntry{cheap: append([]float64(nil), cheap[:]...)})
 		}
 	}
-	// Cheap answers never computed the 21-feature vector; like a cache
-	// hit, the drift monitor then advances only its label stream.
+	// Cheap answers never computed the 21-feature vector; the drift
+	// monitor then advances only its label stream.
 	s.recordPrediction(ctx, lm.Arch, pred, vec)
 	return ans, nil
 }
 
-// answerFromMemo serves one cache-missed request from memoized feature
-// vectors, skipping parse and extraction. served=false means the entry
-// cannot answer this request (cheap-only entry but the cascade is not
+// answerFromMemo serves one request from memoized feature vectors,
+// skipping parse and extraction. served=false means the entry cannot
+// answer this request (cheap-only entry but the cascade is not
 // confident, a shadow needs the full vector, or the model rejected the
 // vector) and the caller takes the parse path.
-func (s *Server) answerFromMemo(ctx context.Context, lm LiveModel, cand LiveModel, shadowed bool, cacheKey string, e featEntry) (answered, bool) {
+func (s *Server) answerFromMemo(ctx context.Context, lm LiveModel, cand LiveModel, shadowed bool, e featEntry) (answered, bool) {
 	if e.full != nil {
 		// Artifact.Predict routes the full vector through the cascade
 		// exactly like the parse path would, so stage, confidence and
@@ -737,8 +694,6 @@ func (s *Server) answerFromMemo(ctx context.Context, lm LiveModel, cand LiveMode
 			_, ssp := obs.StartChild(ctx, "shadow")
 			ans.cand, ans.candOK = s.scoreShadow(lm.Arch, cand, pred, e.full)
 			ssp.End()
-		} else {
-			s.cache.Put(cacheKey, pred)
 		}
 		s.recordPrediction(ctx, lm.Arch, pred, e.full)
 		return ans, true
@@ -765,20 +720,19 @@ func (s *Server) answerFromMemo(ctx context.Context, lm LiveModel, cand LiveMode
 		Confidence: conf,
 	}
 	s.noteCascade(lm.Artifact, pred)
-	ans := answered{pred: pred}
-	s.cache.Put(cacheKey, pred)
 	// Like any cheap answer, the 21-feature vector was never computed:
 	// the drift monitor advances only its label stream.
 	s.recordPrediction(ctx, lm.Arch, pred, nil)
-	return ans, true
+	return answered{pred: pred}, true
 }
 
 // Cascade confidences are probabilities; bucket the interesting top end
 // where thresholds live.
 var confidenceBuckets = []float64{0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1}
 
-// noteCascade tallies which stage answered. Only computed answers from
-// a cascade-carrying artifact count: cache hits never ran either stage.
+// noteCascade tallies which stage answered, for every answer from a
+// cascade-carrying artifact (memo hits included: they run the cascade
+// on the memoized features).
 func (s *Server) noteCascade(art *Artifact, pred Prediction) {
 	if art.Cascade == nil {
 		return
@@ -812,9 +766,9 @@ func (s *Server) cascadeStats() CascadeStats {
 }
 
 // recordPrediction tallies one served answer: the per-arch/format
-// counter plus the drift monitor. vec may be nil when the request body
-// was never parsed (a cache hit); the drift monitor then advances only
-// its predicted-format stream.
+// counter plus the drift monitor. vec is nil when the cascade's cheap
+// stage answered, so the full vector was never computed; the drift
+// monitor then advances only its predicted-format stream.
 func (s *Server) recordPrediction(ctx context.Context, arch string, pred Prediction, vec []float64) {
 	s.predictions.With(arch, pred.Format).Inc()
 	if s.drift != nil {
@@ -896,20 +850,6 @@ func (s *Server) predictFeatures(ctx context.Context, r *http.Request) (any, err
 		return nil, &httpError{status: http.StatusServiceUnavailable, err: err}
 	}
 	cand, shadowed := s.backend.Shadow(lm.Arch)
-	key := contentKey("features", lm.Hash, body)
-	if !shadowed {
-		if pred, ok := s.cache.Get(key); ok {
-			s.cacheHits.Inc()
-			noteCached(ctx, true)
-			// The feature vector is in hand even on a hit, so the drift
-			// monitor sees the full observation.
-			s.recordPrediction(ctx, lm.Arch, pred, req.Features)
-			s.notePending(ctx, "", lm, pred, Prediction{}, false)
-			s.captureRequest(ctx, "/v1/predict/features", lm, r.Header.Get("Content-Type"), body, []string{pred.Format})
-			return predictResponse{Prediction: pred, Arch: lm.Arch, ModelHash: lm.Hash, Cached: true}, nil
-		}
-	}
-	s.cacheMisses.Inc()
 	_, psp := obs.StartChild(ctx, "predict")
 	pred, err := lm.Artifact.Predict(req.Features)
 	psp.End()
@@ -923,13 +863,11 @@ func (s *Server) predictFeatures(ctx context.Context, r *http.Request) (any, err
 		_, ssp := obs.StartChild(ctx, "shadow")
 		candPred, candOK = s.scoreShadow(lm.Arch, cand, pred, req.Features)
 		ssp.End()
-	} else {
-		s.cache.Put(key, pred)
 	}
 	s.recordPrediction(ctx, lm.Arch, pred, req.Features)
 	s.notePending(ctx, "", lm, pred, candPred, candOK)
 	s.captureRequest(ctx, "/v1/predict/features", lm, r.Header.Get("Content-Type"), body, []string{pred.Format})
-	return predictResponse{Prediction: pred, Arch: lm.Arch, ModelHash: lm.Hash, Cached: false}, nil
+	return predictResponse{Prediction: pred, Arch: lm.Arch, ModelHash: lm.Hash}, nil
 }
 
 // Run serves on addr until ctx is cancelled (SIGTERM in the CLI), then
@@ -966,27 +904,6 @@ func (s *Server) Run(ctx context.Context, addr string, ready func(bound string))
 		return fmt.Errorf("serve: shutdown: %w", err)
 	}
 	return nil
-}
-
-// contentKey hashes an endpoint-qualified request body together with
-// the live artifact hash, so entries cached under a replaced model can
-// never answer a request served by its successor.
-func contentKey(endpoint, modelHash string, body []byte) string {
-	return contentKeySum(endpoint, modelHash, sha256.Sum256(body))
-}
-
-// contentKeySum is contentKey over a precomputed body digest: the
-// matrix path hashes its body exactly once and reuses the digest for
-// both the prediction cache key (which must also cover the artifact
-// hash) and the feature-memo key (which must not).
-func contentKeySum(endpoint, modelHash string, sum [sha256.Size]byte) string {
-	h := sha256.New()
-	io.WriteString(h, endpoint)
-	h.Write([]byte{0})
-	io.WriteString(h, modelHash)
-	h.Write([]byte{0})
-	h.Write(sum[:])
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // writeError renders err as its JSON error body, honouring an embedded

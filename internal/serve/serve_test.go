@@ -73,8 +73,8 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("/v1/model = %+v", meta)
 	}
 
-	// Matrix prediction, then the same body again: second answer must be
-	// the cache hit.
+	// Matrix prediction, then the same body again: the second answer
+	// comes from the memoized features.
 	want := art.MustPredict(t, m)
 	rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
 	if rec.Code != http.StatusOK {
@@ -85,7 +85,7 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	rec, out = postJSON(t, h, "/v1/predict/matrix", mm)
 	if rec.Code != http.StatusOK || out["format"] != want.Format || out["cached"] != true {
-		t.Fatalf("repeat matrix predict = %d %v, want cached %s", rec.Code, out, want.Format)
+		t.Fatalf("repeat matrix predict = %d %v, want memoized %s", rec.Code, out, want.Format)
 	}
 
 	// Feature-vector prediction agrees with the matrix path.
@@ -100,8 +100,8 @@ func TestServeEndpoints(t *testing.T) {
 	if snap.Counters["serve/requests"] < 3 {
 		t.Errorf("serve/requests = %d, want >= 3", snap.Counters["serve/requests"])
 	}
-	if snap.Counters["serve/cache/hits"] < 1 {
-		t.Errorf("serve/cache/hits = %d, want >= 1", snap.Counters["serve/cache/hits"])
+	if snap.Counters["serve/featmemo/hits"] < 1 {
+		t.Errorf("serve/featmemo/hits = %d, want >= 1", snap.Counters["serve/featmemo/hits"])
 	}
 	if h, ok := snap.Histograms["serve/request/seconds"]; !ok || h.Count < 3 {
 		t.Errorf("serve/request/seconds histogram = %+v, want >= 3 observations", h)
@@ -187,7 +187,7 @@ func TestServeShedsLoadWhenSaturated(t *testing.T) {
 // TestServeConcurrentRequests hammers the handler from many goroutines
 // — meaningful under -race — and checks every answer is consistent.
 func TestServeConcurrentRequests(t *testing.T) {
-	srv, art, m, mm := testServer(t, Config{MaxConcurrent: 4, CacheSize: 2})
+	srv, art, m, mm := testServer(t, Config{MaxConcurrent: 4, FeatMemoSize: 2})
 	h := srv.Handler()
 	want := art.MustPredict(t, m)
 	featBody, _ := json.Marshal(featuresRequest{Features: features.Extract(m).Slice()})
@@ -220,8 +220,8 @@ func TestServeConcurrentRequests(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := srv.cache.Len(); got > 2 {
-		t.Errorf("cache grew past its capacity: %d entries", got)
+	if got := srv.featMemo.Len(); got > 2 {
+		t.Errorf("feature memo grew past its capacity: %d entries", got)
 	}
 }
 
@@ -266,30 +266,5 @@ func TestServeRunGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return after cancel")
-	}
-}
-
-func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	c.Put("a", Prediction{Format: "COO"})
-	c.Put("b", Prediction{Format: "CSR"})
-	if _, ok := c.Get("a"); !ok { // touch a: b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.Put("c", Prediction{Format: "ELL"})
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if p, ok := c.Get("a"); !ok || p.Format != "COO" {
-		t.Errorf("a = %+v %v", p, ok)
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	// Disabled cache never stores.
-	off := newLRUCache(0)
-	off.Put("x", Prediction{})
-	if _, ok := off.Get("x"); ok || off.Len() != 0 {
-		t.Error("disabled cache stored an entry")
 	}
 }

@@ -26,16 +26,13 @@ import (
 const maxTraceIDLen = 128
 
 // reqInfo is the per-request record the handlers fill in for the access
-// log: which arch answered, with which artifact, and whether the LRU
-// did. It travels by pointer in the request context.
+// log: which arch answered, with which artifact, and whether memoized
+// features did (a single-matrix request whose body was not parsed). It
+// travels by pointer in the request context.
 type reqInfo struct {
 	arch      string
 	modelHash string
 	cached    bool
-	// memoThenMiss marks the trace-worthy disposition where the
-	// prediction cache missed but the feature memo already held the
-	// body's vector — a model swap, arch change, or disabled cache.
-	memoThenMiss bool
 }
 
 type reqInfoKey struct{}
@@ -56,19 +53,10 @@ func noteModel(ctx context.Context, lm LiveModel) {
 	}
 }
 
-// noteCached records whether the answer came from the LRU.
+// noteCached records whether memoized features answered.
 func noteCached(ctx context.Context, cached bool) {
 	if ri := reqInfoFrom(ctx); ri != nil {
 		ri.cached = cached
-	}
-}
-
-// noteMemoThenMiss flags the request for tail-sampling: the feature
-// memo hit after a prediction-cache miss, which usually means a model
-// just swapped under live traffic — exactly the requests worth a trace.
-func noteMemoThenMiss(ctx context.Context) {
-	if ri := reqInfoFrom(ctx); ri != nil {
-		ri.memoThenMiss = true
 	}
 }
 
@@ -168,9 +156,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			root.SetMetric("status", float64(sw.status))
 			if sd := root.EndData(); sd != nil {
 				var forced []string
-				if info.memoThenMiss {
-					forced = append(forced, obs.KeepMemoMiss)
-				}
 				if r.Header.Get(obs.TraceKeepHeader) != "" {
 					forced = append(forced, obs.KeepRequested)
 				}

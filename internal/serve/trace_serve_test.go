@@ -15,8 +15,8 @@ import (
 
 // TestTraceIDHeaderFlow: an incoming X-Request-ID is honoured and
 // echoed; a request without one gets a minted ID; the access log line
-// carries the same ID plus the resolved arch, model hash and cache
-// disposition.
+// carries the same ID plus the resolved arch, model hash and whether
+// memoized features answered.
 func TestTraceIDHeaderFlow(t *testing.T) {
 	defer obs.Default.Reset()
 	var logBuf bytes.Buffer
@@ -36,6 +36,8 @@ func TestTraceIDHeaderFlow(t *testing.T) {
 	if got := rec.Header().Get("X-Request-ID"); got != "trace-test-42" {
 		t.Errorf("X-Request-ID echo = %q", got)
 	}
+	// The same body again: memoized features answer it.
+	predictWithID(t, h, "/v1/predict/matrix", "trace-test-43", mm)
 
 	// No incoming ID: one is minted (16 hex chars) and echoed.
 	req = httptest.NewRequest(http.MethodGet, "/healthz", nil)
@@ -55,8 +57,8 @@ func TestTraceIDHeaderFlow(t *testing.T) {
 		}
 		lines = append(lines, m)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("access log has %d lines, want 2", len(lines))
+	if len(lines) != 3 {
+		t.Fatalf("access log has %d lines, want 3", len(lines))
 	}
 	first := lines[0]
 	if first["trace_id"] != "trace-test-42" {
@@ -77,6 +79,9 @@ func TestTraceIDHeaderFlow(t *testing.T) {
 	if first["cached"] != false {
 		t.Errorf("logged cached = %v", first["cached"])
 	}
+	if repeat := lines[1]; repeat["trace_id"] != "trace-test-43" || repeat["cached"] != true {
+		t.Errorf("repeat body logged trace_id %v cached %v, want trace-test-43 true", repeat["trace_id"], repeat["cached"])
+	}
 	if _, ok := first["duration_ms"].(float64); !ok {
 		t.Errorf("logged duration_ms = %v", first["duration_ms"])
 	}
@@ -90,7 +95,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	srv, _, _, mm := testServer(t, Config{})
 	h := srv.Handler()
 
-	// Generate traffic: two predictions (second is a cache hit).
+	// Generate traffic: two predictions (second is a memo hit).
 	for i := 0; i < 2; i++ {
 		rec, _ := postJSON(t, h, "/v1/predict/matrix", mm)
 		if rec.Code != http.StatusOK {
@@ -110,7 +115,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-	// Both predictions (including the cache hit) count, labeled by arch.
+	// Both predictions (including the memo hit) count, labeled by arch.
 	if got := m.Sum("spmvselect_serve_predictions_total", "arch", "turing"); got != 2 {
 		t.Errorf("predictions{arch=turing} = %v, want 2", got)
 	}
@@ -122,8 +127,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"endpoint", "/v1/predict/matrix", "arch", "turing"); !ok || v != 2 {
 		t.Errorf("http_seconds_count = %v %v", v, ok)
 	}
-	if v, ok := m.Value("spmvselect_serve_cache_hits_total"); !ok || v < 1 {
-		t.Errorf("cache hits = %v %v", v, ok)
+	if v, ok := m.Value("spmvselect_serve_featmemo_hits_total"); !ok || v < 1 {
+		t.Errorf("featmemo hits = %v %v", v, ok)
 	}
 	// SLO gauges are refreshed by the scrape itself.
 	if v, ok := m.Value("spmvselect_slo_requests", "window", "1m"); !ok || v != 2 {

@@ -26,7 +26,7 @@ func collectNames(sd *obs.SpanData, into map[string]int) {
 // list view and the full stage-span tree by request ID.
 func TestTraceAdminEndpoints(t *testing.T) {
 	defer obs.Default.Reset()
-	srv, _, _, mm := testServer(t, Config{AdminToken: "tok", TraceSample: -1, CacheSize: -1})
+	srv, _, _, mm := testServer(t, Config{AdminToken: "tok", TraceSample: -1})
 	h := srv.Handler()
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict/matrix", strings.NewReader(string(mm)))
@@ -79,7 +79,7 @@ func TestTraceAdminEndpoints(t *testing.T) {
 	// whole point of always-on tracing.
 	names := map[string]int{}
 	collectNames(e.Root, names)
-	for _, want := range []string{"cache", "memo", "parse", "features/full", "predict"} {
+	for _, want := range []string{"memo", "parse", "features/full", "predict"} {
 		if names[want] == 0 {
 			t.Errorf("stage span %q missing from retained tree; have %v", want, names)
 		}
@@ -91,6 +91,27 @@ func TestTraceAdminEndpoints(t *testing.T) {
 	rec = adminReq(t, h, http.MethodGet, "/v1/admin/trace/absent", "tok")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("missing trace: %d, want 404", rec.Code)
+	}
+
+	// A repeat body is ordinary traffic: memoized features answer it and
+	// nothing force-keeps its trace. Kept on request, its tree shows the
+	// memo hit feeding the live model, with no parse.
+	predictWithID(t, h, "/v1/predict/matrix", "repeat", mm)
+	if e := srv.traces.Get("repeat"); e != nil {
+		t.Fatalf("memo-hit request retained unasked: %v", e.Reasons)
+	}
+	req = httptest.NewRequest(http.MethodPost, "/v1/predict/matrix", strings.NewReader(string(mm)))
+	req.Header.Set("X-Request-ID", "repeat-kept")
+	req.Header.Set(obs.TraceKeepHeader, "1")
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	kept := srv.traces.Get("repeat-kept")
+	if kept == nil {
+		t.Fatal("memo-hit request with X-Trace-Keep not retained")
+	}
+	names = map[string]int{}
+	collectNames(kept.Root, names)
+	if names["memo"] != 1 || names["predict"] != 1 || names["parse"] != 0 {
+		t.Fatalf("memo-hit trace spans = %v, want memo and predict without parse", names)
 	}
 }
 
@@ -106,28 +127,6 @@ func TestTraceDisabled(t *testing.T) {
 		if rec := adminReq(t, h, http.MethodGet, path, "tok"); rec.Code != http.StatusNotImplemented {
 			t.Fatalf("GET %s with tracing disabled: %d, want 501", path, rec.Code)
 		}
-	}
-}
-
-// TestTraceMemoThenMiss: with the prediction cache disabled, a repeat
-// body hits the feature memo after the cache miss — the swap-shaped
-// disposition the tail sampler force-keeps.
-func TestTraceMemoThenMiss(t *testing.T) {
-	defer obs.Default.Reset()
-	srv, _, _, mm := testServer(t, Config{AdminToken: "tok", TraceSample: -1, CacheSize: -1})
-	h := srv.Handler()
-	predictWithID(t, h, "/v1/predict/matrix", "first", mm)
-	predictWithID(t, h, "/v1/predict/matrix", "second", mm)
-
-	if e := srv.traces.Get("first"); e != nil {
-		t.Fatalf("first request (cold memo) unexpectedly retained: %v", e.Reasons)
-	}
-	e := srv.traces.Get("second")
-	if e == nil {
-		t.Fatal("memo-then-miss request not retained")
-	}
-	if len(e.Reasons) != 1 || e.Reasons[0] != obs.KeepMemoMiss {
-		t.Fatalf("reasons = %v, want [%s]", e.Reasons, obs.KeepMemoMiss)
 	}
 }
 
