@@ -3,7 +3,10 @@
 #
 # Usage: ./ci.sh [bench]
 #
-#   (no argument)  vet + build + race-enabled tests + the race-free
+#   (no argument)  vet + build + race-enabled tests + the corpus
+#                  generation and permutation tests at 1, 2 and 4 CPUs
+#                  (the sequential and the pipelined generator must
+#                  build the same golden corpus) + the race-free
 #                  allocation guards (pooled parse scratch, feature-memo
 #                  hits) + the obs disabled-path overhead benchmark + a
 #                  benchparse differential smoke (the byte-slice
@@ -76,6 +79,9 @@ go build ./...
 
 echo '== go test -race ./...'
 go test -race ./...
+
+echo '== corpus generation at 1, 2 and 4 CPUs (sequential and pipelined paths)'
+go test -race -count=1 -cpu 1,2,4 -run 'TestGenerate|TestPermute|TestCorpus' ./internal/dataset ./internal/sparse
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
 go test -run Allocs -count=1 ./internal/sparse ./internal/serve

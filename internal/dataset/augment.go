@@ -20,8 +20,7 @@ func Augment(rng *rand.Rand, m *sparse.CSR, n int) ([]*sparse.CSR, error) {
 	rows, cols := m.Dims()
 	out := make([]*sparse.CSR, 0, n)
 	for v := 0; v < n; v++ {
-		rp := windowedPerm(rng, rows, 1+rows/8)
-		cp := windowedPerm(rng, cols, 1+cols/8)
+		rp, cp := drawPerms(rng, rows, cols)
 		p, err := m.Permute(rp, cp)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: augmenting variant %d: %w", v, err)
@@ -29,6 +28,15 @@ func Augment(rng *rand.Rand, m *sparse.CSR, n int) ([]*sparse.CSR, error) {
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// drawPerms draws one variant's row and column permutations, in that
+// order. It is the only rng use of augmentation, so Generate can draw on
+// one goroutine and permute on others.
+func drawPerms(rng *rand.Rand, rows, cols int) (rowPerm, colPerm []int) {
+	rowPerm = windowedPerm(rng, rows, 1+rows/8)
+	colPerm = windowedPerm(rng, cols, 1+cols/8)
+	return rowPerm, colPerm
 }
 
 // windowedPerm builds a permutation of [0, n) that shuffles indices only

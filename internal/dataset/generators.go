@@ -69,6 +69,28 @@ func (f Family) String() string {
 // Generate produces one matrix of the family. The scale parameter in
 // (0, 1] controls the size: rows grow roughly geometrically with scale.
 func (f Family) Generate(rng *rand.Rand, scale float64) *sparse.CSR {
+	return f.generate(rng, scale, new(assembler))
+}
+
+// assembler builds matrices one after another through one Triplet and
+// one ParseScratch, so their buffers are allocated once per collection
+// rather than once per matrix. It must not be shared concurrently.
+type assembler struct {
+	t sparse.Triplet
+	s sparse.ParseScratch
+}
+
+// start empties the triplet for a rows x cols matrix and returns it.
+func (a *assembler) start(rows, cols int) *sparse.Triplet {
+	a.t.Reset(rows, cols)
+	return &a.t
+}
+
+// finish assembles the triplet's entries into a CSR matrix that owns
+// its memory.
+func (a *assembler) finish() *sparse.CSR { return a.t.ToCSRScratch(&a.s) }
+
+func (f Family) generate(rng *rand.Rand, scale float64, asm *assembler) *sparse.CSR {
 	// Log-uniform row count between ~200 and ~40000.
 	rows := int(200 * math.Pow(200, scale*rng.Float64()))
 	if rows < 8 {
@@ -76,25 +98,25 @@ func (f Family) Generate(rng *rand.Rand, scale float64) *sparse.CSR {
 	}
 	switch f {
 	case FamilyUniform:
-		return genUniform(rng, rows)
+		return genUniform(rng, rows, asm)
 	case FamilyPowerLaw:
-		return genPowerLaw(rng, rows)
+		return genPowerLaw(rng, rows, asm)
 	case FamilyBanded:
-		return genBanded(rng, rows)
+		return genBanded(rng, rows, asm)
 	case FamilyMesh:
-		return genMesh(rng, rows)
+		return genMesh(rng, rows, asm)
 	case FamilyBlock:
-		return genBlock(rng, rows)
+		return genBlock(rng, rows, asm)
 	case FamilyRMAT:
-		return genRMAT(rng, rows)
+		return genRMAT(rng, rows, asm)
 	case FamilyHeavyRow:
-		return genHeavyRow(rng, rows)
+		return genHeavyRow(rng, rows, asm)
 	case FamilyStencil3D:
-		return genStencil3D(rng, rows)
+		return genStencil3D(rng, rows, asm)
 	case FamilyCircuit:
-		return genCircuit(rng, rows)
+		return genCircuit(rng, rows, asm)
 	case FamilyBipartite:
-		return genBipartite(rng, rows)
+		return genBipartite(rng, rows, asm)
 	default:
 		panic(fmt.Sprintf("dataset: unknown family %d", int(f)))
 	}
@@ -134,26 +156,26 @@ func mustAdd(t *sparse.Triplet, i, j int, v float64) {
 // genUniform is an Erdős–Rényi-style matrix: every row draws a
 // near-Poisson number of uniformly random columns. Moderate imbalance
 // and full scatter; the regime where CSR usually wins.
-func genUniform(rng *rand.Rand, rows int) *sparse.CSR {
+func genUniform(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	cols := rows
 	mean := 3 + rng.Float64()*25
-	t := sparse.NewTriplet(rows, cols)
+	t := asm.start(rows, cols)
 	for i := 0; i < rows; i++ {
 		n := poisson(rng, mean)
 		addRowEntries(rng, t, i, cols, n)
 	}
-	return t.ToCSR()
+	return asm.finish()
 }
 
 // genPowerLaw draws row lengths from a discrete Pareto distribution,
 // producing the scale-free degree profiles of web and social graphs:
 // a few enormous rows, many tiny ones. The regime where scalar CSR
 // collapses and HYB or COO wins.
-func genPowerLaw(rng *rand.Rand, rows int) *sparse.CSR {
+func genPowerLaw(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	cols := rows
 	alpha := 1.6 + rng.Float64()*1.2 // tail exponent
 	maxLen := cols / 2
-	t := sparse.NewTriplet(rows, cols)
+	t := asm.start(rows, cols)
 	for i := 0; i < rows; i++ {
 		n := int(math.Pow(rng.Float64(), -1/alpha)) // Pareto(alpha), min 1
 		if n > maxLen {
@@ -161,17 +183,17 @@ func genPowerLaw(rng *rand.Rand, rows int) *sparse.CSR {
 		}
 		addRowEntries(rng, t, i, cols, n)
 	}
-	return t.ToCSR()
+	return asm.finish()
 }
 
 // genBanded scatters entries inside a diagonal band, the profile of 1-D
 // PDE discretisations: near-uniform rows and excellent column locality.
 // The regime where ELL wins.
-func genBanded(rng *rand.Rand, rows int) *sparse.CSR {
+func genBanded(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	cols := rows
 	band := 2 + rng.Intn(30)
 	fill := 0.15 + 0.8*rng.Float64()
-	t := sparse.NewTriplet(rows, cols)
+	t := asm.start(rows, cols)
 	for i := 0; i < rows; i++ {
 		lo := i - band
 		if lo < 0 {
@@ -188,19 +210,19 @@ func genBanded(rng *rand.Rand, rows int) *sparse.CSR {
 			}
 		}
 	}
-	return t.ToCSR()
+	return asm.finish()
 }
 
 // genMesh is the 5-point (or 9-point) stencil of a 2-D structured grid:
 // constant-length rows, perfect for ELL.
-func genMesh(rng *rand.Rand, rows int) *sparse.CSR {
+func genMesh(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	side := int(math.Sqrt(float64(rows)))
 	if side < 3 {
 		side = 3
 	}
 	n := side * side
 	nine := rng.Intn(2) == 1
-	t := sparse.NewTriplet(n, n)
+	t := asm.start(n, n)
 	for x := 0; x < side; x++ {
 		for y := 0; y < side; y++ {
 			i := x*side + y
@@ -221,20 +243,20 @@ func genMesh(rng *rand.Rand, rows int) *sparse.CSR {
 			}
 		}
 	}
-	return t.ToCSR()
+	return asm.finish()
 }
 
 // genBlock builds a block-diagonal matrix with dense blocks plus sparse
 // coupling entries, the profile of multi-physics systems: uniform rows
 // within blocks, mild scatter.
-func genBlock(rng *rand.Rand, rows int) *sparse.CSR {
+func genBlock(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	bs := 4 + rng.Intn(12) // block size
 	nb := rows / bs
 	if nb < 1 {
 		nb = 1
 	}
 	n := nb * bs
-	t := sparse.NewTriplet(n, n)
+	t := asm.start(n, n)
 	for b := 0; b < nb; b++ {
 		base := b * bs
 		for i := 0; i < bs; i++ {
@@ -250,18 +272,18 @@ func genBlock(rng *rand.Rand, rows int) *sparse.CSR {
 	for k := 0; k < couplings; k++ {
 		mustAdd(t, rng.Intn(n), rng.Intn(n), rng.Float64())
 	}
-	return t.ToCSR()
+	return asm.finish()
 }
 
 // genRMAT is a recursive-matrix (Kronecker) graph in the style of
 // Chakrabarti et al.: skewed degrees and community structure. The regime
 // where CSR, HYB and COO compete.
-func genRMAT(rng *rand.Rand, rows int) *sparse.CSR {
+func genRMAT(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	levels := int(math.Ceil(math.Log2(float64(rows))))
 	n := 1 << levels
 	edges := n * (4 + rng.Intn(12))
 	a, b, c := 0.57, 0.19, 0.19 // standard RMAT corner probabilities
-	t := sparse.NewTriplet(n, n)
+	t := asm.start(n, n)
 	for e := 0; e < edges; e++ {
 		i, j := 0, 0
 		for l := 0; l < levels; l++ {
@@ -280,13 +302,13 @@ func genRMAT(rng *rand.Rand, rows int) *sparse.CSR {
 		}
 		mustAdd(t, i, j, 1)
 	}
-	return t.ToCSR()
+	return asm.finish()
 }
 
 // genHeavyRow is a mostly-uniform matrix with a handful of near-dense
 // rows, the shape of bipartite incidence data (and of the paper's
 // mawi example): catastrophic for scalar CSR, ideal for HYB.
-func genHeavyRow(rng *rand.Rand, rows int) *sparse.CSR {
+func genHeavyRow(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	cols := rows
 	if rng.Float64() < 0.08 {
 		// Occasional wide "spike" matrix in the spirit of the paper's
@@ -296,7 +318,7 @@ func genHeavyRow(rng *rand.Rand, rows int) *sparse.CSR {
 		cols = rows * 8
 	}
 	mean := 2 + rng.Float64()*8
-	t := sparse.NewTriplet(rows, cols)
+	t := asm.start(rows, cols)
 	for i := 0; i < rows; i++ {
 		addRowEntries(rng, t, i, cols, poisson(rng, mean))
 	}
@@ -310,7 +332,7 @@ func genHeavyRow(rng *rand.Rand, rows int) *sparse.CSR {
 		n := int(float64(cols) * (0.03 + 0.6*u*u))
 		addRowEntries(rng, t, i, cols, n)
 	}
-	return t.ToCSR()
+	return asm.finish()
 }
 
 // poisson draws a Poisson variate by inversion for small means and a
@@ -341,13 +363,13 @@ func poisson(rng *rand.Rand, mean float64) int {
 // profile of finite-difference volume solvers: constant-length interior
 // rows (ideal for ELL) but with three distinct diagonal distances, so
 // its locality differs from the 2-D mesh.
-func genStencil3D(rng *rand.Rand, rows int) *sparse.CSR {
+func genStencil3D(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	side := int(math.Cbrt(float64(rows)))
 	if side < 3 {
 		side = 3
 	}
 	n := side * side * side
-	t := sparse.NewTriplet(n, n)
+	t := asm.start(n, n)
 	at := func(x, y, z int) int { return (x*side+y)*side + z }
 	for x := 0; x < side; x++ {
 		for y := 0; y < side; y++ {
@@ -363,7 +385,7 @@ func genStencil3D(rng *rand.Rand, rows int) *sparse.CSR {
 			}
 		}
 	}
-	return t.ToCSR()
+	return asm.finish()
 }
 
 // genCircuit mimics circuit-simulation matrices: very sparse rows
@@ -371,9 +393,9 @@ func genStencil3D(rng *rand.Rand, rows int) *sparse.CSR {
 // power/ground nets touching a large share of the nodes. The dense
 // columns scatter the x-vector access pattern without inflating any
 // single row, a regime none of the other families covers.
-func genCircuit(rng *rand.Rand, rows int) *sparse.CSR {
+func genCircuit(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	cols := rows
-	t := sparse.NewTriplet(rows, cols)
+	t := asm.start(rows, cols)
 	for i := 0; i < rows; i++ {
 		mustAdd(t, i, i, 4+rng.Float64())
 		deg := 1 + rng.Intn(3)
@@ -403,20 +425,20 @@ func genCircuit(rng *rand.Rand, rows int) *sparse.CSR {
 			}
 		}
 	}
-	return t.ToCSR()
+	return asm.finish()
 }
 
 // genBipartite is a rectangular term-document-style incidence matrix:
 // many more columns than rows (or vice versa), Zipf-ish column
 // popularity, uniform row lengths. Rectangularity exercises the
 // nrows/ncols features no square family touches.
-func genBipartite(rng *rand.Rand, rows int) *sparse.CSR {
+func genBipartite(rng *rand.Rand, rows int, asm *assembler) *sparse.CSR {
 	cols := rows * (2 + rng.Intn(6))
 	if rng.Intn(2) == 0 {
 		rows, cols = cols, rows/2+1
 	}
 	mean := 4 + rng.Float64()*12
-	t := sparse.NewTriplet(rows, cols)
+	t := asm.start(rows, cols)
 	for i := 0; i < rows; i++ {
 		n := poisson(rng, mean)
 		for e := 0; e < n; e++ {
@@ -429,5 +451,5 @@ func genBipartite(rng *rand.Rand, rows int) *sparse.CSR {
 			mustAdd(t, i, j, 1)
 		}
 	}
-	return t.ToCSR()
+	return asm.finish()
 }

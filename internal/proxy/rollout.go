@@ -146,19 +146,25 @@ func Rollout(ctx context.Context, cfg RolloutConfig) (*RolloutResult, error) {
 		res.Driven = n
 		cfg.logf("rollout: drove %d matrices through each replica", n)
 	}
+	var pending []string // the last complete poll's verdict
 	for {
-		pending, err := observeOnce(ctx, cfg, wantHash, res)
+		next, err := observeOnce(ctx, cfg, wantHash, res)
 		if err != nil {
+			if ctx.Err() != nil && pending != nil {
+				// The deadline cut this poll short: report what the
+				// last complete poll was still waiting on.
+				return nil, observeTimeout(pending)
+			}
 			return nil, err
 		}
-		if len(pending) == 0 {
+		if pending = next; len(pending) == 0 {
 			break
 		}
 		cfg.logf("rollout: waiting on %d/%d replicas: %s",
 			len(pending), len(cfg.Replicas), pending[0])
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("rollout: timed out observing; still pending: %v", pending)
+			return nil, observeTimeout(pending)
 		case <-time.After(cfg.Poll):
 		}
 	}
@@ -189,6 +195,10 @@ func Rollout(ctx context.Context, cfg RolloutConfig) (*RolloutResult, error) {
 	}
 	cfg.logf("rollout: fleet serves %s", wantHash)
 	return res, nil
+}
+
+func observeTimeout(pending []string) error {
+	return fmt.Errorf("rollout: timed out observing; still pending: %v", pending)
 }
 
 // observeOnce polls every replica's shadow report and returns the

@@ -29,6 +29,10 @@ type fakeAdminReplica struct {
 	promotes   int
 	agree      int64
 	disagree   int64
+	// stallAfter > 0 makes every shadow-report poll after that many
+	// answers hang until the client gives up.
+	stallAfter int
+	polls      int
 }
 
 func newFakeAdminReplica(agree, disagree int64) *fakeAdminReplica {
@@ -52,6 +56,14 @@ func newFakeAdminReplica(agree, disagree int64) *fakeAdminReplica {
 		writeJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": hash})
 	}))
 	mux.HandleFunc("/v1/admin/shadow", auth(func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.polls++
+		stall := f.stallAfter > 0 && f.polls > f.stallAfter
+		f.mu.Unlock()
+		if stall {
+			<-r.Context().Done()
+			return
+		}
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		rep := registry.ShadowReportData{Arches: []registry.ArchShadowReport{}}
@@ -174,6 +186,38 @@ func TestRolloutBlocksOnDisagreeingReplica(t *testing.T) {
 		if live != "old-live" || promotes != 0 {
 			t.Fatalf("replica %d changed during a blocked rollout: live %s promotes %d", i, live, promotes)
 		}
+	}
+}
+
+// TestRolloutTimeoutMidPollKeepsPendingReason: when the rollout
+// deadline ends an in-flight shadow-report poll, the error still names
+// what the last complete poll was waiting on, not the cut-off request.
+func TestRolloutTimeoutMidPollKeepsPendingReason(t *testing.T) {
+	disagreeing := newFakeAdminReplica(15, 5) // 0.75 agreement
+	stalling := newFakeAdminReplica(20, 0)
+	stalling.mu.Lock()
+	stalling.stallAfter = 1
+	stalling.mu.Unlock()
+	for _, f := range []*fakeAdminReplica{disagreeing, stalling} {
+		t.Cleanup(f.srv.Close)
+	}
+	path, _ := writeCandidate(t)
+
+	_, err := Rollout(context.Background(), RolloutConfig{
+		Replicas: []string{disagreeing.addr(), stalling.addr()}, ArtifactPath: path, Token: "tok",
+		Threshold: 0.99, MinScored: 10, Timeout: 500 * time.Millisecond, Poll: 20 * time.Millisecond,
+	})
+	if err == nil {
+		t.Fatal("rollout promoted past a disagreeing replica")
+	}
+	if !strings.Contains(err.Error(), "timed out observing") || !strings.Contains(err.Error(), "agreement 0.7500") {
+		t.Fatalf("error does not carry the pending agreement gap: %v", err)
+	}
+	stalling.mu.Lock()
+	polls := stalling.polls
+	stalling.mu.Unlock()
+	if polls < 2 {
+		t.Fatalf("stalling replica answered %d polls; the deadline never cut one short", polls)
 	}
 }
 

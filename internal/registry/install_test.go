@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -116,4 +118,96 @@ func TestInstallShadow(t *testing.T) {
 		t.Fatalf("replacement candidate = %+v ok=%v", cand2, ok)
 	}
 	t.Cleanup(func() { os.Remove(cand2.Source) })
+}
+
+// TestInstallShadowRemovesReplacedSpools: a pushed candidate's spool
+// file is removed once no slot refers to it — a newer push replaced the
+// candidate, or a later promotion replaced the live slot it became —
+// and a disk-configured file is never removed.
+func TestInstallShadowRemovesReplacedSpools(t *testing.T) {
+	dir := t.TempDir()
+	live := saveArtifact(t, dir, "live.gob", 10, 7)
+	var pushes [][]byte
+	for i, seed := range []int64{99, 5} {
+		data, err := os.ReadFile(saveArtifact(t, dir, fmt.Sprintf("cand%d.gob", i), 6+2*i, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushes = append(pushes, data)
+	}
+	spoolDir := t.TempDir()
+	t.Setenv("TMPDIR", spoolDir)
+	spools := func() int {
+		t.Helper()
+		m, err := filepath.Glob(filepath.Join(spoolDir, "spmvselect-shadow-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(m)
+	}
+
+	r := New()
+	if err := r.Configure("turing", live); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < 5; cycle++ {
+		if _, err := r.InstallShadow("turing", pushes[cycle%2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Promote("turing"); err != nil {
+			t.Fatal(err)
+		}
+		if n := spools(); n > 2 {
+			t.Fatalf("cycle %d: %d spool files left behind", cycle, n)
+		}
+	}
+	if _, err := os.Stat(live); err != nil {
+		t.Fatalf("disk-configured live artifact removed: %v", err)
+	}
+	// A push replacing a pending candidate removes the candidate's spool.
+	for _, data := range pushes {
+		if _, err := r.InstallShadow("turing", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := spools(); n > 2 {
+		t.Fatalf("%d spool files after replacing a pending candidate", n)
+	}
+	if _, err := r.Reload(); err != nil {
+		t.Fatalf("Reload after spool cleanup: %v", err)
+	}
+	if err := r.Ready(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A disk-configured candidate, promoted and then replaced by a
+	// pushed one, stays on disk.
+	disk := New()
+	if err := disk.Configure("turing", live); err != nil {
+		t.Fatal(err)
+	}
+	cand := filepath.Join(dir, "cand0.gob")
+	if err := disk.ConfigureShadow("turing", cand); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := disk.Promote("turing"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := disk.InstallShadow("turing", pushes[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := disk.Promote("turing"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{live, cand} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("disk-configured artifact removed: %v", err)
+		}
+	}
 }

@@ -51,6 +51,18 @@ type slot struct {
 	path  string
 	entry *Entry // nil until the first successful load
 	err   error  // last load failure (a failed reload keeps the old entry)
+	// spooled marks a path InstallShadow created. The registry removes
+	// the file once no slot refers to it; disk-configured paths are
+	// never removed.
+	spooled bool
+}
+
+// removeSpool deletes s's file when the registry spooled it. Call it
+// outside the lock, after s has stopped being any slot.
+func removeSpool(s *slot) {
+	if s != nil && s.spooled {
+		os.Remove(s.path)
+	}
 }
 
 // Registry is a concurrency-safe, versioned collection of named
@@ -153,10 +165,12 @@ func (r *Registry) ConfigureShadow(arch, path string) error {
 // a fleet rollout. The bytes are decoded before anything is replaced
 // (a corrupt push leaves the current candidate serving), then spooled
 // to a temp file so subsequent Reload sweeps re-read a real path like
-// any disk-configured candidate. Re-pushing the bytes already installed
-// is a no-op (content-hash idempotent, like Reload); pushing different
-// bytes replaces the candidate and resets its tallies. Returns the
-// registry's own content hash of the received bytes.
+// any disk-configured candidate; the spool is removed once a newer push
+// or a later promotion replaces the slot holding it. Re-pushing the
+// bytes already installed is a no-op (content-hash idempotent, like
+// Reload); pushing different bytes replaces the candidate and resets
+// its tallies. Returns the registry's own content hash of the received
+// bytes.
 func (r *Registry) InstallShadow(arch string, data []byte) (string, error) {
 	a := serve.NormalizeArch(arch)
 	hash := serve.HashBytes(data)
@@ -202,10 +216,12 @@ func (r *Registry) InstallShadow(arch string, data []byte) (string, error) {
 		os.Remove(spool.Name())
 		return "", fmt.Errorf("registry: %w %q", serve.ErrUnknownArch, arch)
 	}
+	replaced := r.shadow[a]
 	entry := &Entry{Artifact: art, Hash: hash, Path: spool.Name()}
-	r.shadow[a] = &slot{path: spool.Name(), entry: entry}
+	r.shadow[a] = &slot{path: spool.Name(), entry: entry, spooled: true}
 	r.stats[a] = newShadowStats()
 	r.mu.Unlock()
+	removeSpool(replaced)
 	return hash, nil
 }
 
@@ -291,35 +307,42 @@ func (r *Registry) Reload() (changed []string, err error) {
 
 	// Read and decode outside the lock: routing continues on the old
 	// entries while files load.
-	loaded := make(map[string]*Entry, len(targets)) // by name; nil when unchanged
-	var errs []error
-	for _, t := range targets {
+	type loaded struct {
+		entry *Entry // nil when unchanged
+		err   error
+	}
+	results := make([]loaded, len(targets))
+	for i, t := range targets {
 		entry, fresh, lerr := loadEntry(t.path, t.oldHash)
-		if lerr != nil {
-			r.loadErrors.Inc()
-			errs = append(errs, fmt.Errorf("%s: %w", t.name,
-				&loadError{arch: t.arch, shadow: t.shadow, err: lerr}))
-			continue
-		}
 		if fresh {
-			loaded[t.name] = entry
+			results[i].entry = entry
 		}
+		results[i].err = lerr
 	}
 
+	var errs []error
 	r.mu.Lock()
-	for _, t := range targets {
+	for i, t := range targets {
 		slots := r.live
 		if t.shadow {
 			slots = r.shadow
 		}
 		s := slots[t.arch]
 		if s == nil || s.path != t.path {
-			// The slot was promoted or reconfigured while we read the
-			// file; its content no longer corresponds to this target.
+			// The slot was promoted, replaced or reconfigured while we
+			// read the file (a replaced spool may be gone already); its
+			// content, or failure, no longer describes this slot.
 			continue
 		}
-		entry, ok := loaded[t.name]
-		if !ok {
+		if err := results[i].err; err != nil {
+			// A failed reload keeps the old entry; /readyz reports it.
+			r.loadErrors.Inc()
+			s.err = err
+			errs = append(errs, fmt.Errorf("%s: %w", t.name, err))
+			continue
+		}
+		entry := results[i].entry
+		if entry == nil {
 			continue
 		}
 		s.entry = entry
@@ -336,19 +359,6 @@ func (r *Registry) Reload() (changed []string, err error) {
 			r.installQualityLocked(t.arch, entry.Artifact)
 		}
 	}
-	// Record load failures on their slots for /readyz.
-	for _, e := range errs {
-		var le *loadError
-		if errors.As(e, &le) {
-			slots := r.live
-			if le.shadow {
-				slots = r.shadow
-			}
-			if s := slots[le.arch]; s != nil {
-				s.err = le.err
-			}
-		}
-	}
 	r.mu.Unlock()
 
 	if len(changed) > 0 {
@@ -357,17 +367,6 @@ func (r *Registry) Reload() (changed []string, err error) {
 	}
 	return changed, errors.Join(errs...)
 }
-
-// loadError tags a load failure with the slot it belongs to, so Reload
-// can record it for readiness reporting.
-type loadError struct {
-	arch   string
-	shadow bool
-	err    error
-}
-
-func (e *loadError) Error() string { return e.err.Error() }
-func (e *loadError) Unwrap() error { return e.err }
 
 // loadEntry reads one artifact file. When its content hash equals
 // oldHash the file is not decoded and fresh is false — the caller keeps
@@ -390,7 +389,8 @@ func loadEntry(path, oldHash string) (entry *Entry, fresh bool, err error) {
 
 // Promote atomically flips arch's shadow candidate to live: the
 // candidate becomes the serving entry, its file becomes the slot's
-// reload source, the shadow slot disappears and its tallies reset.
+// reload source, the shadow slot disappears and its tallies reset. A
+// replaced live file that was a pushed candidate's spool is removed.
 // Returns the new live hash.
 func (r *Registry) Promote(arch string) (string, error) {
 	a := serve.NormalizeArch(arch)
@@ -412,8 +412,10 @@ func (r *Registry) Promote(arch string) (string, error) {
 		r.mu.Unlock()
 		return "", fmt.Errorf("registry: shadow candidate for %q is not loaded", a)
 	}
+	replaced := *ls
 	ls.entry = ss.entry
 	ls.path = ss.path
+	ls.spooled = ss.spooled
 	ls.err = nil
 	delete(r.shadow, a)
 	delete(r.stats, a)
@@ -421,6 +423,7 @@ func (r *Registry) Promote(arch string) (string, error) {
 	r.installQualityLocked(a, ls.entry.Artifact)
 	hash := ls.entry.Hash
 	r.mu.Unlock()
+	removeSpool(&replaced)
 
 	r.promotes.Inc()
 	r.swaps.Inc()

@@ -160,7 +160,7 @@ func TestBurnProfilerTrigger(t *testing.T) {
 	if !b.tick() {
 		t.Fatal("no capture after sustained breach")
 	}
-	waitForCapture(t, dir, 1)
+	waitForCapture(t, b, dir, 1)
 
 	// Rate-limited: still burning, inside the window.
 	now = now.Add(time.Minute)
@@ -172,7 +172,7 @@ func TestBurnProfilerTrigger(t *testing.T) {
 	if !b.tick() {
 		t.Fatal("no capture after the rate-limit window passed")
 	}
-	waitForCapture(t, dir, 2)
+	waitForCapture(t, b, dir, 2)
 
 	// A dip resets the streak.
 	rate = 0
@@ -201,14 +201,20 @@ func TestBurnProfilerTrigger(t *testing.T) {
 	}
 }
 
-// waitForCapture polls until dir holds n complete capture pairs.
-func waitForCapture(t *testing.T, dir string, n int) {
+// waitForCapture polls until dir holds n complete capture pairs and
+// b's capture goroutine has finished: the files are complete before it
+// clears b.capturing, and a tick in between is refused as a capture in
+// flight.
+func waitForCapture(t *testing.T, b *burnProfiler, dir string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		profs, _ := filepath.Glob(filepath.Join(dir, "burn-*-cpu.pprof"))
 		snaps, _ := filepath.Glob(filepath.Join(dir, "burn-*-traces.json"))
-		if len(profs) >= n && len(snaps) >= n {
+		b.mu.Lock()
+		busy := b.capturing
+		b.mu.Unlock()
+		if len(profs) >= n && len(snaps) >= n && !busy {
 			// The profile file appears before profiling stops; wait for
 			// content so the test never reads a half-written file.
 			if fi, err := os.Stat(profs[len(profs)-1]); err == nil && fi.Size() > 0 {

@@ -35,6 +35,8 @@ type ParseScratch struct {
 	start, pos []int32
 	cs         []int32
 	vs         []float64
+	// Long-row sort staging (see sortRow).
+	pairs []colVal
 }
 
 var parseScratchPool = sync.Pool{New: func() any { return new(ParseScratch) }}
@@ -103,7 +105,7 @@ func assembleCSR(rows, cols int, r, c []int32, v []float64, s *ParseScratch) *CS
 		lo, hi := int(start[i]), int(start[i+1])
 		seg := cScratch[lo:hi]
 		vseg := vScratch[lo:hi]
-		sortRow(seg, vseg)
+		sortRow(seg, vseg, s)
 		// Merge duplicates and drop zeros.
 		for k := 0; k < len(seg); {
 			j := k + 1
