@@ -504,8 +504,8 @@ func BenchmarkKernelModel(b *testing.B) {
 
 // BenchmarkTablesParallel times the scheduled tables (4-7) end to end
 // with the scheduler pinned to one worker versus eight — the measurement
-// behind BENCH_parallel.json (`spmvselect benchpar` regenerates that
-// file and additionally byte-compares the rendered output). GOMAXPROCS
+// behind BENCH_parallel.json (`spmvselect bench parallel` regenerates
+// that file and additionally byte-compares the rendered output). GOMAXPROCS
 // is raised for the parallel case so the workers can actually interleave
 // even when the host reports a single CPU.
 func BenchmarkTablesParallel(b *testing.B) {

@@ -3,15 +3,15 @@
 #
 # Usage: ./ci.sh [bench]
 #
-#   (no argument)  vet + build + race-enabled tests + the corpus
-#                  generation and permutation tests at 1, 2 and 4 CPUs
+#   (no argument)  vet + build + race-enabled tests (among them the
+#                  byte-slice MatrixMarket reader's bit-identity check
+#                  against the streaming reader on exported matrices) +
+#                  the corpus generation and permutation tests at 1, 2
+#                  and 4 CPUs
 #                  (the sequential and the pipelined generator must
 #                  build the same golden corpus) + the race-free
 #                  allocation guards (pooled parse scratch, feature-memo
-#                  hits) + the obs disabled-path overhead benchmark + a
-#                  benchparse differential smoke (the byte-slice
-#                  MatrixMarket fast path must parse every exported
-#                  matrix bit-identically to the streaming reader) +
+#                  hits) + the obs disabled-path overhead benchmark +
 #                  four end-to-end serving smoke tests (single-model
 #                  with telemetry:
 #                  a repeated body answered from the feature memo,
@@ -39,35 +39,25 @@
 #                  candidate to every survivor's shadow slot and
 #                  promotes only after the whole fleet clears the
 #                  agreement threshold)
-#   bench          additionally regenerate BENCH_obs.json from an
-#                  instrumented paper-scale `table -n 9` run (minutes)
-#                  plus a `spmvselect benchtrace` serve_tracing section
-#                  (tracing-on vs tracing-off predict p50, failing when
-#                  always-on tracing costs more than 5%),
-#                  BENCH_parallel.json from `spmvselect benchpar`,
-#                  which fails when the parallel scheduler's output
-#                  differs from sequential or its speedup falls below
-#                  the machine-aware gate (3x with >= 8 CPUs; on
-#                  smaller hosts it only rejects pathological slowdown),
-#                  BENCH_parse.json from `spmvselect benchparse`
-#                  (streaming vs byte-slice MatrixMarket ingest;
-#                  fails below 3x or above 10% of the streaming
-#                  reader's allocations, and on any CSR difference),
-#                  BENCH_serve.json from `spmvselect benchserve`
-#                  (batched vs single-request serving plus the
-#                  cascade-on/off and feature-memo on/off
-#                  comparisons: calibrated agreement is always
-#                  enforced, the p50 wins only on hosts with
-#                  enough cores),
-#                  BENCH_replay.json from `spmvselect benchreplay`
-#                  (record/feedback/replay cycle; hard-fails when a
-#                  replayed prediction differs from the recording),
-#                  and BENCH_fleet.json from `spmvselect benchfleet`
-#                  (the same request mix through the proxy over one
-#                  replica vs the fleet; hard-fails when any proxied
-#                  answer differs byte-for-byte from a direct replica
-#                  answer, and on sub-gate scaling — near-linear with
-#                  enough cores, not-pathologically-slower otherwise)
+#   bench          additionally regenerate every committed BENCH file
+#                  on this host: BENCH_obs.json from an instrumented
+#                  paper-scale `table -n 9` run, then the six suites of
+#                  `spmvselect bench <suite>`, each of which checks its
+#                  answers before timing and fails on a missed perf gate
+#                  (gates with a CPU condition fall back to a floor that
+#                  only rejects pathological slowdown on smaller hosts):
+#                  tracing (the serve_tracing section of BENCH_obs.json:
+#                  traced vs untraced predict p50, <= 5%), parallel
+#                  (BENCH_parallel.json: sequential vs parallel tables,
+#                  byte-identical, 3x with >= 8 CPUs), parse
+#                  (BENCH_parse.json: streaming vs byte-slice MatrixMarket
+#                  ingest, bit-identical CSRs, >= 3x and <= 10% of the
+#                  allocations), serve (BENCH_serve.json: batched vs
+#                  single requests, cascade on/off, feature memo on/off),
+#                  replay (BENCH_replay.json: record/feedback/replay with
+#                  zero mismatches) and fleet (BENCH_fleet.json: the
+#                  proxy over one replica vs the fleet, byte-identical
+#                  answers)
 set -eu
 cd "$(dirname "$0")"
 
@@ -97,12 +87,6 @@ go build -o "$SMOKE/spmvselect" ./cmd/spmvselect
 "$SMOKE/spmvselect" train -save "$SMOKE/model.gob" -quick -clusters 16 >/dev/null
 "$SMOKE/spmvselect" export -dir "$SMOKE/mtx" -count 2 -seed 4 >/dev/null
 MTX=$(ls "$SMOKE"/mtx/*.mtx | head -n 1)
-# The ingest fast path must produce bit-identical CSRs to the streaming
-# reader on every exported matrix (benchparse hard-fails on the first
-# difference; the perf gates are off here — the bench section measures).
-"$SMOKE/spmvselect" benchparse -dir "$SMOKE/mtx" -rounds 1 \
-	-min-speedup 0 -max-alloc-frac 1 -out "$SMOKE/bench_parse_smoke.json" >/dev/null \
-	|| { echo 'ci: fast-path parse diverged from the streaming reader'; exit 1; }
 "$SMOKE/spmvselect" serve -model "$SMOKE/model.gob" -addr 127.0.0.1:0 -portfile "$SMOKE/port" \
 	-admin-token "$ADMIN_TOKEN" -access-log "$SMOKE/access.log" &
 SERVE_PID=$!
@@ -428,18 +412,12 @@ if [ "${1:-}" = bench ]; then
 	echo '== regenerating BENCH_obs.json (instrumented table -n 9, paper scale)'
 	go run ./cmd/spmvselect table -n 9 -obs :0 -report BENCH_obs.json >/dev/null
 	echo '== merging serve_tracing into BENCH_obs.json (tracing on/off p50, <= 5% gate)'
-	go run ./cmd/spmvselect benchtrace -out BENCH_obs.json
+	go run ./cmd/spmvselect bench tracing
 	go run ./cmd/spmvselect report -in BENCH_obs.json -text
-	echo '== regenerating BENCH_parallel.json (sequential vs parallel tables, quick scale)'
-	go run ./cmd/spmvselect benchpar -workers 8 -out BENCH_parallel.json
-	echo '== regenerating BENCH_parse.json (streaming vs byte-slice MatrixMarket ingest)'
-	go run ./cmd/spmvselect benchparse -out BENCH_parse.json
-	echo '== regenerating BENCH_serve.json (single-request vs batched serving throughput)'
-	go run ./cmd/spmvselect benchserve -out BENCH_serve.json
-	echo '== regenerating BENCH_replay.json (record/feedback/replay quality loop)'
-	go run ./cmd/spmvselect benchreplay -out BENCH_replay.json
-	echo '== regenerating BENCH_fleet.json (proxied 1-replica vs fleet throughput)'
-	go run ./cmd/spmvselect benchfleet -out BENCH_fleet.json
+	for suite in parallel parse serve replay fleet; do
+		echo "== regenerating the $suite suite's BENCH file"
+		go run ./cmd/spmvselect bench "$suite"
+	done
 fi
 
 echo 'ci: all checks passed'

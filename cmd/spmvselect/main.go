@@ -28,25 +28,12 @@
 //	                                      push a candidate to every replica's
 //	                                      shadow slot and promote fleet-wide
 //	                                      once all clear the agreement bar
-//	spmvselect benchfleet                 measure 1-replica vs N-replica
-//	                                      throughput through the proxy,
-//	                                      gating on byte-identical answers
-//	                                      (BENCH_fleet.json)
 //	spmvselect monitor -addr HOST:PORT    poll a running serve instance's
 //	                                      /metrics, SLO and drift endpoints and
 //	                                      render a terminal status table
 //	spmvselect replay -dir DIR -addr ...  play a serve -record capture back
 //	                                      against a live server, diffing the
 //	                                      replayed predictions vs the recording
-//	spmvselect benchserve                 measure single-request vs batched
-//	                                      serving throughput (BENCH_serve.json)
-//	spmvselect benchparse                 measure the streaming MatrixMarket
-//	                                      reader vs the byte-slice fast path,
-//	                                      gating on bit-identical output
-//	                                      (BENCH_parse.json)
-//	spmvselect benchreplay                record, feedback and replay a known
-//	                                      request mix, gating on reproduced
-//	                                      predictions (BENCH_replay.json)
 //	spmvselect cpubench -dir DIR          run the pipeline on real measured
 //	                                      host-CPU SpMV times over a
 //	                                      directory of .mtx(.gz) files
@@ -55,9 +42,11 @@
 //	spmvselect trace -addr HOST:PORT      list a serve replica's or proxy's
 //	                                      retained request traces, or render
 //	                                      one stitched trace as a span tree
-//	spmvselect benchtrace                 measure tracing-on vs tracing-off
-//	                                      predict latency, merging the gated
-//	                                      comparison into BENCH_obs.json
+//	spmvselect bench [-out PATH] SUITE    run one committed measurement and
+//	                                      its gates: parallel, parse, serve,
+//	                                      replay, fleet or tracing (writes
+//	                                      BENCH_<suite>.json; tracing merges
+//	                                      serve_tracing into BENCH_obs.json)
 //
 // The table, tables and cpubench subcommands accept -obs ADDR, which
 // turns on the internal/obs pipeline instrumentation, serves expvar and
@@ -68,15 +57,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -114,30 +102,20 @@ func main() {
 		err = cmdProxy(os.Args[2:])
 	case "rollout":
 		err = cmdRollout(os.Args[2:])
-	case "benchfleet":
-		err = cmdBenchFleet(os.Args[2:])
 	case "promote":
 		err = cmdPromote(os.Args[2:])
 	case "monitor":
 		err = cmdMonitor(os.Args[2:])
-	case "benchserve":
-		err = cmdBenchServe(os.Args[2:])
-	case "benchparse":
-		err = cmdBenchParse(os.Args[2:])
 	case "replay":
 		err = cmdReplay(os.Args[2:])
-	case "benchreplay":
-		err = cmdBenchReplay(os.Args[2:])
 	case "cpubench":
 		err = cmdCPUBench(os.Args[2:])
-	case "benchpar":
-		err = cmdBenchPar(os.Args[2:])
+	case "bench":
+		err = cmdBench(os.Args[2:])
 	case "report":
 		err = cmdReport(os.Args[2:])
 	case "trace":
 		err = cmdTrace(os.Args[2:])
-	case "benchtrace":
-		err = cmdBenchTrace(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -152,7 +130,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   spmvselect table -n <1..9> [-quick] [-workers N] [-obs ADDR] [-report PATH]
   spmvselect tables [-quick] [-workers N] [-obs ADDR] [-report PATH]
-  spmvselect benchpar [-workers N] [-quick] [-out PATH] [-min-speedup X]
   spmvselect export -dir DIR [-count N] [-seed S]
   spmvselect predict -mtx FILE [-model FILE | -arch Turing [-quick]]
   spmvselect train -save FILE [-arch Turing] [-model semisup|knn|tree|forest|logreg] [-clusters K] [-quick]
@@ -169,16 +146,12 @@ func usage() {
              [-admin-token T] [-trace N] [-trace-slow D] [-trace-sample N]
   spmvselect rollout -fleet "H:P,..." -artifact FILE -token T [-arch A] [-threshold X] [-min-scored N]
              [-drive DIR] [-timeout D] [-poll D] [-q]
-  spmvselect benchfleet [-replicas N] [-matrices N] [-rounds N] [-out PATH] [-min-speedup X]
   spmvselect monitor -addr HOST:PORT [-token T] [-interval D] [-once]
   spmvselect replay -dir DIR -addr HOST:PORT [-concurrency N] [-rate R] [-arch-skew "a=w,..."] [-out PATH]
-  spmvselect benchserve [-matrices N] [-batch N] [-rounds N] [-out PATH] [-min-speedup X]
-  spmvselect benchparse [-matrices N | -dir DIR] [-rounds N] [-out PATH] [-min-speedup X] [-max-alloc-frac X]
-  spmvselect benchreplay [-singles N] [-batches N] [-batch-size N] [-concurrency N] [-out PATH] [-min-speedup X]
   spmvselect cpubench -dir DIR [-trials N] [-clusters K] [-quick] [-obs ADDR] [-report PATH]
   spmvselect report [-in PATH] [-text]
   spmvselect trace -addr HOST:PORT [-id TRACE] [-token T] [-json] [-timeout D]
-  spmvselect benchtrace [-matrices N] [-rounds N] [-out PATH] [-max-overhead X]`)
+  spmvselect bench [-out PATH] parallel|parse|serve|replay|fleet|tracing`)
 }
 
 func options(quick bool) eval.Options {
@@ -309,210 +282,59 @@ func cmdTable(args []string, all bool) error {
 	}
 	fmt.Fprintf(os.Stderr, "corpus ready in %v\n", tm.Stop().Round(time.Millisecond))
 
-	run := func(k int, f func() error) error {
+	for k := 3; k <= 9; k++ {
 		if !want(k) {
-			return nil
+			continue
 		}
 		t := obs.StartTimer(fmt.Sprintf("cmd/table%d", k))
-		if err := f(); err != nil {
+		if err := renderTable(ctx, os.Stdout, env, opt, k); err != nil {
 			return fmt.Errorf("table %d: %w", k, err)
 		}
 		fmt.Fprintf(os.Stderr, "table %d done in %v\n", k, t.Stop().Round(time.Millisecond))
 		fmt.Println()
-		return nil
-	}
-
-	if err := run(3, func() error { return eval.RenderTable3(os.Stdout, eval.Table3(env)) }); err != nil {
-		return err
-	}
-	if err := run(4, func() error {
-		rows, err := eval.Table4(ctx, env, opt)
-		if err != nil {
-			return err
-		}
-		return eval.RenderTable4(os.Stdout, rows)
-	}); err != nil {
-		return err
-	}
-	if err := run(5, func() error {
-		rows, err := eval.Table5(ctx, env, opt)
-		if err != nil {
-			return err
-		}
-		return eval.RenderTable5(os.Stdout, rows)
-	}); err != nil {
-		return err
-	}
-	if err := run(6, func() error {
-		rows, err := eval.Table6(ctx, env, opt)
-		if err != nil {
-			return err
-		}
-		return eval.RenderTable6(os.Stdout, rows)
-	}); err != nil {
-		return err
-	}
-	if err := run(7, func() error {
-		rows, err := eval.Table7(ctx, env, opt)
-		if err != nil {
-			return err
-		}
-		return eval.RenderTable7(os.Stdout, rows)
-	}); err != nil {
-		return err
-	}
-	if err := run(8, func() error { return eval.RenderTable8(os.Stdout, eval.Table8(env)) }); err != nil {
-		return err
-	}
-	if err := run(9, func() error {
-		rows, err := eval.Table9(ctx, env, opt)
-		if err != nil {
-			return err
-		}
-		return eval.RenderTable9(os.Stdout, rows)
-	}); err != nil {
-		return err
 	}
 	return finish()
 }
 
-// parallelBench is the committed record of one benchpar run
-// (BENCH_parallel.json): the same quick-scale tables rendered
-// sequentially and through the parallel scheduler, byte-compared.
-type parallelBench struct {
-	CPUs              int     `json:"cpus"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	Workers           int     `json:"workers"`
-	Quick             bool    `json:"quick"`
-	SequentialSeconds float64 `json:"sequential_seconds"`
-	ParallelSeconds   float64 `json:"parallel_seconds"`
-	Speedup           float64 `json:"speedup"`
-	IdenticalOutput   bool    `json:"identical_output"`
-}
-
-// cmdBenchPar times tables 3-8 rendered sequentially (-workers 1) and
-// through the parallel scheduler, verifies the two outputs are
-// byte-identical, and writes the measurement as JSON. It fails when the
-// outputs differ or the speedup falls below the gate, so CI catches both
-// determinism and performance regressions.
-func cmdBenchPar(args []string) error {
-	fs := flag.NewFlagSet("benchpar", flag.ExitOnError)
-	workers := fs.Int("workers", 8, "parallel worker count to compare against sequential")
-	quick := fs.Bool("quick", true, "use the quick-scale corpus and folds")
-	out := fs.String("out", "BENCH_parallel.json", "output JSON path")
-	minSpeedup := fs.Float64("min-speedup", 0,
-		"fail below this sequential/parallel speedup; 0 picks 3.0 when the host has >= workers CPUs and 0.80 otherwise")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *workers < 2 {
-		return fmt.Errorf("benchpar: -workers %d: need >= 2 to compare against sequential", *workers)
-	}
-	opt := options(*quick)
-	ctx := context.Background()
-	fmt.Fprintf(os.Stderr, "building corpus (quick=%v)...\n", *quick)
-	env, err := eval.NewEnv(ctx, opt)
-	if err != nil {
-		return err
-	}
-
-	renderAll := func(w int) (string, time.Duration, error) {
-		prev := obs.SetMaxWorkers(w)
-		defer obs.SetMaxWorkers(prev)
-		o := opt
-		o.Workers = w
-		var buf bytes.Buffer
-		start := time.Now()
-		if err := eval.RenderTable3(&buf, eval.Table3(env)); err != nil {
-			return "", 0, err
-		}
-		rows4, err := eval.Table4(ctx, env, o)
+// renderTable computes paper table k (3..9) from env and renders it.
+func renderTable(ctx context.Context, w io.Writer, env *eval.Env, opt eval.Options, k int) error {
+	switch k {
+	case 3:
+		return eval.RenderTable3(w, eval.Table3(env))
+	case 4:
+		rows, err := eval.Table4(ctx, env, opt)
 		if err != nil {
-			return "", 0, err
+			return err
 		}
-		if err := eval.RenderTable4(&buf, rows4); err != nil {
-			return "", 0, err
-		}
-		rows5, err := eval.Table5(ctx, env, o)
+		return eval.RenderTable4(w, rows)
+	case 5:
+		rows, err := eval.Table5(ctx, env, opt)
 		if err != nil {
-			return "", 0, err
+			return err
 		}
-		if err := eval.RenderTable5(&buf, rows5); err != nil {
-			return "", 0, err
-		}
-		rows6, err := eval.Table6(ctx, env, o)
+		return eval.RenderTable5(w, rows)
+	case 6:
+		rows, err := eval.Table6(ctx, env, opt)
 		if err != nil {
-			return "", 0, err
+			return err
 		}
-		if err := eval.RenderTable6(&buf, rows6); err != nil {
-			return "", 0, err
-		}
-		rows7, err := eval.Table7(ctx, env, o)
+		return eval.RenderTable6(w, rows)
+	case 7:
+		rows, err := eval.Table7(ctx, env, opt)
 		if err != nil {
-			return "", 0, err
+			return err
 		}
-		if err := eval.RenderTable7(&buf, rows7); err != nil {
-			return "", 0, err
+		return eval.RenderTable7(w, rows)
+	case 8:
+		return eval.RenderTable8(w, eval.Table8(env))
+	case 9:
+		rows, err := eval.Table9(ctx, env, opt)
+		if err != nil {
+			return err
 		}
-		if err := eval.RenderTable8(&buf, eval.Table8(env)); err != nil {
-			return "", 0, err
-		}
-		return buf.String(), time.Since(start), nil
+		return eval.RenderTable9(w, rows)
 	}
-
-	fmt.Fprintln(os.Stderr, "sequential pass (workers=1)...")
-	seqOut, seqDur, err := renderAll(1)
-	if err != nil {
-		return fmt.Errorf("benchpar: sequential pass: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "sequential: %v\nparallel pass (workers=%d)...\n",
-		seqDur.Round(time.Millisecond), *workers)
-	parOut, parDur, err := renderAll(*workers)
-	if err != nil {
-		return fmt.Errorf("benchpar: parallel pass: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "parallel:   %v\n", parDur.Round(time.Millisecond))
-
-	res := parallelBench{
-		CPUs:              runtime.NumCPU(),
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Workers:           *workers,
-		Quick:             *quick,
-		SequentialSeconds: seqDur.Seconds(),
-		ParallelSeconds:   parDur.Seconds(),
-		Speedup:           seqDur.Seconds() / parDur.Seconds(),
-		IdenticalOutput:   seqOut == parOut,
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("benchpar: %d cpus, %d workers: %.2fs sequential, %.2fs parallel (%.2fx), identical=%v -> %s\n",
-		res.CPUs, res.Workers, res.SequentialSeconds, res.ParallelSeconds, res.Speedup, res.IdenticalOutput, *out)
-
-	if !res.IdenticalOutput {
-		return fmt.Errorf("benchpar: parallel output differs from sequential output")
-	}
-	gate := *minSpeedup
-	if gate == 0 {
-		if res.CPUs >= *workers {
-			gate = 3.0
-		} else {
-			// Fewer CPUs than workers: parallelism cannot pay for
-			// itself (oversubscribed goroutines share the same cores
-			// and fight over cache), so only guard against the
-			// scheduler making the run pathologically slower than
-			// sequential.
-			gate = 0.80
-		}
-	}
-	if res.Speedup < gate {
-		return fmt.Errorf("benchpar: speedup %.2fx below the %.2fx gate", res.Speedup, gate)
-	}
-	return nil
+	return fmt.Errorf("no table %d", k)
 }
 
 func cmdExport(args []string) error {
@@ -529,23 +351,12 @@ func cmdExport(args []string) error {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
-	items, err := dataset.Generate(dataset.Config{
-		Seed: *seed, BaseCount: *count, Scale: 0.5, DropELLFailures: true,
-	})
+	items, bodies, err := matrixBodies(*seed, *count)
 	if err != nil {
 		return err
 	}
-	for _, it := range items {
-		path := filepath.Join(*dir, it.Name+".mtx")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := sparse.WriteMatrixMarket(f, it.Matrix); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
+	for i, it := range items {
+		if err := os.WriteFile(filepath.Join(*dir, it.Name+".mtx"), bodies[i], 0o644); err != nil {
 			return err
 		}
 	}

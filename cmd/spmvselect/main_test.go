@@ -9,23 +9,40 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sparse"
 )
 
+// TestCmdExportWritesReadableMatrices also holds the ingest fast
+// path's contract on exported files: the streaming reader and the
+// byte-slice reader must give the same verdict and bitwise-identical
+// CSRs (the parse suite's check) on every one.
 func TestCmdExportWritesReadableMatrices(t *testing.T) {
-	dir := t.TempDir()
-	if err := cmdExport([]string{"-dir", dir, "-count", "7", "-seed", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("no matrices exported")
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".mtx") {
-			t.Errorf("unexpected file %s", e.Name())
+	ps := sparse.GetParseScratch()
+	defer sparse.PutParseScratch(ps)
+	for _, args := range [][]string{{"-count", "7", "-seed", "2"}, {"-count", "2", "-seed", "4"}} {
+		dir := t.TempDir()
+		if err := cmdExport(append([]string{"-dir", dir}, args...)); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) == 0 {
+			t.Fatalf("export %v wrote no matrices", args)
+		}
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), ".mtx") {
+				t.Errorf("unexpected file %s", e.Name())
+				continue
+			}
+			body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := parseParity(body, ps); err != nil {
+				t.Errorf("export %v: %s: %v", args, e.Name(), err)
+			}
 		}
 	}
 }

@@ -6,37 +6,27 @@ package main
 // against a live server under controlled concurrency and rate, diffs
 // the replayed predictions against the recorded ones, and reports
 // latency quantiles — regression testing with production traffic
-// instead of synthetic corpora. `benchreplay` is the self-contained CI
+// instead of synthetic corpora. `bench replay` is the self-contained
 // form: it records a known request mix (including /v1/feedback
 // outcome reports driven by simulator-measured kernel times), replays
-// it sequentially and concurrently, and gates on byte-identical
+// it sequentially and concurrently, and gates on reproduced
 // predictions plus a machine-aware throughput ratio (BENCH_replay.json).
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/gpusim"
 	"repro/internal/obs"
-	"repro/internal/registry"
 	"repro/internal/serve"
-	"repro/internal/sparse"
 )
 
 // replayRecord is one decoded capture entry ready to send.
@@ -212,23 +202,18 @@ func sendReplay(client *http.Client, target, contentType string, body []byte) (s
 	if contentType == "" {
 		contentType = "text/plain"
 	}
-	resp, err := client.Post(target, contentType, bytes.NewReader(body))
+	raw, err := postBody(client, target, contentType, "", body)
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
 	var ans struct {
 		Format  string `json:"format"`
 		Results []struct {
 			Format string `json:"format"`
 		} `json:"results"`
-		Error string `json:"error"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&ans); err != nil {
+	if err := json.Unmarshal(raw, &ans); err != nil {
 		return "", fmt.Errorf("decoding answer: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("server answered %s: %s", resp.Status, ans.Error)
 	}
 	if len(ans.Results) > 0 {
 		formats := make([]string, len(ans.Results))
@@ -288,320 +273,6 @@ func cmdReplay(args []string) error {
 	}
 	if len(skew) == 0 && stats.Mismatches > 0 {
 		return fmt.Errorf("replay: %d of %d predictions differ from the recording", stats.Mismatches, stats.Records)
-	}
-	return nil
-}
-
-// replayBench is the committed record of one benchreplay run.
-type replayBench struct {
-	CPUs       int `json:"cpus"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// Records captured and replayed; Predictions counts individual
-	// predictions inside them (batch items included).
-	Records         int `json:"records"`
-	Predictions     int `json:"predictions"`
-	FeedbackReports int `json:"feedback_reports"`
-	Concurrency     int `json:"concurrency"`
-	// Mismatches must be zero: a replayed capture against the same
-	// model must reproduce every recorded prediction.
-	Mismatches        int     `json:"mismatches"`
-	SequentialSeconds float64 `json:"sequential_seconds"`
-	ConcurrentSeconds float64 `json:"concurrent_seconds"`
-	// Speedup = sequential/concurrent wall time for the same records.
-	Speedup           float64          `json:"speedup"`
-	SequentialLatency latencyQuantiles `json:"sequential_latency"`
-	ConcurrentLatency latencyQuantiles `json:"concurrent_latency"`
-	// Quality summarises /v1/admin/quality after the feedback reports:
-	// the measured top-1 accuracy and regret median of the served model
-	// on this run's traffic.
-	QualitySamples   int64   `json:"quality_samples"`
-	QualityAccuracy  float64 `json:"quality_accuracy"`
-	QualityRegretP50 float64 `json:"quality_regret_p50"`
-}
-
-// cmdBenchReplay is the self-contained record→feedback→replay cycle CI
-// commits as BENCH_replay.json.
-func cmdBenchReplay(args []string) error {
-	fs := flag.NewFlagSet("benchreplay", flag.ExitOnError)
-	singles := fs.Int("singles", 16, "single-matrix requests to record")
-	batches := fs.Int("batches", 2, "batch requests to record")
-	batchSize := fs.Int("batch-size", 4, "matrices per batch request")
-	clusters := fs.Int("clusters", 16, "K-Means clusters for the served model")
-	concurrency := fs.Int("concurrency", 4, "workers for the concurrent replay pass")
-	out := fs.String("out", "BENCH_replay.json", "output JSON path")
-	minSpeedup := fs.Float64("min-speedup", 0,
-		"fail below this sequential/concurrent wall-time ratio; 0 picks 1.5 when the host has >= 4 CPUs and 0.60 otherwise")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	const adminToken = "benchreplay-admin"
-
-	// Train and save the served artifact.
-	ms, best, arch, err := labelledTrainingSet("Turing", true)
-	if err != nil {
-		return fmt.Errorf("benchreplay: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "benchreplay: training semisup on %d matrices (%s)...\n", len(ms), arch.Name)
-	sel, err := core.TrainSelector(ms, best, core.Options{NumClusters: *clusters, Seed: 1})
-	if err != nil {
-		return fmt.Errorf("benchreplay: %w", err)
-	}
-	art := serve.NewSemisupArtifact(sel.Model(), arch.Name)
-	tmp, err := os.MkdirTemp("", "benchreplay")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	artPath := filepath.Join(tmp, "model.gob")
-	if err := serve.SaveFile(artPath, art); err != nil {
-		return err
-	}
-
-	// Serve it from the registry (the quality windows need one) with a
-	// capture writer attached. Replayed requests run the live model
-	// again; the feature memo only spares them the parse.
-	capture, err := obs.NewCaptureWriter(filepath.Join(tmp, "capture"), obs.DefaultCaptureFileBytes)
-	if err != nil {
-		return err
-	}
-	reg := registry.New()
-	if err := reg.Configure(arch.Name, artPath); err != nil {
-		return err
-	}
-	srv, err := serve.NewBackendServer(reg, serve.Config{
-		MaxBatchItems: *batchSize,
-		AdminToken:    adminToken,
-		Capture:       capture,
-	})
-	if err != nil {
-		return err
-	}
-	if err := reg.LoadAll(); err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	server := &http.Server{Handler: srv.Handler()}
-	go server.Serve(ln)
-	defer server.Close()
-	base := "http://" + ln.Addr().String()
-	client := &http.Client{Timeout: time.Minute}
-
-	// The recorded mix reuses the corpus generator at a different seed,
-	// keeping only matrices every format can hold so the simulator sweep
-	// yields full feedback (finite times for all four formats).
-	need := *singles + *batches**batchSize
-	items, err := dataset.Generate(dataset.Config{
-		Seed: 99, BaseCount: need + 8, Scale: 0.5, DropELLFailures: true,
-	})
-	if err != nil {
-		return err
-	}
-	type reqMatrix struct {
-		body  []byte
-		times map[string]float64 // per-format measured ms, full sweeps only
-	}
-	var mix []reqMatrix
-	formats := serve.KernelFormatNames()
-	for _, it := range items {
-		if len(mix) == need {
-			break
-		}
-		meas := arch.Measure(it.Name, gpusim.NewProfile(it.Matrix))
-		if !meas.Feasible() {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := sparse.WriteMatrixMarket(&buf, it.Matrix); err != nil {
-			return err
-		}
-		times := make(map[string]float64, len(formats))
-		for k, f := range formats {
-			times[f] = meas.Times[k] * 1e3 // seconds -> ms
-		}
-		mix = append(mix, reqMatrix{body: buf.Bytes(), times: times})
-	}
-	if len(mix) < need {
-		return fmt.Errorf("benchreplay: only %d of %d needed matrices are feasible on every format", len(mix), need)
-	}
-
-	// postJSON drives the feedback reports.
-	postJSON := func(path string, payload any) error {
-		data, err := json.Marshal(payload)
-		if err != nil {
-			return err
-		}
-		resp, err := client.Post(base+path, "application/json", bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := json.Marshal(payload)
-			return fmt.Errorf("POST %s answered %s (payload %s)", path, resp.Status, msg)
-		}
-		return nil
-	}
-
-	// Record the mix: singles with known request IDs, then batches, each
-	// followed by its feedback report built from the measured times.
-	fmt.Fprintf(os.Stderr, "benchreplay: recording %d singles + %d batches and reporting feedback...\n",
-		*singles, *batches)
-	feedbackReports := 0
-	for i := 0; i < *singles; i++ {
-		id := fmt.Sprintf("benchreplay-%03d", i)
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/predict/matrix", bytes.NewReader(mix[i].body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "text/plain")
-		req.Header.Set("X-Request-ID", id)
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("benchreplay: predict %d answered %s", i, resp.Status)
-		}
-		if err := postJSON("/v1/feedback", map[string]any{
-			"request_id": id, "times_ms": mix[i].times,
-		}); err != nil {
-			return fmt.Errorf("benchreplay: feedback %d: %w", i, err)
-		}
-		feedbackReports++
-	}
-	for b := 0; b < *batches; b++ {
-		lo := *singles + b**batchSize
-		var buf bytes.Buffer
-		for j := 0; j < *batchSize; j++ {
-			buf.Write(mix[lo+j].body)
-		}
-		id := fmt.Sprintf("benchreplay-batch-%02d", b)
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/predict/batch", &buf)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "text/plain")
-		req.Header.Set("X-Request-ID", id)
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("benchreplay: batch %d answered %s", b, resp.Status)
-		}
-		for j := 0; j < *batchSize; j++ {
-			if err := postJSON("/v1/feedback", map[string]any{
-				"request_id": id, "item": j, "times_ms": mix[lo+j].times,
-			}); err != nil {
-				return fmt.Errorf("benchreplay: batch %d item %d feedback: %w", b, j, err)
-			}
-			feedbackReports++
-		}
-	}
-	if err := capture.Close(); err != nil {
-		return err
-	}
-
-	// Replay the capture against the same live server: sequentially
-	// (the determinism gate) and concurrently (the throughput gate).
-	recs, err := loadCapture(capture.Dir())
-	if err != nil {
-		return fmt.Errorf("benchreplay: reading back the capture: %w", err)
-	}
-	predictions := 0
-	for _, r := range recs {
-		predictions += len(r.rec.Predictions)
-	}
-	fmt.Fprintf(os.Stderr, "benchreplay: replaying %d records (%d predictions) x2...\n", len(recs), predictions)
-	seqStats, seqDetails := replayPass(base, recs, 1, 0, nil, time.Minute)
-	concStats, concDetails := replayPass(base, recs, *concurrency, 0, nil, time.Minute)
-	for _, d := range append(seqDetails, concDetails...) {
-		fmt.Fprintf(os.Stderr, "benchreplay: %s\n", d)
-	}
-
-	// The quality report must show the feedback landed.
-	var quality registry.QualityReportData
-	qreq, err := http.NewRequest(http.MethodGet, base+"/v1/admin/quality", nil)
-	if err != nil {
-		return err
-	}
-	qreq.Header.Set("Authorization", "Bearer "+adminToken)
-	qresp, err := client.Do(qreq)
-	if err != nil {
-		return err
-	}
-	err = json.NewDecoder(qresp.Body).Decode(&quality)
-	qresp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("benchreplay: decoding /v1/admin/quality: %w", err)
-	}
-
-	res := replayBench{
-		CPUs:              runtime.NumCPU(),
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Records:           len(recs),
-		Predictions:       predictions,
-		FeedbackReports:   feedbackReports,
-		Concurrency:       *concurrency,
-		Mismatches:        seqStats.Mismatches + concStats.Mismatches,
-		SequentialSeconds: seqStats.Seconds,
-		ConcurrentSeconds: concStats.Seconds,
-		SequentialLatency: seqStats.Latency,
-		ConcurrentLatency: concStats.Latency,
-	}
-	if concStats.Seconds > 0 {
-		res.Speedup = seqStats.Seconds / concStats.Seconds
-	}
-	for _, ar := range quality.Arches {
-		res.QualitySamples += ar.Samples
-		if ar.Samples > 0 {
-			res.QualityAccuracy = ar.Accuracy
-			res.QualityRegretP50 = ar.RegretP50
-		}
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("benchreplay: %d cpus: %d records replayed, %d mismatches, %.2fs sequential vs %.2fs at concurrency %d (%.2fx) -> %s\n",
-		res.CPUs, res.Records, res.Mismatches, res.SequentialSeconds, res.ConcurrentSeconds, res.Concurrency, res.Speedup, *out)
-	fmt.Printf("benchreplay: quality window: %d samples, accuracy %.2f, regret p50 %.3f\n",
-		res.QualitySamples, res.QualityAccuracy, res.QualityRegretP50)
-
-	if failures := seqStats.Failures + concStats.Failures; failures > 0 {
-		return fmt.Errorf("benchreplay: %d replayed requests failed", failures)
-	}
-	if res.Mismatches > 0 {
-		return fmt.Errorf("benchreplay: %d replayed predictions differ from the recording", res.Mismatches)
-	}
-	if res.QualitySamples == 0 {
-		return fmt.Errorf("benchreplay: /v1/admin/quality shows no full feedback outcomes")
-	}
-	if math.Abs(res.QualityAccuracy) > 1 {
-		return fmt.Errorf("benchreplay: quality accuracy %v outside [0,1]", res.QualityAccuracy)
-	}
-	gate := *minSpeedup
-	if gate == 0 {
-		if res.CPUs >= 4 {
-			// Concurrent replay against a parallel server should beat
-			// one-at-a-time comfortably on a multicore host.
-			gate = 1.5
-		} else {
-			// Too few cores for concurrency to pay; only guard against
-			// the concurrent path being pathologically slower.
-			gate = 0.60
-		}
-	}
-	if res.Speedup < gate {
-		return fmt.Errorf("benchreplay: concurrent replay speedup %.2fx below the %.2fx gate", res.Speedup, gate)
 	}
 	return nil
 }

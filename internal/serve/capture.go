@@ -68,8 +68,13 @@ func DecodeCaptureRecord(raw []byte) (CaptureRecord, []byte, error) {
 	if err := json.Unmarshal(raw[:i], &rec); err != nil {
 		return CaptureRecord{}, nil, fmt.Errorf("serve: decoding capture header: %w", err)
 	}
-	if rec.Endpoint == "" {
-		return CaptureRecord{}, nil, fmt.Errorf("serve: capture record names no endpoint")
+	// Replay appends the endpoint to a base URL, so anything but a
+	// predict route could send the body elsewhere: "@host/..." turns
+	// the base's host into userinfo.
+	switch rec.Endpoint {
+	case "/v1/predict/matrix", "/v1/predict/features", "/v1/predict/batch":
+	default:
+		return CaptureRecord{}, nil, fmt.Errorf("serve: capture record names endpoint %q, not a predict route", rec.Endpoint)
 	}
 	return rec, raw[i+1:], nil
 }
