@@ -9,9 +9,12 @@
 #                  the corpus generation and permutation tests at 1, 2
 #                  and 4 CPUs
 #                  (the sequential and the pipelined generator must
-#                  build the same golden corpus) + the race-free
-#                  allocation guards (pooled parse scratch, feature-memo
-#                  hits) + the obs disabled-path overhead benchmark +
+#                  build the same golden corpus) + the serving parity,
+#                  batch, cascade and feature-memo tests at 1, 2 and 4
+#                  CPUs (batch items run inline and fanned out) + the
+#                  race-free allocation guards (pooled parse scratch,
+#                  feature-memo hits, cascade predict) + the obs
+#                  disabled-path overhead benchmark +
 #                  four end-to-end serving smoke tests (single-model
 #                  with telemetry:
 #                  a repeated body answered from the feature memo,
@@ -72,6 +75,9 @@ go test -race ./...
 
 echo '== corpus generation at 1, 2 and 4 CPUs (sequential and pipelined paths)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestGenerate|TestPermute|TestCorpus' ./internal/dataset ./internal/sparse
+
+echo '== serving paths at 1, 2 and 4 CPUs (batch items inline and fanned out)'
+go test -race -count=1 -cpu 1,2,4 -run 'TestServingPathsMatchReference|TestBatch|TestCascade|TestFeatMemo' ./internal/serve
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
 go test -run Allocs -count=1 ./internal/sparse ./internal/serve

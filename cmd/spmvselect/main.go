@@ -521,7 +521,7 @@ func cmdPredict(args []string) error {
 		if err != nil {
 			return err
 		}
-		pred, err := art.PredictMatrix(m)
+		pred, err := art.PredictMatrix(context.Background(), m, nil)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -57,7 +58,7 @@ func TestStressFeatMemoAcrossSwaps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred, err := art.PredictMatrix(m)
+			pred, err := art.PredictMatrix(context.Background(), m, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,10 +11,10 @@ import (
 )
 
 // TestInstallShadow covers the push-rollout receiving end: pushed
-// bytes become the arch's shadow candidate (spooled to a real path so
-// reloads stay coherent), re-pushing is idempotent, corrupt bytes and
-// unknown arches change nothing, and promotion flips the pushed
-// candidate live.
+// bytes become the arch's shadow candidate (held in memory, with no
+// source path for reloads to re-read), re-pushing is idempotent, corrupt
+// bytes and unknown arches change nothing, and promotion flips the
+// pushed candidate live.
 func TestInstallShadow(t *testing.T) {
 	dir := t.TempDir()
 	live := saveArtifact(t, dir, "live.gob", 10, 7)
@@ -56,14 +56,10 @@ func TestInstallShadow(t *testing.T) {
 	if !ok || cand.Hash != wantHash {
 		t.Fatalf("Shadow after install = %+v ok=%v", cand, ok)
 	}
-	// The spool file is a real, reload-coherent path.
-	if cand.Source == candPath || cand.Source == "" {
-		t.Fatalf("candidate source %q should be a spool file, not the pushed path", cand.Source)
+	// Pushed bytes have no file behind them.
+	if cand.Source != "" {
+		t.Fatalf("pushed candidate source = %q, want none", cand.Source)
 	}
-	if _, err := os.Stat(cand.Source); err != nil {
-		t.Fatalf("spool file missing: %v", err)
-	}
-	t.Cleanup(func() { os.Remove(cand.Source) })
 
 	// Re-push of identical bytes: same hash, still one candidate.
 	if again, err := r.InstallShadow("turing", candBytes); err != nil || again != wantHash {
@@ -117,14 +113,13 @@ func TestInstallShadow(t *testing.T) {
 	if !ok || cand2.Hash != serve.HashBytes(otherBytes) {
 		t.Fatalf("replacement candidate = %+v ok=%v", cand2, ok)
 	}
-	t.Cleanup(func() { os.Remove(cand2.Source) })
 }
 
-// TestInstallShadowRemovesReplacedSpools: a pushed candidate's spool
-// file is removed once no slot refers to it — a newer push replaced the
-// candidate, or a later promotion replaced the live slot it became —
-// and a disk-configured file is never removed.
-func TestInstallShadowRemovesReplacedSpools(t *testing.T) {
+// TestInstallShadowWritesNoFiles: pushed candidates live in memory.
+// Install → promote cycles create no file under TMPDIR, Reload leaves
+// pushed entries (live after a promote, or shadow) alone, and files
+// configured on disk are never removed.
+func TestInstallShadowWritesNoFiles(t *testing.T) {
 	dir := t.TempDir()
 	live := saveArtifact(t, dir, "live.gob", 10, 7)
 	var pushes [][]byte
@@ -135,15 +130,13 @@ func TestInstallShadowRemovesReplacedSpools(t *testing.T) {
 		}
 		pushes = append(pushes, data)
 	}
-	spoolDir := t.TempDir()
-	t.Setenv("TMPDIR", spoolDir)
-	spools := func() int {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	noFiles := func(when string) {
 		t.Helper()
-		m, err := filepath.Glob(filepath.Join(spoolDir, "spmvselect-shadow-*"))
-		if err != nil {
-			t.Fatal(err)
+		if files, err := os.ReadDir(tmp); err != nil || len(files) != 0 {
+			t.Fatalf("%s: TMPDIR holds %d files (%v)", when, len(files), err)
 		}
-		return len(m)
 	}
 
 	r := New()
@@ -154,34 +147,42 @@ func TestInstallShadowRemovesReplacedSpools(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cycle := 0; cycle < 5; cycle++ {
-		if _, err := r.InstallShadow("turing", pushes[cycle%2]); err != nil {
+		data := pushes[cycle%2]
+		if _, err := r.InstallShadow("turing", data); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Promote("turing"); err != nil {
+		hash, err := r.Promote("turing")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if n := spools(); n > 2 {
-			t.Fatalf("cycle %d: %d spool files left behind", cycle, n)
+		if hash != serve.HashBytes(data) {
+			t.Fatalf("cycle %d: promoted %s, want the pushed bytes' hash", cycle, hash)
 		}
+		noFiles(fmt.Sprintf("cycle %d", cycle))
 	}
 	if _, err := os.Stat(live); err != nil {
 		t.Fatalf("disk-configured live artifact removed: %v", err)
 	}
-	// A push replacing a pending candidate removes the candidate's spool.
-	for _, data := range pushes {
-		if _, err := r.InstallShadow("turing", data); err != nil {
-			t.Fatal(err)
-		}
+	// A pending pushed candidate over a promoted pushed live model: a
+	// reload sweep has nothing on disk to re-read for either.
+	if _, err := r.InstallShadow("turing", pushes[0]); err != nil {
+		t.Fatal(err)
 	}
-	if n := spools(); n > 2 {
-		t.Fatalf("%d spool files after replacing a pending candidate", n)
+	before, _ := r.Live("turing")
+	changed, err := r.Reload()
+	if err != nil || len(changed) != 0 {
+		t.Fatalf("Reload over pushed entries = %v, %v; want no change", changed, err)
 	}
-	if _, err := r.Reload(); err != nil {
-		t.Fatalf("Reload after spool cleanup: %v", err)
+	if after, _ := r.Live("turing"); after.Hash != before.Hash {
+		t.Fatalf("Reload swapped the live model %s -> %s", before.Hash, after.Hash)
+	}
+	if cand, ok := r.Shadow("turing"); !ok || cand.Hash != serve.HashBytes(pushes[0]) {
+		t.Fatalf("Reload dropped the pushed candidate: %+v ok=%v", cand, ok)
 	}
 	if err := r.Ready(); err != nil {
 		t.Fatal(err)
 	}
+	noFiles("after reload")
 
 	// A disk-configured candidate, promoted and then replaced by a
 	// pushed one, stays on disk.

@@ -48,21 +48,9 @@ type Entry struct {
 // slot is one configured position (live or shadow) for an arch: where
 // to load from, what is currently installed, and the last load error.
 type slot struct {
-	path  string
+	path  string // "" for a pushed candidate, which Reload skips
 	entry *Entry // nil until the first successful load
 	err   error  // last load failure (a failed reload keeps the old entry)
-	// spooled marks a path InstallShadow created. The registry removes
-	// the file once no slot refers to it; disk-configured paths are
-	// never removed.
-	spooled bool
-}
-
-// removeSpool deletes s's file when the registry spooled it. Call it
-// outside the lock, after s has stopped being any slot.
-func removeSpool(s *slot) {
-	if s != nil && s.spooled {
-		os.Remove(s.path)
-	}
 }
 
 // Registry is a concurrency-safe, versioned collection of named
@@ -163,14 +151,13 @@ func (r *Registry) ConfigureShadow(arch, path string) error {
 // InstallShadow installs artifact bytes pushed over the wire as arch's
 // shadow candidate ("" selects the default arch) — the receiving end of
 // a fleet rollout. The bytes are decoded before anything is replaced
-// (a corrupt push leaves the current candidate serving), then spooled
-// to a temp file so subsequent Reload sweeps re-read a real path like
-// any disk-configured candidate; the spool is removed once a newer push
-// or a later promotion replaces the slot holding it. Re-pushing the
-// bytes already installed is a no-op (content-hash idempotent, like
-// Reload); pushing different bytes replaces the candidate and resets
-// its tallies. Returns the registry's own content hash of the received
-// bytes.
+// (a corrupt push leaves the current candidate serving). The candidate
+// lives only in memory: its slot has no path, so Reload leaves it alone
+// (bytes already decoded cannot change) and its Source is empty, also
+// once promoted. Re-pushing the bytes already installed is a no-op
+// (content-hash idempotent, like Reload); pushing different bytes
+// replaces the candidate and resets its tallies. Returns the registry's
+// own content hash of the received bytes.
 func (r *Registry) InstallShadow(arch string, data []byte) (string, error) {
 	a := serve.NormalizeArch(arch)
 	hash := serve.HashBytes(data)
@@ -178,50 +165,19 @@ func (r *Registry) InstallShadow(arch string, data []byte) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("registry: decoding pushed candidate: %w", err)
 	}
-
-	r.mu.RLock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if a == "" {
 		a = r.def
 	}
-	_, configured := r.live[a]
-	ss := r.shadow[a]
-	already := ss != nil && ss.entry != nil && ss.entry.Hash == hash
-	r.mu.RUnlock()
-	if !configured {
+	if _, ok := r.live[a]; !ok {
 		return "", fmt.Errorf("registry: %w %q", serve.ErrUnknownArch, arch)
 	}
-	if already {
+	if ss := r.shadow[a]; ss != nil && ss.entry != nil && ss.entry.Hash == hash {
 		return hash, nil
 	}
-
-	// Spool outside the lock; the file outlives the request so Reload
-	// stays coherent for the candidate's whole shadow period.
-	spool, err := os.CreateTemp("", "spmvselect-shadow-"+a+"-"+hash+"-*.model")
-	if err != nil {
-		return "", fmt.Errorf("registry: spooling pushed candidate: %w", err)
-	}
-	if _, err := spool.Write(data); err != nil {
-		spool.Close()
-		os.Remove(spool.Name())
-		return "", fmt.Errorf("registry: spooling pushed candidate: %w", err)
-	}
-	if err := spool.Close(); err != nil {
-		os.Remove(spool.Name())
-		return "", fmt.Errorf("registry: spooling pushed candidate: %w", err)
-	}
-
-	r.mu.Lock()
-	if _, ok := r.live[a]; !ok {
-		r.mu.Unlock()
-		os.Remove(spool.Name())
-		return "", fmt.Errorf("registry: %w %q", serve.ErrUnknownArch, arch)
-	}
-	replaced := r.shadow[a]
-	entry := &Entry{Artifact: art, Hash: hash, Path: spool.Name()}
-	r.shadow[a] = &slot{path: spool.Name(), entry: entry, spooled: true}
+	r.shadow[a] = &slot{entry: &Entry{Artifact: art, Hash: hash}}
 	r.stats[a] = newShadowStats()
-	r.mu.Unlock()
-	removeSpool(replaced)
 	return hash, nil
 }
 
@@ -278,7 +234,8 @@ type loadTarget struct {
 // Reload re-reads every configured artifact from its source path,
 // hot-swapping exactly the entries whose file content hash changed and
 // returning their names ("arch" for live entries, "shadow:arch" for
-// candidates). Unchanged files are not re-decoded and not swapped, so
+// candidates). Pushed candidates, live or shadow, have no path and are
+// skipped. Unchanged files are not re-decoded and not swapped, so
 // repeated reloads are idempotent; a file that fails to read or decode
 // keeps the previous entry (if any) and contributes to the joined
 // error. Shadow tallies reset for an arch whose live model or candidate
@@ -289,6 +246,9 @@ func (r *Registry) Reload() (changed []string, err error) {
 	r.mu.RLock()
 	targets := make([]loadTarget, 0, len(r.live)+len(r.shadow))
 	for a, s := range r.live {
+		if s.path == "" {
+			continue
+		}
 		t := loadTarget{arch: a, name: a, path: s.path}
 		if s.entry != nil {
 			t.oldHash = s.entry.Hash
@@ -296,6 +256,9 @@ func (r *Registry) Reload() (changed []string, err error) {
 		targets = append(targets, t)
 	}
 	for a, s := range r.shadow {
+		if s.path == "" {
+			continue
+		}
 		t := loadTarget{arch: a, name: "shadow:" + a, shadow: true, path: s.path}
 		if s.entry != nil {
 			t.oldHash = s.entry.Hash
@@ -330,8 +293,8 @@ func (r *Registry) Reload() (changed []string, err error) {
 		s := slots[t.arch]
 		if s == nil || s.path != t.path {
 			// The slot was promoted, replaced or reconfigured while we
-			// read the file (a replaced spool may be gone already); its
-			// content, or failure, no longer describes this slot.
+			// read the file; its content, or failure, no longer
+			// describes this slot.
 			continue
 		}
 		if err := results[i].err; err != nil {
@@ -388,10 +351,9 @@ func loadEntry(path, oldHash string) (entry *Entry, fresh bool, err error) {
 }
 
 // Promote atomically flips arch's shadow candidate to live: the
-// candidate becomes the serving entry, its file becomes the slot's
-// reload source, the shadow slot disappears and its tallies reset. A
-// replaced live file that was a pushed candidate's spool is removed.
-// Returns the new live hash.
+// candidate becomes the serving entry, its file (none for a pushed
+// candidate) becomes the slot's reload source, the shadow slot
+// disappears and its tallies reset. Returns the new live hash.
 func (r *Registry) Promote(arch string) (string, error) {
 	a := serve.NormalizeArch(arch)
 	r.mu.Lock()
@@ -412,10 +374,8 @@ func (r *Registry) Promote(arch string) (string, error) {
 		r.mu.Unlock()
 		return "", fmt.Errorf("registry: shadow candidate for %q is not loaded", a)
 	}
-	replaced := *ls
 	ls.entry = ss.entry
 	ls.path = ss.path
-	ls.spooled = ss.spooled
 	ls.err = nil
 	delete(r.shadow, a)
 	delete(r.stats, a)
@@ -423,7 +383,6 @@ func (r *Registry) Promote(arch string) (string, error) {
 	r.installQualityLocked(a, ls.entry.Artifact)
 	hash := ls.entry.Hash
 	r.mu.Unlock()
-	removeSpool(&replaced)
 
 	r.promotes.Inc()
 	r.swaps.Inc()

@@ -11,6 +11,7 @@ package serve
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -182,7 +183,7 @@ func (a *Artifact) Validate() error {
 		}
 	}
 	if a.Cascade != nil {
-		if err := a.Cascade.Validate(len(a.Formats)); err != nil {
+		if err := a.Cascade.Validate(); err != nil {
 			return err
 		}
 	}
@@ -227,39 +228,109 @@ type Prediction struct {
 }
 
 // Predict maps a raw Table 1 feature vector to a format, validating the
-// input dimension — the artifact's single entry point for untrusted
-// vectors. When the artifact carries a cascade the cheap columns are
-// gathered out of x and tried first; the full model only runs below the
-// confidence threshold, and the final answer is whichever stage fired.
+// input dimension — the artifact's entry point for untrusted vectors.
+// With a cascade the cheap columns of x are tried first; the full model
+// only runs below the confidence threshold.
 func (a *Artifact) Predict(x []float64) (Prediction, error) {
-	c := a.Cascade
-	if c == nil {
-		return a.predictFull(x)
+	pred, _, err := a.predict(context.Background(), nil, x, nil, nil)
+	return pred, err
+}
+
+// PredictMatrix extracts the features of a matrix and predicts; with a
+// cascade the full 21-feature extraction only happens when the cheap
+// stage is not confident. s may be nil; passing one reuses its
+// extraction buffers across calls.
+func (a *Artifact) PredictMatrix(ctx context.Context, m *sparse.CSR, s *features.Scratch) (Prediction, error) {
+	if s == nil {
+		s = new(features.Scratch)
 	}
-	cheap, ok := c.gather(x)
-	if !ok {
-		return a.predictFull(x)
+	pred, _, err := a.predict(ctx, nil, nil, m, s)
+	return pred, err
+}
+
+// predict is the artifact's one cheap-or-full decision. The caller
+// passes what it already has — the cheap-feature row, the full
+// 21-feature vector, or the parsed matrix and a scratch to extract
+// either from — and predict computes only what the decision needs. With
+// a cascade, the cheap row goes through the cheap stage first and the
+// full model runs only below the confidence threshold. The returned
+// entry holds the features the answer was decided on, in the memo's
+// form: the full vector when it was given or computed, otherwise the
+// cheap row. Each stage is a child span of ctx; with no span in ctx and
+// observability disabled, a span costs one context lookup.
+func (a *Artifact) predict(ctx context.Context, cheap, full []float64, m *sparse.CSR, s *features.Scratch) (Prediction, featEntry, error) {
+	var conf float64
+	if c := a.Cascade; c != nil {
+		// in is the cheap stage's input. Gathering it from full keeps it
+		// on the stack, because only cheap is ever returned.
+		in := cheap
+		switch {
+		case cheap != nil:
+		case m != nil:
+			_, csp := obs.StartChild(ctx, "features/cheap")
+			cheap = s.ExtractCheap(m).Slice()
+			csp.End()
+			in = cheap
+		default:
+			// The cascade reads Vector positions out of the caller's
+			// vector, so its length is checked before the cascade runs.
+			if len(full) != features.Count {
+				return Prediction{}, featEntry{}, fmt.Errorf("serve: model expects %d features, got %d", features.Count, len(full))
+			}
+			var row features.CheapVector
+			for i, idx := range features.CheapIndices {
+				row[i] = full[idx]
+			}
+			in = row[:]
+		}
+		_, dsp := obs.StartChild(ctx, "cascade")
+		label, p, err := c.decide(in)
+		conf = p
+		dsp.SetMetric("confidence", conf)
+		if err != nil {
+			dsp.End()
+			return Prediction{}, featEntry{}, err
+		}
+		if conf >= c.Threshold && label >= 0 && label < len(a.Formats) {
+			dsp.SetMetric("hit", 1)
+			dsp.End()
+			feats := featEntry{cheap: cheap}
+			if full != nil {
+				feats = featEntry{full: full}
+			}
+			return Prediction{
+				Format:     a.Formats[label],
+				Label:      label,
+				Cluster:    -1,
+				Stage:      StageCheap,
+				Confidence: conf,
+			}, feats, nil
+		}
+		dsp.SetMetric("hit", 0)
+		dsp.End()
 	}
-	label, conf, err := c.decide(cheap)
+	switch {
+	case full != nil:
+	case m != nil:
+		_, fsp := obs.StartChild(ctx, "features/full")
+		full = s.Extract(m).Slice()
+		fsp.End()
+	case cheap != nil:
+		// Only a cheap row (a cheap-only memo entry) that no confident
+		// cascade answered: a parse has to supply the full vector.
+		return Prediction{}, featEntry{}, errors.New("serve: the full feature vector is needed")
+	}
+	_, psp := obs.StartChild(ctx, "predict")
+	pred, err := a.predictFull(full)
+	psp.End()
 	if err != nil {
-		return Prediction{}, err
+		return Prediction{}, featEntry{}, err
 	}
-	if conf >= c.Threshold && label >= 0 && label < len(a.Formats) {
-		return Prediction{
-			Format:     a.Formats[label],
-			Label:      label,
-			Cluster:    -1,
-			Stage:      StageCheap,
-			Confidence: conf,
-		}, nil
+	if a.Cascade != nil {
+		pred.Stage = StageFull
+		pred.Confidence = conf
 	}
-	pred, err := a.predictFull(x)
-	if err != nil {
-		return Prediction{}, err
-	}
-	pred.Stage = StageFull
-	pred.Confidence = conf
-	return pred, nil
+	return pred, featEntry{full: full}, nil
 }
 
 // predictFull runs the full pipeline: dimension check, preprocessing
@@ -293,81 +364,6 @@ func (a *Artifact) predictFull(x []float64) (Prediction, error) {
 		Cluster:     clusterID,
 		ClusterSize: clusterSize,
 	}, nil
-}
-
-// PredictMatrix extracts the features of a matrix and predicts. With a
-// cascade artifact the full 21-feature extraction only happens when the
-// cheap stage is not confident.
-func (a *Artifact) PredictMatrix(m *sparse.CSR) (Prediction, error) {
-	var s features.Scratch
-	pred, _, err := a.PredictMatrixScratch(m, &s)
-	return pred, err
-}
-
-// PredictMatrixScratch is the serve hot path's entry point: it extracts
-// only the cheap features first when the artifact carries a cascade,
-// paying for full extraction solely on fall-through. The returned
-// vector is the full 21-feature row when it was computed, nil when the
-// cheap stage answered (callers that need the full vector anyway —
-// shadow scoring — extract it themselves).
-func (a *Artifact) PredictMatrixScratch(m *sparse.CSR, s *features.Scratch) (Prediction, []float64, error) {
-	return a.PredictMatrixScratchCtx(context.Background(), m, s)
-}
-
-// PredictMatrixScratchCtx is PredictMatrixScratch under a request
-// context: each stage (cheap extraction, cascade decision, full
-// extraction, model predict) becomes a child span of the request's
-// span tree, so per-request traces show exactly where matrix time
-// went. With no span in ctx and observability disabled, the spans cost
-// one context lookup each.
-func (a *Artifact) PredictMatrixScratchCtx(ctx context.Context, m *sparse.CSR, s *features.Scratch) (Prediction, []float64, error) {
-	c := a.Cascade
-	if c == nil || !c.usesCheapOrder() {
-		// No cascade (or one trained on a foreign feature ordering):
-		// extract everything and let Predict route.
-		_, fsp := obs.StartChild(ctx, "features/full")
-		vec := s.Extract(m).Slice()
-		fsp.End()
-		_, psp := obs.StartChild(ctx, "predict")
-		pred, err := a.Predict(vec)
-		psp.End()
-		return pred, vec, err
-	}
-	_, csp := obs.StartChild(ctx, "features/cheap")
-	cheap := s.ExtractCheap(m)
-	csp.End()
-	_, dsp := obs.StartChild(ctx, "cascade")
-	label, conf, err := c.decide(cheap[:])
-	dsp.SetMetric("confidence", conf)
-	if err != nil {
-		dsp.End()
-		return Prediction{}, nil, err
-	}
-	if conf >= c.Threshold && label >= 0 && label < len(a.Formats) {
-		dsp.SetMetric("hit", 1)
-		dsp.End()
-		return Prediction{
-			Format:     a.Formats[label],
-			Label:      label,
-			Cluster:    -1,
-			Stage:      StageCheap,
-			Confidence: conf,
-		}, nil, nil
-	}
-	dsp.SetMetric("hit", 0)
-	dsp.End()
-	_, fsp := obs.StartChild(ctx, "features/full")
-	vec := s.Extract(m).Slice()
-	fsp.End()
-	_, psp := obs.StartChild(ctx, "predict")
-	pred, err := a.predictFull(vec)
-	psp.End()
-	if err != nil {
-		return Prediction{}, nil, err
-	}
-	pred.Stage = StageFull
-	pred.Confidence = conf
-	return pred, vec, nil
 }
 
 // Save writes the artifact: the magic prefix, then the gob-encoded

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
+	"encoding/json"
 	"io"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -78,7 +81,7 @@ func TestSemisupArtifactRoundTrip(t *testing.T) {
 	}
 	for i, m := range ms {
 		inMem := sel.Select(m).String()
-		pred, err := loaded.PredictMatrix(m)
+		pred, err := loaded.PredictMatrix(context.Background(), m, nil)
 		if err != nil {
 			t.Fatalf("matrix %d: %v", i, err)
 		}
@@ -147,7 +150,9 @@ func TestTrainClassifierArtifactRejectsUnknown(t *testing.T) {
 }
 
 // TestArtifactPredictValidatesDimensions feeds wrong-length vectors —
-// the untrusted serve input — through both artifact kinds.
+// the untrusted serve input — through every artifact kind, a cascade
+// artifact included (its cheap stage must not answer a vector it can
+// only gather from by position), and through /v1/predict/features.
 func TestArtifactPredictValidatesDimensions(t *testing.T) {
 	ms, best := labelledCorpus(t, "Turing")
 	sel, err := core.TrainSelector(ms, best, core.Options{NumClusters: 8, Seed: 2})
@@ -160,13 +165,25 @@ func TestArtifactPredictValidatesDimensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, art := range []*Artifact{semi, clf} {
+	casc, _ := cascadeArtifact(t, 0.6)
+	bads := [][]float64{nil, {1, 2, 3}, make([]float64, features.CheapCount), make([]float64, features.Count+4)}
+	for name, art := range map[string]*Artifact{"semisup": semi, "classifier": clf, "cascade": casc} {
 		if got := art.InDim(); got != features.Count {
-			t.Errorf("%s InDim = %d, want %d", art.Kind, got, features.Count)
+			t.Errorf("%s InDim = %d, want %d", name, got, features.Count)
 		}
-		for _, bad := range [][]float64{nil, {1, 2, 3}, make([]float64, features.Count+4)} {
+		for _, bad := range bads {
 			if _, err := art.Predict(bad); err == nil {
-				t.Errorf("%s accepted a %d-vector", art.Kind, len(bad))
+				t.Errorf("%s accepted a %d-vector", name, len(bad))
+			}
+		}
+		srv, err := NewServer(art, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range bads {
+			body, _ := json.Marshal(featuresRequest{Features: bad})
+			if rec, out := postJSON(t, srv.Handler(), "/v1/predict/features", body); rec.Code != http.StatusBadRequest {
+				t.Errorf("%s /v1/predict/features on a %d-vector = %d %v, want 400", name, len(bad), rec.Code, out)
 			}
 		}
 	}
@@ -222,7 +239,7 @@ func TestSaveFileAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range ms[:5] {
-		pred, err := loaded.PredictMatrix(m)
+		pred, err := loaded.PredictMatrix(context.Background(), m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

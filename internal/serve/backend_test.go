@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
@@ -271,6 +272,74 @@ func TestBatchEndpoint(t *testing.T) {
 	rec, _ = postJSON(t, h, "/v1/predict/batch", empty)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("empty batch: %d, want 400", rec.Code)
+	}
+}
+
+// panickyClassifier stands in for an artifact that decodes and
+// validates but panics at predict time.
+type panickyClassifier struct{}
+
+func (panickyClassifier) Fit([][]float64, []int, int) error { return nil }
+func (panickyClassifier) Predict([]float64) int             { panic("corrupt model") }
+
+// TestBatchRecoversModelPanic: a model that panics inside a batch
+// worker, live or shadow, answers that request 500 and counts it in
+// serve/errors instead of killing the process, and the next request is
+// answered.
+func TestBatchRecoversModelPanic(t *testing.T) {
+	prev := obs.SetMaxWorkers(2)
+	defer obs.SetMaxWorkers(prev)
+	ms, best := labelledCorpus(t, "Turing")
+	good := trainArtifact(t, ms, best, 6, 99)
+	bad := &Artifact{Kind: KindClassifier, Formats: KernelFormatNames(), Clf: panickyClassifier{}}
+	fb := newFakeBackend("turing")
+	srv, err := NewBackendServer(fb, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	batch := bytes.Join([][]byte{mmBytes(t, ms[0]), mmBytes(t, ms[1]), mmBytes(t, ms[2]), mmBytes(t, ms[3])}, nil)
+	post := func() *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict/batch", bytes.NewReader(batch))
+		req.Header.Set("Content-Type", "text/plain")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, tc := range []struct {
+		name         string
+		live, shadow *Artifact
+	}{{"live", bad, nil}, {"shadow", good, bad}} {
+		fb.set("turing", tc.live, "hash-live")
+		fb.mu.Lock()
+		delete(fb.shadows, "turing")
+		fb.mu.Unlock()
+		if tc.shadow != nil {
+			fb.setShadow("turing", tc.shadow, "hash-shadow")
+		}
+		errs0 := srv.errors.Value()
+		if rec := post(); rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%s model panic: batch answered %d %s, want 500", tc.name, rec.Code, rec.Body.String())
+		}
+		if d := srv.errors.Value() - errs0; d != 1 {
+			t.Fatalf("%s model panic: serve/errors advanced by %d, want 1", tc.name, d)
+		}
+	}
+
+	fb.set("turing", good, "hash-good")
+	fb.mu.Lock()
+	delete(fb.shadows, "turing")
+	fb.mu.Unlock()
+	rec := post()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch after the panics: %d %s", rec.Code, rec.Body.String())
+	}
+	var resp batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Count != 4 || resp.Errors != 0 {
+		t.Fatalf("batch after the panics = %+v", resp)
 	}
 }
 

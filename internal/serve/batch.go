@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -86,14 +87,14 @@ type batchResponse struct {
 // predictBatchItem answers one batch position: the shared predictBody
 // path plus the per-item feedback registration (batch item i of
 // request ID reports as "ID#i").
-func (s *Server) predictBatchItem(ctx context.Context, lm, cand LiveModel, shadowed bool, scratch *features.Scratch, ps *sparse.ParseScratch, item []byte, i int) batchItem {
+func (s *Server) predictBatchItem(ctx context.Context, lm, cand LiveModel, scratch *features.Scratch, ps *sparse.ParseScratch, item []byte, i int) batchItem {
 	if err := ctx.Err(); err != nil {
 		return batchItem{Error: "request cancelled: " + err.Error()}
 	}
 	if len(item) == 0 {
 		return batchItem{Error: "empty matrix body"}
 	}
-	ans, err := s.predictBody(ctx, lm, cand, shadowed, scratch, ps, item)
+	ans, err := s.predictBody(ctx, lm, cand, scratch, ps, item)
 	if err != nil {
 		return batchItem{Error: err.Error()}
 	}
@@ -147,10 +148,20 @@ func (s *Server) predictBatch(ctx context.Context, r *http.Request) (any, error)
 	s.batchReqs.Inc()
 	s.batchItems.Add(int64(n))
 
-	cand, shadowed := s.backend.Shadow(lm.Arch)
+	cand, _ := s.backend.Shadow(lm.Arch)
 	results := make([]batchItem, n)
 	var itemErrs atomic.Int64
+	var crashed atomic.Pointer[string]
 	obs.ParallelChunks(n, obs.Workers(n), func(w, lo, hi int) {
+		// A model that decodes but panics at predict time (live or
+		// shadow) fails this request, not the process: an unrecovered
+		// panic in a worker goroutine would end every replica it reaches.
+		defer func() {
+			if p := recover(); p != nil {
+				msg := fmt.Sprint(p)
+				crashed.CompareAndSwap(nil, &msg)
+			}
+		}()
 		// One feature-extraction scratch and one pooled parse scratch
 		// per worker: a batch performs a handful of buffer allocations
 		// instead of several per matrix.
@@ -163,13 +174,16 @@ func (s *Server) predictBatch(ctx context.Context, r *http.Request) (any, error)
 			// the parent X-Request-ID.
 			ictx, span := obs.StartChild(ctx, "serve/batch/item")
 			span.SetMetric("index", float64(i))
-			results[i] = s.predictBatchItem(ictx, lm, cand, shadowed, &scratch, ps, items[i], i)
+			results[i] = s.predictBatchItem(ictx, lm, cand, &scratch, ps, items[i], i)
 			if results[i].Error != "" {
 				itemErrs.Add(1)
 			}
 			span.End()
 		}
 	})
+	if msg := crashed.Load(); msg != nil {
+		return nil, &httpError{status: http.StatusInternalServerError, err: fmt.Errorf("batch prediction panicked: %s", *msg)}
+	}
 	errs := int(itemErrs.Load())
 	s.batchErrors.Add(int64(errs))
 	preds := make([]string, n)

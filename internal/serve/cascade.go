@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/classify"
@@ -32,8 +33,8 @@ type ProbaClassifier interface {
 // Cascade is the optional cheap-first stage of a version-2 artifact.
 type Cascade struct {
 	// Indices are the Vector indices of the cheap features, in the
-	// order the stage's pipeline expects them (features.CheapIndices
-	// for every cascade trained in this repository).
+	// order the stage's pipeline expects them. Validate accepts only
+	// features.CheapIndices, the order TrainCascade writes.
 	Indices []int
 	// Classifier names the cheap model ("logreg" or "forest").
 	Classifier string
@@ -55,16 +56,13 @@ type Cascade struct {
 	HeldoutSize      int
 }
 
-// Validate checks the cascade is usable for prediction against an
-// artifact mapping nFormats formats.
-func (c *Cascade) Validate(nFormats int) error {
-	if len(c.Indices) == 0 {
-		return fmt.Errorf("serve: cascade has no feature indices")
-	}
-	for _, idx := range c.Indices {
-		if idx < 0 || idx >= features.Count {
-			return fmt.Errorf("serve: cascade feature index %d outside [0, %d)", idx, features.Count)
-		}
+// Validate checks the cascade is usable for prediction. Its labels are
+// checked against the artifact's Formats at predict time.
+func (c *Cascade) Validate() error {
+	// The serve path feeds the stage ExtractCheap's row, or the same
+	// positions gathered from a full vector, so no other order can work.
+	if !slices.Equal(c.Indices, features.CheapIndices[:]) {
+		return fmt.Errorf("serve: cascade feature indices %v are not the cheap feature order %v", c.Indices, features.CheapIndices)
 	}
 	if c.Clf == nil {
 		return fmt.Errorf("serve: cascade has no classifier")
@@ -75,8 +73,8 @@ func (c *Cascade) Validate(nFormats int) error {
 	if _, ok := c.Clf.(ProbaClassifier); !ok {
 		return fmt.Errorf("serve: cascade classifier %T has no probability estimate", c.Clf)
 	}
-	if d := c.Pipeline.InDim(); d != 0 && d != len(c.Indices) {
-		return fmt.Errorf("serve: cascade pipeline expects %d features, stage has %d", d, len(c.Indices))
+	if d := c.Pipeline.InDim(); d != 0 && d != features.CheapCount {
+		return fmt.Errorf("serve: cascade pipeline expects %d features, stage has %d", d, features.CheapCount)
 	}
 	if c.Threshold < 0 {
 		return fmt.Errorf("serve: cascade threshold %v negative", c.Threshold)
@@ -84,41 +82,11 @@ func (c *Cascade) Validate(nFormats int) error {
 	if c.TargetAgreement < 0 || c.TargetAgreement > 1 {
 		return fmt.Errorf("serve: cascade target agreement %v outside [0, 1]", c.TargetAgreement)
 	}
-	_ = nFormats // labels are re-checked against Formats at predict time
 	return nil
 }
 
-// usesCheapOrder reports whether the stage's feature list is exactly
-// features.CheapIndices, the precondition for feeding it ExtractCheap
-// output directly.
-func (c *Cascade) usesCheapOrder() bool {
-	if len(c.Indices) != features.CheapCount {
-		return false
-	}
-	for i, idx := range c.Indices {
-		if idx != features.CheapIndices[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// gather pulls the stage's features out of a full feature row. ok is
-// false when the row is too short to cover every index (the full-path
-// dimension check then produces the error).
-func (c *Cascade) gather(full []float64) ([]float64, bool) {
-	out := make([]float64, len(c.Indices))
-	for i, idx := range c.Indices {
-		if idx >= len(full) {
-			return nil, false
-		}
-		out[i] = full[idx]
-	}
-	return out, true
-}
-
-// decide runs the cheap stage on a gathered cheap-feature row and
-// returns the argmax label and its probability.
+// decide runs the cheap stage on a cheap-feature row (CheapIndices
+// order) and returns the argmax label and its probability.
 func (c *Cascade) decide(cheap []float64) (label int, conf float64, err error) {
 	pc, ok := c.Clf.(ProbaClassifier)
 	if !ok {

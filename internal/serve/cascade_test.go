@@ -2,15 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
@@ -60,7 +63,7 @@ func TestTrainCascadeCalibration(t *testing.T) {
 	if c.HeldoutSize < 2 {
 		t.Errorf("heldout size %d", c.HeldoutSize)
 	}
-	if !c.usesCheapOrder() {
+	if !slices.Equal(c.Indices, features.CheapIndices[:]) {
 		t.Error("trained cascade does not use the cheap feature order")
 	}
 }
@@ -96,6 +99,24 @@ func TestTrainCascadeUnattainableTargetDisablesStage(t *testing.T) {
 	}
 }
 
+// TestCascadeRejectsForeignFeatureOrder: the serve path feeds the stage
+// its features in features.CheapIndices order only, so Validate refuses
+// a cascade recorded with any other list.
+func TestCascadeRejectsForeignFeatureOrder(t *testing.T) {
+	art, _ := cascadeArtifact(t, 0.6)
+	reversed := slices.Clone(art.Cascade.Indices)
+	slices.Reverse(reversed)
+	for _, idx := range [][]int{nil, art.Cascade.Indices[:4], reversed} {
+		c := *art.Cascade
+		c.Indices = idx
+		bad := *art
+		bad.Cascade = &c
+		if err := bad.Validate(); err == nil {
+			t.Errorf("cascade with feature indices %v validated", idx)
+		}
+	}
+}
+
 // TestCascadeDeterminism is the safety property: cascade-on and
 // cascade-off answers differ only on requests the cheap stage answered
 // (above threshold); every fall-through is bit-identical to the full
@@ -106,7 +127,8 @@ func TestCascadeDeterminism(t *testing.T) {
 	var s features.Scratch
 	cheap, full := 0, 0
 	for i, m := range ms {
-		on, vec, err := art.PredictMatrixScratch(m, &s)
+		on, feats, err := art.predict(context.Background(), nil, nil, m, &s)
+		vec := feats.full
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +249,7 @@ func TestCascadeServerPath(t *testing.T) {
 	}
 	mm := body(ms[0])
 	for _, m := range ms {
-		if pred, _, err := art.PredictMatrixScratch(m, &s); err == nil && pred.Stage == StageCheap {
+		if pred, err := art.PredictMatrix(context.Background(), m, &s); err == nil && pred.Stage == StageCheap {
 			mm = body(m)
 			break
 		}
@@ -275,5 +297,35 @@ func TestCascadeServerPath(t *testing.T) {
 	}
 	if st.HitRate < 0 || st.HitRate > 1 {
 		t.Fatalf("hit rate %v", st.HitRate)
+	}
+}
+
+// TestCascadePredictAllocs pins the allocation cost of Predict on a
+// cascade artifact when the cheap stage answers: the cheap row is read
+// out of the caller's vector on the stack, so only the stage's own
+// preprocessing and probability buffers allocate.
+func TestCascadePredictAllocs(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	art, ms := cascadeArtifact(t, 0.6)
+	var vec []float64
+	for _, m := range ms {
+		v := features.Extract(m).Slice()
+		if pred, err := art.Predict(v); err == nil && pred.Stage == StageCheap {
+			vec = v
+			break
+		}
+	}
+	if vec == nil {
+		t.Fatal("cheap stage never fired on the corpus")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := art.Predict(vec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("cascade Predict allocates %.0f objects per run, want <= 4", allocs)
 	}
 }

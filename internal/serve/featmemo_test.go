@@ -162,7 +162,7 @@ func TestFeatMemoCascadeEntries(t *testing.T) {
 	var scratch features.Scratch
 	var cheapM, fullM *sparse.CSR
 	for _, m := range ms {
-		pred, _, err := art.PredictMatrixScratch(m, &scratch)
+		pred, err := art.PredictMatrix(context.Background(), m, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,11 +251,11 @@ func TestPredictBodyMemoHitAllocs(t *testing.T) {
 	var scratch features.Scratch
 	ps := sparse.GetParseScratch()
 	defer sparse.PutParseScratch(ps)
-	if _, err := srv.predictBody(context.Background(), lm, LiveModel{}, false, &scratch, ps, mm); err != nil {
+	if _, err := srv.predictBody(context.Background(), lm, LiveModel{}, &scratch, ps, mm); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := srv.predictBody(context.Background(), lm, LiveModel{}, false, &scratch, ps, mm); err != nil {
+		if _, err := srv.predictBody(context.Background(), lm, LiveModel{}, &scratch, ps, mm); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -54,10 +54,18 @@ type pendingPred struct {
 // if it ever arrives, answers 404 like any unknown ID).
 type pendingStore struct {
 	mu   sync.Mutex
-	m    map[string]pendingPred
+	m    map[string]pendingSlot
 	ring []string // insertion order, for eviction
 	head int
 	n    int
+}
+
+// pendingSlot is one registered prediction and the ring position that
+// owns its key. A key taken and registered again owns a newer position,
+// so the older one must not evict it.
+type pendingSlot struct {
+	pred pendingPred
+	pos  int
 }
 
 func newPendingStore(capacity int) *pendingStore {
@@ -65,7 +73,7 @@ func newPendingStore(capacity int) *pendingStore {
 		capacity = defaultPendingFeedback
 	}
 	return &pendingStore{
-		m:    make(map[string]pendingPred, capacity),
+		m:    make(map[string]pendingSlot, capacity),
 		ring: make([]string, capacity),
 	}
 }
@@ -75,18 +83,20 @@ func newPendingStore(capacity int) *pendingStore {
 func (p *pendingStore) put(key string, v pendingPred) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.m[key]; dup {
-		p.m[key] = v
+	if e, dup := p.m[key]; dup {
+		p.m[key] = pendingSlot{pred: v, pos: e.pos}
 		return
 	}
 	if p.n == len(p.ring) {
-		delete(p.m, p.ring[p.head])
+		if old := p.ring[p.head]; p.m[old].pos == p.head {
+			delete(p.m, old)
+		}
 	} else {
 		p.n++
 	}
 	p.ring[p.head] = key
+	p.m[key] = pendingSlot{pred: v, pos: p.head}
 	p.head = (p.head + 1) % len(p.ring)
-	p.m[key] = v
 }
 
 // peek returns the entry without consuming it (validation must not
@@ -94,20 +104,18 @@ func (p *pendingStore) put(key string, v pendingPred) {
 func (p *pendingStore) peek(key string) (pendingPred, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	v, ok := p.m[key]
-	return v, ok
+	e, ok := p.m[key]
+	return e.pred, ok
 }
 
 // take consumes the entry. The ring keeps the dead key until eviction
-// reaches it; put treats missing map entries as free slots already.
+// reaches it, and eviction only deletes a key its slot still owns.
 func (p *pendingStore) take(key string) (pendingPred, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	v, ok := p.m[key]
-	if ok {
-		delete(p.m, key)
-	}
-	return v, ok
+	e, ok := p.m[key]
+	delete(p.m, key)
+	return e.pred, ok
 }
 
 // notePending remembers one served prediction under its feedback key

@@ -261,6 +261,34 @@ func TestPendingStoreEviction(t *testing.T) {
 	}
 }
 
+// TestPendingStoreReRegisteredKey: a key consumed and registered again
+// owns a new ring slot, so its stale slot must not evict it early.
+func TestPendingStoreReRegisteredKey(t *testing.T) {
+	p := newPendingStore(2)
+	p.put("a", pendingPred{arch: "a1"})
+	if _, ok := p.take("a"); !ok {
+		t.Fatal("take(a) missed a registered entry")
+	}
+	p.put("a", pendingPred{arch: "a2"})
+	p.put("b", pendingPred{arch: "b"})
+	if v, ok := p.peek("a"); !ok || v.arch != "a2" {
+		t.Fatalf("re-registered a = %+v ok=%v, want a2 kept", v, ok)
+	}
+	if _, ok := p.peek("b"); !ok {
+		t.Fatal("entry b missing")
+	}
+	// The next insert evicts a, now the oldest entry with a live slot.
+	p.put("c", pendingPred{arch: "c"})
+	if _, ok := p.peek("a"); ok {
+		t.Fatal("oldest entry a survived eviction")
+	}
+	for _, k := range []string{"b", "c"} {
+		if _, ok := p.peek(k); !ok {
+			t.Fatalf("entry %s missing", k)
+		}
+	}
+}
+
 func TestBatchTraceIDPropagation(t *testing.T) {
 	defer obs.Default.Reset()
 	col := obs.NewCollector()

@@ -597,27 +597,32 @@ type answered struct {
 }
 
 // predictBody answers one MatrixMarket body against a resolved live
-// model: feature-memo lookup (keyed by body content alone), parse,
-// extract (through the caller's scratches), predict, shadow score.
+// model: feature-memo lookup (keyed by body content alone), else parse
+// and extract (through the caller's scratches), then predict and answer.
 // Shared by the single-matrix endpoint and every batch item, so the two
-// paths cannot drift.
+// paths cannot drift. cand is the registered shadow candidate (zero when
+// none).
 //
-// The memo holds features, never answers, so the live artifact scores
+// The memo holds features, never answers, so the live artifact decides
 // every request: a hot-swap takes effect on the next request with no
-// invalidation step, and a registered shadow candidate scores every
-// request too — from the memoized full vector when there is one, which
-// is exactly what the parse path would feed both models.
-func (s *Server) predictBody(ctx context.Context, lm LiveModel, cand LiveModel, shadowed bool, scratch *features.Scratch, ps *sparse.ParseScratch, body []byte) (answered, error) {
+// invalidation step. A full entry answers any request. A cheap-only
+// entry answers only where the parse path would have answered from the
+// cheap stage alone: the cascade clears its threshold on it and no
+// shadow needs the full vector. Otherwise the body is parsed.
+func (s *Server) predictBody(ctx context.Context, lm, cand LiveModel, scratch *features.Scratch, ps *sparse.ParseScratch, body []byte) (answered, error) {
 	memoKey := ""
+	var memo featEntry
 	if s.featMemo.Enabled() {
 		sum := sha256.Sum256(body)
 		memoKey = string(sum[:16])
 		mctx, msp := obs.StartChild(ctx, "memo")
-		if e, ok := s.featMemo.Get(memoKey); ok {
-			if ans, served := s.answerFromMemo(mctx, lm, cand, shadowed, e); served {
+		var ok bool
+		if memo, ok = s.featMemo.Get(memoKey); ok && (memo.full != nil || cand.Artifact == nil) {
+			if pred, feats, err := lm.Artifact.predict(mctx, memo.cheap, memo.full, nil, nil); err == nil {
 				msp.SetMetric("hit", 1)
-				msp.End()
 				s.memoHits.Inc()
+				ans := s.answer(mctx, lm, cand, pred, feats.full)
+				msp.End()
 				ans.cached = true
 				return ans, nil
 			}
@@ -633,117 +638,66 @@ func (s *Server) predictBody(ctx context.Context, lm LiveModel, cand LiveModel, 
 	if err != nil {
 		return answered{}, badRequest("parsing MatrixMarket body: %v", err)
 	}
-	// Cheap-first: a cascade artifact answers from the O(rows) features
-	// when confident and only pays full extraction on fall-through, so
-	// vec is nil for cheap answers.
-	pred, vec, err := lm.Artifact.PredictMatrixScratchCtx(ctx, m, scratch)
+	pred, feats, err := lm.Artifact.predict(ctx, memo.cheap, nil, m, scratch)
 	if err != nil {
 		return answered{}, badRequest("%v", err)
 	}
-	s.noteCascade(lm.Artifact, pred)
-	ans := answered{pred: pred}
-	if shadowed {
-		// The candidate scores on the full feature vector regardless of
-		// which stage answered, so shadow agreement still compares whole
-		// models (shadowing temporarily forfeits the cascade's win).
-		if vec == nil {
-			_, fsp := obs.StartChild(ctx, "features/full")
-			vec = scratch.Extract(m).Slice()
-			fsp.End()
-		}
-		_, ssp := obs.StartChild(ctx, "shadow")
-		ans.cand, ans.candOK = s.scoreShadow(lm.Arch, cand, pred, vec)
-		ssp.End()
+	if cand.Artifact != nil && feats.full == nil {
+		// The candidate scores the full vector whichever stage answered,
+		// so shadow agreement still compares whole models (shadowing
+		// forfeits the cascade's win while it lasts).
+		_, fsp := obs.StartChild(ctx, "features/full")
+		feats = featEntry{full: scratch.Extract(m).Slice()}
+		fsp.End()
 	}
 	if memoKey != "" {
-		// Memoize whatever this request actually extracted. The vectors
-		// alias the caller's scratch, so copy before the next request
-		// overwrites them; cheap-only entries upgrade to full later.
-		if vec != nil {
-			s.featMemo.Put(memoKey, featEntry{full: append([]float64(nil), vec...)})
-		} else {
-			cheap := scratch.ExtractCheap(m)
-			s.featMemo.Put(memoKey, featEntry{cheap: append([]float64(nil), cheap[:]...)})
-		}
+		// Both vectors are fresh slices, so the memo keeps them as is; a
+		// full vector upgrades a cheap-only entry.
+		s.featMemo.Put(memoKey, feats)
 	}
-	// Cheap answers never computed the 21-feature vector; the drift
-	// monitor then advances only its label stream.
-	s.recordPrediction(ctx, lm.Arch, pred, vec)
-	return ans, nil
+	return s.answer(ctx, lm, cand, pred, feats.full), nil
 }
 
-// answerFromMemo serves one request from memoized feature vectors,
-// skipping parse and extraction. served=false means the entry cannot
-// answer this request (cheap-only entry but the cascade is not
-// confident, a shadow needs the full vector, or the model rejected the
-// vector) and the caller takes the parse path.
-func (s *Server) answerFromMemo(ctx context.Context, lm LiveModel, cand LiveModel, shadowed bool, e featEntry) (answered, bool) {
-	if e.full != nil {
-		// Artifact.Predict routes the full vector through the cascade
-		// exactly like the parse path would, so stage, confidence and
-		// label come out identical to a fresh computation.
-		_, psp := obs.StartChild(ctx, "predict")
-		pred, err := lm.Artifact.Predict(e.full)
-		psp.End()
+// answer records one served prediction and is the only code that does:
+// the cascade stage tally, the shadow candidate's score on the same full
+// vector, the per-arch/format counter and the drift record. full is nil
+// only when the cheap stage answered an unshadowed request; the drift
+// monitor then advances only its predicted-format stream.
+func (s *Server) answer(ctx context.Context, lm, cand LiveModel, pred Prediction, full []float64) answered {
+	if lm.Artifact.Cascade != nil {
+		if pred.Stage == StageCheap {
+			s.cascadeHits.Inc()
+		} else {
+			s.cascadeFalls.Inc()
+		}
+		s.cascadeConf.Observe(pred.Confidence)
+	}
+	ans := answered{pred: pred}
+	if cand.Artifact != nil {
+		// The candidate's answer feeds the backend's live-vs-candidate
+		// tally and, through feedback, its measured-time score.
+		_, ssp := obs.StartChild(ctx, "shadow")
+		cp, err := cand.Artifact.Predict(full)
 		if err != nil {
-			return answered{}, false // let the parse path report it
+			s.shadowErrors.Inc()
+		} else {
+			s.backend.RecordShadow(lm.Arch, pred, cp)
+			ans.cand, ans.candOK = cp, true
 		}
-		s.noteCascade(lm.Artifact, pred)
-		ans := answered{pred: pred}
-		if shadowed {
-			_, ssp := obs.StartChild(ctx, "shadow")
-			ans.cand, ans.candOK = s.scoreShadow(lm.Arch, cand, pred, e.full)
-			ssp.End()
-		}
-		s.recordPrediction(ctx, lm.Arch, pred, e.full)
-		return ans, true
+		ssp.End()
 	}
-	// Cheap-only entry: answer only in exactly the situation the parse
-	// path would have answered from the cheap stage — an unshadowed
-	// request against a standard-ordering cascade that clears its
-	// threshold. Anything else needs the full vector, hence a parse.
-	c := lm.Artifact.Cascade
-	if shadowed || c == nil || !c.usesCheapOrder() || len(e.cheap) != features.CheapCount {
-		return answered{}, false
+	s.predictions.With(lm.Arch, pred.Format).Inc()
+	if s.drift != nil {
+		_, sp := obs.StartChild(ctx, "drift")
+		s.drift.RecordServed(lm.Arch, pred, full)
+		sp.End()
 	}
-	_, dsp := obs.StartChild(ctx, "cascade")
-	label, conf, err := c.decide(e.cheap)
-	dsp.End()
-	if err != nil || conf < c.Threshold || label < 0 || label >= len(lm.Artifact.Formats) {
-		return answered{}, false
-	}
-	pred := Prediction{
-		Format:     lm.Artifact.Formats[label],
-		Label:      label,
-		Cluster:    -1,
-		Stage:      StageCheap,
-		Confidence: conf,
-	}
-	s.noteCascade(lm.Artifact, pred)
-	// Like any cheap answer, the 21-feature vector was never computed:
-	// the drift monitor advances only its label stream.
-	s.recordPrediction(ctx, lm.Arch, pred, nil)
-	return answered{pred: pred}, true
+	return ans
 }
 
 // Cascade confidences are probabilities; bucket the interesting top end
 // where thresholds live.
 var confidenceBuckets = []float64{0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1}
-
-// noteCascade tallies which stage answered, for every answer from a
-// cascade-carrying artifact (memo hits included: they run the cascade
-// on the memoized features).
-func (s *Server) noteCascade(art *Artifact, pred Prediction) {
-	if art.Cascade == nil {
-		return
-	}
-	if pred.Stage == StageCheap {
-		s.cascadeHits.Inc()
-	} else {
-		s.cascadeFalls.Inc()
-	}
-	s.cascadeConf.Observe(pred.Confidence)
-}
 
 // CascadeStats reports the server's cascade tallies since start:
 // cheap-stage answers, full-path fall-throughs, and the hit rate over
@@ -765,32 +719,6 @@ func (s *Server) cascadeStats() CascadeStats {
 	return st
 }
 
-// recordPrediction tallies one served answer: the per-arch/format
-// counter plus the drift monitor. vec is nil when the cascade's cheap
-// stage answered, so the full vector was never computed; the drift
-// monitor then advances only its predicted-format stream.
-func (s *Server) recordPrediction(ctx context.Context, arch string, pred Prediction, vec []float64) {
-	s.predictions.With(arch, pred.Format).Inc()
-	if s.drift != nil {
-		_, sp := obs.StartChild(ctx, "drift")
-		s.drift.RecordServed(arch, pred, vec)
-		sp.End()
-	}
-}
-
-// scoreShadow runs the candidate on the same feature vector, tallies
-// the live-vs-candidate comparison in the backend, and returns the
-// candidate's answer so feedback can score it on measured times too.
-func (s *Server) scoreShadow(arch string, cand LiveModel, live Prediction, vec []float64) (Prediction, bool) {
-	cp, err := cand.Artifact.Predict(vec)
-	if err != nil {
-		s.shadowErrors.Inc()
-		return Prediction{}, false
-	}
-	s.backend.RecordShadow(arch, live, cp)
-	return cp, true
-}
-
 // predictMatrix answers a MatrixMarket body, routed by ?arch=.
 func (s *Server) predictMatrix(ctx context.Context, r *http.Request) (any, error) {
 	lm, err := s.live(r.URL.Query().Get("arch"))
@@ -805,11 +733,11 @@ func (s *Server) predictMatrix(ctx context.Context, r *http.Request) (any, error
 	if err := ctx.Err(); err != nil {
 		return nil, &httpError{status: http.StatusServiceUnavailable, err: err}
 	}
-	cand, shadowed := s.backend.Shadow(lm.Arch)
+	cand, _ := s.backend.Shadow(lm.Arch)
 	var scratch features.Scratch
 	ps := sparse.GetParseScratch()
 	defer sparse.PutParseScratch(ps)
-	ans, err := s.predictBody(ctx, lm, cand, shadowed, &scratch, ps, body)
+	ans, err := s.predictBody(ctx, lm, cand, &scratch, ps, body)
 	if err != nil {
 		return nil, err
 	}
@@ -849,23 +777,13 @@ func (s *Server) predictFeatures(ctx context.Context, r *http.Request) (any, err
 	if err := ctx.Err(); err != nil {
 		return nil, &httpError{status: http.StatusServiceUnavailable, err: err}
 	}
-	cand, shadowed := s.backend.Shadow(lm.Arch)
-	_, psp := obs.StartChild(ctx, "predict")
-	pred, err := lm.Artifact.Predict(req.Features)
-	psp.End()
+	cand, _ := s.backend.Shadow(lm.Arch)
+	pred, _, err := lm.Artifact.predict(ctx, nil, req.Features, nil, nil)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	s.noteCascade(lm.Artifact, pred)
-	var candPred Prediction
-	var candOK bool
-	if shadowed {
-		_, ssp := obs.StartChild(ctx, "shadow")
-		candPred, candOK = s.scoreShadow(lm.Arch, cand, pred, req.Features)
-		ssp.End()
-	}
-	s.recordPrediction(ctx, lm.Arch, pred, req.Features)
-	s.notePending(ctx, "", lm, pred, candPred, candOK)
+	ans := s.answer(ctx, lm, cand, pred, req.Features)
+	s.notePending(ctx, "", lm, ans.pred, ans.cand, ans.candOK)
 	s.captureRequest(ctx, "/v1/predict/features", lm, r.Header.Get("Content-Type"), body, []string{pred.Format})
 	return predictResponse{Prediction: pred, Arch: lm.Arch, ModelHash: lm.Hash}, nil
 }

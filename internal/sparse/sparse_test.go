@@ -506,7 +506,9 @@ func TestQuickTripletCSRConsistency(t *testing.T) {
 }
 
 // TestQuickSpMVLinearity property-tests A(ax + bz) = a*Ax + b*Az for all
-// formats.
+// formats. ELL is built with a slab limit no generated matrix can
+// exceed, so every seed checks the ELL kernel; Convert's ErrTooLarge
+// refusal has its own tests.
 func TestQuickSpMVLinearity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -523,7 +525,13 @@ func TestQuickSpMVLinearity(t *testing.T) {
 			comb[i] = alpha*x[i] + beta*z[i]
 		}
 		for _, fm := range []Format{FormatCOO, FormatCSR, FormatELL, FormatHYB} {
-			m, err := Convert(a, fm)
+			var m Matrix
+			var err error
+			if fm == FormatELL {
+				m, err = NewELLFromCSR(a, rows*cols)
+			} else {
+				m, err = Convert(a, fm)
+			}
 			if err != nil {
 				return false
 			}
@@ -541,6 +549,11 @@ func TestQuickSpMVLinearity(t *testing.T) {
 			}
 		}
 		return true
+	}
+	// This seed builds a 24x1 matrix with one nonzero, whose ELL slab
+	// Convert refuses with ErrTooLarge.
+	if !f(3828267409903668515) {
+		t.Error("linearity fails for seed 3828267409903668515")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
