@@ -351,17 +351,20 @@ OWNER_PID=''
 [ "$OWNER" = "$R3" ] && OWNER_PID=$R3_PID
 [ -n "$OWNER_PID" ] || { echo "ci: ring owner $OWNER is not a known replica"; exit 1; }
 kill -STOP "$OWNER_PID"
-"$SMOKE/spmvselect" request -addr "$PADDR" -mtx "$MTX2" -request-id trace-stitch-ci -keep-trace -v \
+# The request ID holds ?, # and %: trace -id and the proxy's replica
+# fetches must percent-escape it into /v1/admin/trace/<id>.
+STITCH_ID='stitch?ci#50%'
+"$SMOKE/spmvselect" request -addr "$PADDR" -mtx "$MTX2" -request-id "$STITCH_ID" -keep-trace -v \
 	>/dev/null 2>"$SMOKE/reqv.err" \
 	|| { kill -CONT "$OWNER_PID"; echo 'ci: traced request failed with the ring owner frozen'; exit 1; }
 kill -CONT "$OWNER_PID"
 # request -v surfaced the response's trace and model identity.
-grep -q 'X-Request-ID: trace-stitch-ci' "$SMOKE/reqv.err" \
+grep -qF "X-Request-ID: $STITCH_ID" "$SMOKE/reqv.err" \
 	|| { echo 'ci: request -v did not print the X-Request-ID'; cat "$SMOKE/reqv.err"; exit 1; }
 grep -q 'X-Model-Hash: [0-9a-f]' "$SMOKE/reqv.err" \
 	|| { echo 'ci: request -v did not print the X-Model-Hash'; cat "$SMOKE/reqv.err"; exit 1; }
 sleep 0.3
-STITCHED=$("$SMOKE/spmvselect" trace -addr "$PADDR" -id trace-stitch-ci -token "$ADMIN_TOKEN" -json)
+STITCHED=$("$SMOKE/spmvselect" trace -addr "$PADDR" -id "$STITCH_ID" -token "$ADMIN_TOKEN" -json)
 echo "$STITCHED" | grep -q '"stitched_from":\["' \
 	|| { echo "ci: stitched trace carries no replica spans: $STITCHED"; exit 1; }
 ATTEMPTS=$(echo "$STITCHED" | grep -o '"name":"attempt/' | wc -l)
@@ -373,7 +376,7 @@ echo "$STITCHED" | grep -q '"name":"parse"' \
 echo "$STITCHED" | grep -q '"name":"predict"' \
 	|| { echo "ci: stitched trace lacks the replica predict span: $STITCHED"; exit 1; }
 # The text renderer draws the same stitched tree.
-"$SMOKE/spmvselect" trace -addr "$PADDR" -id trace-stitch-ci -token "$ADMIN_TOKEN" | grep -q 'attempt/' \
+"$SMOKE/spmvselect" trace -addr "$PADDR" -id "$STITCH_ID" -token "$ADMIN_TOKEN" | grep -q 'attempt/' \
 	|| { echo 'ci: trace rendering lost the attempt spans'; exit 1; }
 # 60 requests through the proxy; one replica is SIGKILLed mid-load.
 # Hedging plus transport-failure ejection must keep every answer 2xx —

@@ -1240,9 +1240,7 @@ func benchTracing() (any, error) {
 	// The traced server's store population, through the admin API
 	// operators use.
 	if body, err := fetchAdminJSON(on, "/v1/admin/trace", benchAdminToken, time.Minute); err == nil {
-		var list struct {
-			Count int `json:"count"`
-		}
+		var list obs.TraceList
 		if json.Unmarshal(body, &list) == nil {
 			rec.RetainedTraces = list.Count
 		}

@@ -15,6 +15,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -141,43 +142,29 @@ func pollServer(client *http.Client, addr, token string) (*monitorSample, error)
 	// envelopes, not the single-server report shapes; the fleet panel
 	// already carries the aggregate, so skip them in proxy mode.
 	if token != "" && s.fleet == nil {
-		var slo obs.SLOReport
-		if err := getJSON(client, addr, "/v1/admin/slo", token, &slo); err != nil {
+		body, err := fetchAdminJSON(addr, "/v1/admin/slo", token, client.Timeout)
+		if err != nil {
 			return nil, err
 		}
-		s.slo = &slo
-		var drift registry.DriftReportData
-		err := getJSON(client, addr, "/v1/admin/drift", token, &drift)
+		s.slo = &obs.SLOReport{}
+		if err := json.Unmarshal(body, s.slo); err != nil {
+			return nil, fmt.Errorf("decoding /v1/admin/slo: %w", err)
+		}
+		body, err = fetchAdminJSON(addr, "/v1/admin/drift", token, client.Timeout)
+		var ae *adminError
 		switch {
-		case err == nil:
-			s.drift = &drift
-		case strings.Contains(err.Error(), "501"):
+		case errors.As(err, &ae) && ae.code == http.StatusNotImplemented:
 			// Static backend: no drift monitor, not an error.
-		default:
+		case err != nil:
 			return nil, err
+		default:
+			s.drift = &registry.DriftReportData{}
+			if err := json.Unmarshal(body, s.drift); err != nil {
+				return nil, fmt.Errorf("decoding /v1/admin/drift: %w", err)
+			}
 		}
 	}
 	return s, nil
-}
-
-func getJSON(client *http.Client, addr, path, token string, out any) error {
-	req, err := http.NewRequest(http.MethodGet, "http://"+addr+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Authorization", "Bearer "+token)
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("polling %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("polling %s: server answered %d", path, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("decoding %s: %w", path, err)
-	}
-	return nil
 }
 
 // latencyExemplars collects the per-bucket exemplars of the request

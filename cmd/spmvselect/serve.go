@@ -444,15 +444,7 @@ type reqExtras struct {
 // doRequest performs one HTTP exchange against a serve instance,
 // copying the response body to stdout and failing on non-200.
 func doRequest(method, addr, path, contentType, token string, body io.Reader, timeout time.Duration) error {
-	return doRequestID(method, addr, path, contentType, token, "", body, timeout)
-}
-
-func doRequestID(method, addr, path, contentType, token, requestID string, body io.Reader, timeout time.Duration) error {
-	return doRequestRetry(method, addr, path, contentType, token, requestID, body, timeout, 0)
-}
-
-func doRequestRetry(method, addr, path, contentType, token, requestID string, body io.Reader, timeout time.Duration, retries int) error {
-	return doRequestFull(method, addr, path, contentType, token, requestID, body, timeout, retries, reqExtras{})
+	return doRequestFull(method, addr, path, contentType, token, "", body, timeout, 0, reqExtras{})
 }
 
 // doRequestFull is the full smoke-test exchange with a retry budget

@@ -19,18 +19,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/proxy"
 )
-
-// fetchedTrace decodes both answer shapes: a replica's obs.TraceEntry
-// and a proxy's stitched trace (same fields plus stitched_from).
-type fetchedTrace struct {
-	TraceID      string        `json:"trace_id"`
-	Root         *obs.SpanData `json:"root"`
-	Reasons      []string      `json:"reasons"`
-	Status       int           `json:"status"`
-	At           time.Time     `json:"at"`
-	StitchedFrom []string      `json:"stitched_from,omitempty"`
-}
 
 // cmdTrace lists or fetches retained traces over the admin API.
 func cmdTrace(args []string) error {
@@ -46,11 +36,7 @@ func cmdTrace(args []string) error {
 	if *addr == "" {
 		return fmt.Errorf("trace: -addr is required")
 	}
-	path := "/v1/admin/trace"
-	if *id != "" {
-		path += "/" + *id
-	}
-	body, err := fetchAdminJSON(*addr, path, *token, *timeout)
+	body, err := fetchAdminJSON(*addr, obs.TracePath(*id), *token, *timeout)
 	if err != nil {
 		return err
 	}
@@ -59,10 +45,7 @@ func cmdTrace(args []string) error {
 		return err
 	}
 	if *id == "" {
-		var list struct {
-			Count  int                `json:"count"`
-			Traces []obs.TraceSummary `json:"traces"`
-		}
+		var list obs.TraceList
 		if err := json.Unmarshal(body, &list); err != nil {
 			return fmt.Errorf("trace: parsing list: %w", err)
 		}
@@ -78,7 +61,9 @@ func cmdTrace(args []string) error {
 		}
 		return nil
 	}
-	var tr fetchedTrace
+	// A replica answers an obs.TraceEntry, a proxy the same fields plus
+	// stitched_from; StitchedTrace decodes both.
+	var tr proxy.StitchedTrace
 	if err := json.Unmarshal(body, &tr); err != nil {
 		return fmt.Errorf("trace: parsing trace: %w", err)
 	}
@@ -93,8 +78,17 @@ func cmdTrace(args []string) error {
 	return obs.WriteTree(os.Stdout, []*obs.SpanData{tr.Root})
 }
 
-// fetchAdminJSON GETs one admin path and returns the body, failing
-// with the server's error message on non-200.
+// adminError is an admin answer other than 200; code is its status.
+type adminError struct {
+	code int
+	msg  string
+}
+
+func (e *adminError) Error() string { return e.msg }
+
+// fetchAdminJSON GETs one admin path and returns the body. A non-200
+// answer fails with an *adminError naming the path, the status and the
+// server's error message.
 func fetchAdminJSON(addr, path, token string, timeout time.Duration) ([]byte, error) {
 	client := &http.Client{Timeout: timeout}
 	req, err := http.NewRequest(http.MethodGet, "http://"+addr+path, nil)
@@ -114,13 +108,12 @@ func fetchAdminJSON(addr, path, token string, timeout time.Duration) ([]byte, er
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
+		msg := fmt.Sprintf("GET %s: server answered %s", path, resp.Status)
+		var e obs.ErrorBody
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("trace: %s: %s", resp.Status, e.Error)
+			msg = fmt.Sprintf("GET %s: %s: %s", path, resp.Status, e.Error)
 		}
-		return nil, fmt.Errorf("trace: server answered %s", resp.Status)
+		return nil, &adminError{code: resp.StatusCode, msg: msg}
 	}
 	return body, nil
 }

@@ -173,8 +173,13 @@ func ParallelForErr(ctx context.Context, n, workers int, fn func(ctx context.Con
 		go func() {
 			defer wg.Done()
 			for {
+				// Check before claiming: a claimed job always runs, so every
+				// job below a failed one has run and the lowest failure wins.
+				if cctx.Err() != nil {
+					return
+				}
 				i := int(next.Add(1)) - 1
-				if i >= n || cctx.Err() != nil {
+				if i >= n {
 					return
 				}
 				if err := fn(cctx, i); err != nil {

@@ -30,7 +30,8 @@ type TraceStore struct {
 // TraceConfig configures a TraceStore. The zero value is usable:
 // defaults are applied by NewTraceStore.
 type TraceConfig struct {
-	// Capacity bounds the number of retained traces (default 128).
+	// Capacity bounds the number of retained traces (default 128;
+	// negative turns tracing off: NewTraceStore returns nil).
 	Capacity int
 	// SlowThreshold marks a request slow regardless of SLO state
 	// (default 250ms; negative disables the static threshold).
@@ -93,9 +94,14 @@ const (
 	KeepRequested = "requested"
 )
 
-// NewTraceStore builds a store from cfg, applying defaults.
+// NewTraceStore builds a store from cfg, applying defaults. A negative
+// capacity returns nil, the store of a tier that does not trace: every
+// method of a nil store is a no-op, and ServeTraces answers 501 for it.
 func NewTraceStore(cfg TraceConfig) *TraceStore {
-	if cfg.Capacity <= 0 {
+	if cfg.Capacity < 0 {
+		return nil
+	}
+	if cfg.Capacity == 0 {
 		cfg.Capacity = 128
 	}
 	if cfg.SlowThreshold == 0 {
@@ -267,13 +273,4 @@ func (ts *TraceStore) Len() int {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	return len(ts.entries)
-}
-
-// SlowThreshold exposes the configured static slow threshold so the
-// access logger and the trace store share one definition of "slow".
-func (ts *TraceStore) SlowThreshold() time.Duration {
-	if ts == nil {
-		return 0
-	}
-	return ts.cfg.SlowThreshold
 }

@@ -3,14 +3,11 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -46,17 +43,14 @@ type Config struct {
 	// MaxBodyBytes bounds the request body the proxy will buffer for
 	// hedging (default 64 MiB, matching serve).
 	MaxBodyBytes int64
-	// PendingFeedback bounds the request-ID -> replica table that
-	// routes /v1/feedback to the replica that answered the prediction
-	// (default 8192 entries, FIFO eviction).
-	PendingFeedback int
 	// AdminToken gates the proxy's own admin surface (/v1/admin/trace).
 	// Empty disables it; the replica fan-out endpoints are unaffected —
 	// they forward the client's Authorization to the replicas, which
 	// hold their own tokens.
 	AdminToken string
 	// TraceCapacity bounds the proxy's tail-sampled trace store
-	// (default 128; negative disables proxy-side tracing).
+	// (default 128; negative disables proxy-side tracing, and the trace
+	// routes answer 501).
 	TraceCapacity int
 	// SlowRequest marks a proxied request slow for the trace store
 	// (default 250ms via the store; negative disables the threshold).
@@ -87,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.PendingFeedback <= 0 {
-		c.PendingFeedback = 8192
 	}
 	return c
 }
@@ -185,7 +176,7 @@ func New(cfg Config) (*Proxy, error) {
 		ring:     NewRing(cfg.Vnodes),
 		replicas: map[string]*replica{},
 		client:   client,
-		routes:   newRouteTable(cfg.PendingFeedback),
+		routes:   newRouteTable(pendingRoutes),
 		started:  time.Now(),
 
 		requests:  obs.Default.Counter("proxy/requests"),
@@ -203,15 +194,13 @@ func New(cfg Config) (*Proxy, error) {
 		replicaHealthy: obs.Default.GaugeVec("proxy/replica/healthy", "replica"),
 		replicaEject:   obs.Default.CounterVec("proxy/replica/ejections", "replica"),
 	}
-	if cfg.TraceCapacity >= 0 {
-		p.traces = obs.NewTraceStore(obs.TraceConfig{
-			Capacity:      cfg.TraceCapacity,
-			SlowThreshold: cfg.SlowRequest,
-			SampleEvery:   cfg.TraceSample,
-			Metrics:       obs.Default,
-			Prefix:        "proxy/trace",
-		})
-	}
+	p.traces = obs.NewTraceStore(obs.TraceConfig{
+		Capacity:      cfg.TraceCapacity,
+		SlowThreshold: cfg.SlowRequest,
+		SampleEvery:   cfg.TraceSample,
+		Metrics:       obs.Default,
+		Prefix:        "proxy/trace",
+	})
 	for _, addr := range cfg.Replicas {
 		if addr == "" {
 			return nil, fmt.Errorf("proxy: empty replica address")
@@ -278,7 +267,7 @@ func (p *Proxy) Fleet() FleetStatus {
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		st := p.Fleet()
@@ -286,10 +275,10 @@ func (p *Proxy) Handler() http.Handler {
 		if !st.Ready {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, st)
+		obs.WriteJSON(w, status, st)
 	})
 	mux.HandleFunc("/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, p.Fleet())
+		obs.WriteJSON(w, http.StatusOK, p.Fleet())
 	})
 	mux.Handle("/metrics", obs.PromHandler(obs.Default))
 	mux.HandleFunc("/v1/model", p.handleByArch)
@@ -300,8 +289,16 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("/v1/admin/slo", p.handleFanout)
 	mux.HandleFunc("/v1/admin/quality", p.handleFanout)
 	mux.HandleFunc("/v1/admin/shadow", p.handleFanout)
-	mux.HandleFunc("/v1/admin/trace", p.adminOnly(p.handleTraceList))
-	mux.HandleFunc("/v1/admin/trace/", p.adminOnly(p.handleTraceGet))
+	// Traces are the proxy's own state, so the proxy holds their gate;
+	// the fan-outs above forward the client's token to the replicas.
+	traces := obs.ServeTraces(p.traces, p.stitch)
+	admin := func(w http.ResponseWriter, r *http.Request) {
+		if obs.AllowMethod(w, r, http.MethodGet) && obs.CheckBearer(w, r, p.cfg.AdminToken, "spmvselect proxy admin") {
+			traces(w, r)
+		}
+	}
+	mux.HandleFunc("/v1/admin/trace", admin)
+	mux.HandleFunc("/v1/admin/trace/", admin)
 	return mux
 }
 
@@ -317,30 +314,13 @@ func (p *Proxy) Run(ctx context.Context, addr string, ready func(bound string)) 
 	defer hcancel()
 	go p.healthLoop(hctx)
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("proxy: listening on %s: %w", addr, err)
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
 	srv := &http.Server{
-		Handler:           p.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       p.cfg.Timeout,
-		WriteTimeout:      p.cfg.Timeout + p.cfg.HedgeAfter,
+		Handler:      p.Handler(),
+		ReadTimeout:  p.cfg.Timeout,
+		WriteTimeout: p.cfg.Timeout + p.cfg.HedgeAfter,
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	if err := obs.RunServer(ctx, addr, srv, ready); err != nil {
 		return fmt.Errorf("proxy: %w", err)
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("proxy: shutdown: %w", err)
 	}
 	return nil
 }
@@ -362,62 +342,35 @@ type attemptResult struct {
 	err error
 }
 
-// maxTraceIDLen bounds an attacker-supplied X-Request-ID, matching the
-// serve tier's bound.
-const maxTraceIDLen = 128
-
-// newTraceID mints a 16-hex-digit random trace ID (the proxy mints the
-// fleet-wide request ID when the client did not supply one, so every
-// hop — proxy spans, replica spans, logs — shares the same key).
-func newTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "rand-unavailable"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // handlePredict routes one prediction request: consistent-hash on the
 // body content (the identity the replica's feature memo keys on),
 // forward to the ring owner, hedge onto the next distinct replica when
 // the owner is slow, fail over when an attempt dies.
 //
 // The proxy is the trace root for fleet requests: it mints (or adopts)
-// the X-Request-ID, opens an always-on root span, and every upstream
-// attempt — owner, hedge, failover — becomes a sibling child span, so
-// a retained trace shows the full race, abandoned attempts included.
+// the X-Request-ID with obs.RequestID, so every hop — proxy spans,
+// replica spans, logs — shares one key. It opens an always-on root
+// span, and every upstream attempt — owner, hedge, failover — becomes a
+// sibling child span, so a retained trace shows the full race,
+// abandoned attempts included.
 func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "use POST"})
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	p.requests.Inc()
-	trace := r.Header.Get("X-Request-ID")
-	if trace == "" {
-		trace = newTraceID()
-	} else if len(trace) > maxTraceIDLen {
-		trace = trace[:maxTraceIDLen]
-	}
+	trace := obs.RequestID(r)
 	// Write the (possibly minted) ID back onto the request so every
 	// attempt forwards it and the replicas adopt it as their trace ID.
 	r.Header.Set("X-Request-ID", trace)
 	start := time.Now()
 	defer func() { p.latency.ObserveExemplar(time.Since(start).Seconds(), trace) }()
 
-	ctx := obs.WithTraceID(r.Context(), trace)
-	var root *obs.Span
-	if p.traces != nil {
-		ctx, root = obs.StartAlways(ctx, r.URL.Path)
-	}
+	ctx, root := p.traces.StartRequest(obs.WithTraceID(r.Context(), trace), r, r.URL.Path)
 	r = r.WithContext(ctx)
 
 	body, err := p.readBody(w, r)
 	if err != nil {
-		if root != nil {
-			root.SetMetric("status", http.StatusBadRequest)
-			p.traces.Offer(root.EndData(), http.StatusBadRequest)
-		}
+		p.traces.FinishRequest(root, r, http.StatusBadRequest)
 		return // readBody already answered
 	}
 	key := routeKey(body, r.URL.Query().Get("arch"))
@@ -426,7 +379,7 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if ferr != nil {
 		p.errors.Inc()
 		status = http.StatusBadGateway
-		writeJSON(w, status, errorBody{Error: "fleet: " + ferr.Error()})
+		obs.WriteJSON(w, status, obs.ErrorBody{Error: "fleet: " + ferr.Error()})
 	} else {
 		if res.status >= 500 {
 			p.errors.Inc()
@@ -439,22 +392,14 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		p.copyResponse(w, res)
 	}
-	if root != nil {
-		root.SetMetric("status", float64(status))
-		if sd := root.EndData(); sd != nil {
-			var forced []string
-			if info.hedged {
-				forced = append(forced, obs.KeepHedged)
-			}
-			if info.failover {
-				forced = append(forced, obs.KeepFailover)
-			}
-			if r.Header.Get(obs.TraceKeepHeader) != "" {
-				forced = append(forced, obs.KeepRequested)
-			}
-			p.traces.Offer(sd, status, forced...)
-		}
+	var forced []string
+	if info.hedged {
+		forced = append(forced, obs.KeepHedged)
 	}
+	if info.failover {
+		forced = append(forced, obs.KeepFailover)
+	}
+	p.traces.FinishRequest(root, r, status, forced...)
 }
 
 // handleByArch routes body-less endpoints (/v1/model) by arch: the
@@ -466,7 +411,7 @@ func (p *Proxy) handleByArch(w http.ResponseWriter, r *http.Request) {
 	res, _, ferr := p.forward(r, nil, key, true)
 	if ferr != nil {
 		p.errors.Inc()
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: "fleet: " + ferr.Error()})
+		obs.WriteJSON(w, http.StatusBadGateway, obs.ErrorBody{Error: "fleet: " + ferr.Error()})
 		return
 	}
 	if res.status >= 500 {
@@ -480,9 +425,7 @@ func (p *Proxy) handleByArch(w http.ResponseWriter, r *http.Request) {
 // replica, so it is never hedged or retried — a duplicate delivery
 // would burn the join key and 404.
 func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "use POST"})
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	p.requests.Inc()
@@ -494,13 +437,13 @@ func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		RequestID string `json:"request_id"`
 	}
 	if err := json.Unmarshal(body, &ref); err != nil || ref.RequestID == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "feedback needs a request_id"})
+		obs.WriteJSON(w, http.StatusBadRequest, obs.ErrorBody{Error: "feedback needs a request_id"})
 		return
 	}
 	addr, ok := p.routes.get(ref.RequestID)
 	if !ok {
-		writeJSON(w, http.StatusNotFound,
-			errorBody{Error: "unknown request_id (prediction not served through this proxy, or evicted)"})
+		obs.WriteJSON(w, http.StatusNotFound,
+			obs.ErrorBody{Error: "unknown request_id (prediction not served through this proxy, or evicted)"})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.Timeout)
@@ -508,7 +451,7 @@ func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	res := p.attempt(ctx, r, addr, body, false)
 	if res.err != nil {
 		p.errors.Inc()
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: res.err.Error()})
+		obs.WriteJSON(w, http.StatusBadGateway, obs.ErrorBody{Error: res.err.Error()})
 		return
 	}
 	if res.status >= 500 {
@@ -716,12 +659,12 @@ func (p *Proxy) copyResponse(w http.ResponseWriter, res proxied) {
 func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, p.cfg.MaxBodyBytes+1))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading request body: " + err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, obs.ErrorBody{Error: "reading request body: " + err.Error()})
 		return nil, err
 	}
 	if int64(len(body)) > p.cfg.MaxBodyBytes {
 		err := fmt.Errorf("request body exceeds %d bytes", p.cfg.MaxBodyBytes)
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusRequestEntityTooLarge, obs.ErrorBody{Error: err.Error()})
 		return nil, err
 	}
 	return body, nil
@@ -742,119 +685,31 @@ func routeKey(body []byte, arch string) string {
 // Trace admin API: the proxy's own retained traces, with replica span
 // trees stitched in on fetch.
 
-// adminOnly gates a proxy-admin handler behind the proxy's own token
-// (the fan-out endpoints forward the client's Authorization to the
-// replicas instead; traces are the proxy's own state, so the proxy
-// holds the gate).
-func (p *Proxy) adminOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "use GET"})
-			return
-		}
-		if !p.authorized(r) {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="spmvselect proxy admin"`)
-			msg := "invalid admin token"
-			if p.cfg.AdminToken == "" {
-				msg = "admin API disabled: start the proxy with -admin-token"
-			}
-			writeJSON(w, http.StatusUnauthorized, errorBody{Error: msg})
-			return
-		}
-		h(w, r)
-	}
-}
-
-// authorized reports whether r carries the proxy's admin token,
-// constant-time over SHA-256 digests like the serve tier.
-func (p *Proxy) authorized(r *http.Request) bool {
-	if p.cfg.AdminToken == "" {
-		return false
-	}
-	got := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
-	a := sha256.Sum256([]byte(got))
-	b := sha256.Sum256([]byte(p.cfg.AdminToken))
-	return subtle.ConstantTimeCompare(a[:], b[:]) == 1
-}
-
-// traceListResponse is the /v1/admin/trace list answer.
-type traceListResponse struct {
-	Count  int                `json:"count"`
-	Traces []obs.TraceSummary `json:"traces"`
-}
-
-func (p *Proxy) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	if p.traces == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorBody{Error: "tracing disabled on this proxy (-trace -1)"})
-		return
-	}
-	list := p.traces.List()
-	if list == nil {
-		list = []obs.TraceSummary{}
-	}
-	writeJSON(w, http.StatusOK, traceListResponse{Count: len(list), Traces: list})
-}
-
-// stitchedTrace is the /v1/admin/trace/<id> answer: the proxy's own
+// StitchedTrace is the proxy's answer for one retained trace: its own
 // span tree for the request with each replica's retained tree grafted
-// under the attempt span that reached it. Field names match
+// under the attempt span that reached it. It carries every field of
 // obs.TraceEntry, so clients decode either shape.
-type stitchedTrace struct {
-	TraceID string        `json:"trace_id"`
-	Root    *obs.SpanData `json:"root"`
-	Reasons []string      `json:"reasons"`
-	Status  int           `json:"status"`
-	At      time.Time     `json:"at"`
+type StitchedTrace struct {
+	obs.TraceEntry
 	// StitchedFrom lists the replicas whose span trees were grafted in;
 	// an attempt absent here either kept no trace (sampled out on the
 	// replica) or could not be reached.
 	StitchedFrom []string `json:"stitched_from,omitempty"`
 }
 
-// handleTraceGet fetches one retained trace by request ID and stitches
-// in the replica-side trees: for every attempt/<addr> child span the
-// proxy asks that replica's /v1/admin/trace/<id>, forwarding the
-// client's Authorization (the replicas hold their own admin tokens),
-// and grafts the returned root under the attempt span. Cross-hop
-// stitching is best-effort — a replica that sampled the trace out or
-// is down just leaves its attempt span childless.
-func (p *Proxy) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	if p.traces == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorBody{Error: "tracing disabled on this proxy (-trace -1)"})
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/admin/trace/")
-	if id == "" {
-		p.handleTraceList(w, r)
-		return
-	}
-	e := p.traces.Get(id)
-	if e == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorBody{Error: "no retained trace with ID " + id + " (evicted, sampled out, or never seen)"})
-		return
-	}
-	root, from := p.stitch(r, e)
-	writeJSON(w, http.StatusOK, stitchedTrace{
-		TraceID:      e.TraceID,
-		Root:         root,
-		Reasons:      e.Reasons,
-		Status:       e.Status,
-		At:           e.At,
-		StitchedFrom: from,
-	})
-}
-
-// stitch returns a copy of e's tree with replica trees grafted under
-// the attempt spans. The stored tree is never mutated — only the nodes
-// on the modified path are cloned.
-func (p *Proxy) stitch(r *http.Request, e *obs.TraceEntry) (*obs.SpanData, []string) {
+// stitch is the proxy's view of one retained trace: for every
+// attempt/<addr> child span it asks that replica for its tree of the
+// same trace ID, forwarding the client's Authorization (the replicas
+// hold their own admin tokens), and grafts the returned root under the
+// attempt span. Cross-hop stitching is best-effort — a replica that
+// sampled the trace out or is down just leaves its attempt span
+// childless. The stored tree is never mutated: only the nodes on the
+// modified path are cloned.
+func (p *Proxy) stitch(r *http.Request, e *obs.TraceEntry) any {
 	root := *e.Root
 	root.Children = append([]*obs.SpanData(nil), e.Root.Children...)
-	var from []string
+	st := StitchedTrace{TraceEntry: *e}
+	st.Root = &root
 	for i, c := range root.Children {
 		addr, ok := strings.CutPrefix(c.Name, "attempt/")
 		if !ok {
@@ -867,9 +722,9 @@ func (p *Proxy) stitch(r *http.Request, e *obs.TraceEntry) (*obs.SpanData, []str
 		cc := *c
 		cc.Children = append(append([]*obs.SpanData(nil), c.Children...), sub)
 		root.Children[i] = &cc
-		from = append(from, addr)
+		st.StitchedFrom = append(st.StitchedFrom, addr)
 	}
-	return &root, from
+	return st
 }
 
 // fetchReplicaTrace asks one replica for its retained span tree of
@@ -877,8 +732,7 @@ func (p *Proxy) stitch(r *http.Request, e *obs.TraceEntry) (*obs.SpanData, []str
 func (p *Proxy) fetchReplicaTrace(r *http.Request, addr, id string) *obs.SpanData {
 	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+addr+"/v1/admin/trace/"+id, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+obs.TracePath(id), nil)
 	if err != nil {
 		return nil
 	}
@@ -917,9 +771,7 @@ type fanoutResponse struct {
 // is the interesting kind), forwarding the client's Authorization
 // header verbatim, and aggregates the fleet view.
 func (p *Proxy) handleFanout(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "use GET"})
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	p.requests.Inc()
@@ -967,13 +819,13 @@ func (p *Proxy) handleFanout(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(out.Replicas) == 0 && len(out.Failed) > 0 {
-		writeJSON(w, http.StatusBadGateway, out)
+		obs.WriteJSON(w, http.StatusBadGateway, out)
 		return
 	}
 	if worst == http.StatusOK {
 		out.Fleet = p.summarize(r.URL.Path, out.Replicas)
 	}
-	writeJSON(w, worst, out)
+	obs.WriteJSON(w, worst, out)
 }
 
 // fleetSLOWindow is one aggregated SLO window: request and error
@@ -1083,6 +935,10 @@ func (p *Proxy) summarize(path string, replicas map[string]json.RawMessage) any 
 // ---------------------------------------------------------------------
 // Feedback route table.
 
+// pendingRoutes bounds the request-ID -> replica table that routes
+// /v1/feedback to the replica that answered the prediction.
+const pendingRoutes = 8192
+
 // routeTable remembers which replica answered each request ID, bounded
 // FIFO — old entries evict once capacity wraps, matching the replicas'
 // own bounded pending-feedback tables.
@@ -1126,20 +982,4 @@ func copyHeader(dst, src http.Header, names ...string) {
 			dst.Set(k, v)
 		}
 	}
-}
-
-// errorBody mirrors serve's JSON error shape.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	data, err := json.Marshal(v)
-	if err != nil {
-		fmt.Fprintf(w, `{"error":%q}`, err.Error())
-		return
-	}
-	w.Write(append(data, '\n'))
 }

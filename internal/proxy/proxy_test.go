@@ -40,7 +40,7 @@ func newFakeReplica(id string) *fakeReplica {
 	f := &fakeReplica{id: id}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, serve.ReadyResponse{Ready: true, UptimeSeconds: 1})
+		obs.WriteJSON(w, http.StatusOK, serve.ReadyResponse{Ready: true, UptimeSeconds: 1})
 	})
 	predict := func(w http.ResponseWriter, r *http.Request) {
 		if d := f.delayMs.Load(); d > 0 {
@@ -57,7 +57,7 @@ func newFakeReplica(id string) *fakeReplica {
 		}
 		w.Header().Set("X-Request-ID", rid)
 		w.Header().Set("X-Model-Hash", "hash-"+f.id)
-		writeJSON(w, http.StatusOK, map[string]string{"replica": f.id})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"replica": f.id})
 	}
 	mux.HandleFunc("/v1/predict/matrix", predict)
 	mux.HandleFunc("/v1/predict/batch", predict)
@@ -69,11 +69,11 @@ func newFakeReplica(id string) *fakeReplica {
 		f.mu.Lock()
 		f.feedback = append(f.feedback, ref.RequestID)
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]bool{"accepted": true})
+		obs.WriteJSON(w, http.StatusOK, map[string]bool{"accepted": true})
 	})
 	mux.HandleFunc("/v1/admin/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/v1/admin/trace/")
-		writeJSON(w, http.StatusOK, obs.TraceEntry{
+		obs.WriteJSON(w, http.StatusOK, obs.TraceEntry{
 			TraceID: id,
 			Status:  http.StatusOK,
 			Reasons: []string{obs.KeepRequested},
@@ -88,10 +88,10 @@ func newFakeReplica(id string) *fakeReplica {
 	})
 	mux.HandleFunc("/v1/admin/slo", func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("Authorization") != "Bearer tok" {
-			writeJSON(w, http.StatusUnauthorized, errorBody{Error: "invalid admin token"})
+			obs.WriteJSON(w, http.StatusUnauthorized, obs.ErrorBody{Error: "invalid admin token"})
 			return
 		}
-		writeJSON(w, http.StatusOK, obs.SLOReport{
+		obs.WriteJSON(w, http.StatusOK, obs.SLOReport{
 			Objective: 0.999,
 			Windows:   []obs.SLOWindowReport{{Window: "1m", Requests: 10, Errors: 1, Availability: 0.9}},
 		})

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/serve"
 )
@@ -40,7 +41,7 @@ func newFakeAdminReplica(agree, disagree int64) *fakeAdminReplica {
 	auth := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.Header.Get("Authorization") != "Bearer tok" {
-				writeJSON(w, http.StatusUnauthorized, errorBody{Error: "invalid admin token"})
+				obs.WriteJSON(w, http.StatusUnauthorized, obs.ErrorBody{Error: "invalid admin token"})
 				return
 			}
 			h(w, r)
@@ -53,7 +54,7 @@ func newFakeAdminReplica(agree, disagree int64) *fakeAdminReplica {
 		f.shadowHash = serve.HashBytes(data)
 		hash := f.shadowHash
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": hash})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": hash})
 	}))
 	mux.HandleFunc("/v1/admin/shadow", auth(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -79,24 +80,24 @@ func newFakeAdminReplica(agree, disagree int64) *fakeAdminReplica {
 			rep.Arches = append(rep.Arches, ar)
 			rep.Scored, rep.Disagree = scored, f.disagree
 		}
-		writeJSON(w, http.StatusOK, rep)
+		obs.WriteJSON(w, http.StatusOK, rep)
 	}))
 	mux.HandleFunc("/v1/admin/promote", auth(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		if f.shadowHash == "" {
-			writeJSON(w, http.StatusConflict, errorBody{Error: "no shadow candidate"})
+			obs.WriteJSON(w, http.StatusConflict, obs.ErrorBody{Error: "no shadow candidate"})
 			return
 		}
 		f.liveHash = f.shadowHash
 		f.shadowHash = ""
 		f.promotes++
-		writeJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": f.liveHash})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": f.liveHash})
 	}))
 	mux.HandleFunc("/v1/model", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]string{"hash": f.liveHash})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"hash": f.liveHash})
 	})
 	f.srv = httptest.NewServer(mux)
 	return f
@@ -228,7 +229,7 @@ func TestRolloutDetectsCorruptPush(t *testing.T) {
 	good := newFakeAdminReplica(20, 0)
 	t.Cleanup(good.srv.Close)
 	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": "0000000000000000"})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": "0000000000000000"})
 	}))
 	t.Cleanup(liar.Close)
 	path, _ := writeCandidate(t)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func TestProxyHedgedTraceStitched(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("trace get: %d %s", rec.Code, rec.Body.String())
 	}
-	var st stitchedTrace
+	var st StitchedTrace
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestProxyHedgedTraceStitched(t *testing.T) {
 
 	// The list view includes the entry.
 	rec = adminGet(h, "/v1/admin/trace", "ptok")
-	var list traceListResponse
+	var list obs.TraceList
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +183,46 @@ func TestProxyTraceRequestedKeep(t *testing.T) {
 	}
 	if len(keeps) != 1 || keeps[0] != "1" {
 		t.Fatalf("replicas saw keep headers %v, want the client's [1]", keeps)
+	}
+}
+
+// TestProxyStitchesReservedCharacterIDs: a request ID holding reserved
+// URL characters is fetched from the proxy and from the replica under
+// the whole ID, so the grafted replica tree is this request's — never
+// the tree of a shorter ID cut off at a ? or a #.
+func TestProxyStitchesReservedCharacterIDs(t *testing.T) {
+	defer obs.Default.Reset()
+	_, p := testFleet(t, 2, Config{HedgeAfter: time.Second, AdminToken: "ptok", TraceSample: -1})
+	h := p.Handler()
+	for _, id := range []string{"a?b", "a#b", "x/../y", "100%", "a b", "a/b"} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict/matrix",
+			strings.NewReader("%%MatrixMarket reserved "+id))
+		req.Header.Set("X-Request-ID", id)
+		req.Header.Set(obs.TraceKeepHeader, "1")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("predict %q: %d %s", id, rec.Code, rec.Body.String())
+		}
+
+		rec = adminGet(h, "/v1/admin/trace/"+url.PathEscape(id), "ptok")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("trace get %q: %d %s", id, rec.Code, rec.Body.String())
+		}
+		var st StitchedTrace
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.TraceID != id || st.Root == nil || len(st.StitchedFrom) != 1 {
+			t.Fatalf("trace %q: got ID %q, stitched from %v; want the ID and one replica", id, st.TraceID, st.StitchedFrom)
+		}
+		for _, c := range st.Root.Children {
+			for _, g := range c.Children {
+				if g.Root && g.TraceID != id {
+					t.Fatalf("trace %q: grafted the replica tree of %q", id, g.TraceID)
+				}
+			}
+		}
 	}
 }
 

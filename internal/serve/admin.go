@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"crypto/subtle"
 	"net/http"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -12,48 +9,27 @@ import (
 // The /v1/admin/* surface: reload, promote, shadow report. Admin
 // requests mutate which model answers traffic, so they refuse
 // unauthenticated callers by default — the server must be started with
-// an admin token, and every request must present it as a bearer token.
-// Comparison is constant-time over SHA-256 digests, so neither token
-// length nor a matching prefix leaks through timing.
-
-// authorized reports whether r carries the configured admin token. An
-// empty configured token authorizes nothing.
-func (s *Server) authorized(r *http.Request) bool {
-	if s.cfg.AdminToken == "" {
-		return false
-	}
-	got := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
-	a := sha256.Sum256([]byte(got))
-	b := sha256.Sum256([]byte(s.cfg.AdminToken))
-	return subtle.ConstantTimeCompare(a[:], b[:]) == 1
-}
+// an admin token, and every request must present it as a bearer token
+// (obs.CheckBearer).
 
 // adminEndpoint wraps an admin handler with the method check, the
 // token gate and the admin metrics. needBackend marks handlers that
 // mutate or read the AdminBackend (reload, promote, shadow) — they
 // answer 501 on a static server; read-only telemetry endpoints (SLO,
-// drift) work on any backend and pass false.
+// drift, traces) work on any backend and pass false.
 func (s *Server) adminEndpoint(method string, needBackend bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.adminReqs.Inc()
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use " + method})
+		if !obs.AllowMethod(w, r, method) {
 			return
 		}
-		if !s.authorized(r) {
+		if !obs.CheckBearer(w, r, s.cfg.AdminToken, "spmvselect admin") {
 			s.adminDenied.Inc()
-			w.Header().Set("WWW-Authenticate", `Bearer realm="spmvselect admin"`)
-			msg := "invalid admin token"
-			if s.cfg.AdminToken == "" {
-				msg = "admin API disabled: start the server with -admin-token"
-			}
-			writeJSON(w, http.StatusUnauthorized, errorResponse{Error: msg})
 			return
 		}
 		if needBackend && s.admin == nil {
-			writeJSON(w, http.StatusNotImplemented,
-				errorResponse{Error: "this server hosts a static model; admin operations need the registry (-models)"})
+			obs.WriteJSON(w, http.StatusNotImplemented,
+				obs.ErrorBody{Error: "this server hosts a static model; admin operations need the registry (-models)"})
 			return
 		}
 		h(w, r)
@@ -77,10 +53,10 @@ func (s *Server) adminReload(w http.ResponseWriter, r *http.Request) {
 		changed = []string{}
 	}
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, reloadResponse{Changed: changed, Error: err.Error()})
+		obs.WriteJSON(w, http.StatusInternalServerError, reloadResponse{Changed: changed, Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, reloadResponse{Changed: changed})
+	obs.WriteJSON(w, http.StatusOK, reloadResponse{Changed: changed})
 }
 
 // promoteResponse is the /v1/admin/promote answer.
@@ -99,15 +75,15 @@ func (s *Server) adminPromote(w http.ResponseWriter, r *http.Request) {
 	}
 	hash, err := s.admin.Promote(arch)
 	if err != nil {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusConflict, obs.ErrorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, promoteResponse{Arch: NormalizeArch(arch), Hash: hash})
+	obs.WriteJSON(w, http.StatusOK, promoteResponse{Arch: NormalizeArch(arch), Hash: hash})
 }
 
 // adminShadow returns the shadow evaluation report.
 func (s *Server) adminShadow(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.admin.ShadowReport())
+	obs.WriteJSON(w, http.StatusOK, s.admin.ShadowReport())
 }
 
 // shadowInstallResponse is the /v1/admin/shadow/install answer.
@@ -125,8 +101,8 @@ type shadowInstallResponse struct {
 // promotion stays a separate, explicit step.
 func (s *Server) adminShadowInstall(w http.ResponseWriter, r *http.Request) {
 	if s.installer == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{Error: "this server cannot accept pushed candidates; serve from the registry (-models)"})
+		obs.WriteJSON(w, http.StatusNotImplemented,
+			obs.ErrorBody{Error: "this server cannot accept pushed candidates; serve from the registry (-models)"})
 		return
 	}
 	data, err := s.readBody(r)
@@ -140,60 +116,16 @@ func (s *Server) adminShadowInstall(w http.ResponseWriter, r *http.Request) {
 	}
 	hash, err := s.installer.InstallShadow(arch, data)
 	if err != nil {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusConflict, obs.ErrorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, shadowInstallResponse{Arch: NormalizeArch(arch), Hash: hash})
-}
-
-// traceListResponse is the /v1/admin/trace list answer.
-type traceListResponse struct {
-	Count  int                `json:"count"`
-	Traces []obs.TraceSummary `json:"traces"`
-}
-
-// adminTraceList returns summaries of every retained trace, newest
-// first. 501 when the server was started with tracing disabled
-// (-trace -1).
-func (s *Server) adminTraceList(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{Error: "tracing disabled on this server (-trace -1)"})
-		return
-	}
-	list := s.traces.List()
-	if list == nil {
-		list = []obs.TraceSummary{}
-	}
-	writeJSON(w, http.StatusOK, traceListResponse{Count: len(list), Traces: list})
-}
-
-// adminTraceGet returns one retained trace — the full span tree — by
-// trace ID (the request's X-Request-ID). /v1/admin/trace/<id>.
-func (s *Server) adminTraceGet(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{Error: "tracing disabled on this server (-trace -1)"})
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/admin/trace/")
-	if id == "" {
-		s.adminTraceList(w, r)
-		return
-	}
-	e := s.traces.Get(id)
-	if e == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "no retained trace with ID " + id + " (evicted, sampled out, or never seen)"})
-		return
-	}
-	writeJSON(w, http.StatusOK, e)
+	obs.WriteJSON(w, http.StatusOK, shadowInstallResponse{Arch: NormalizeArch(arch), Hash: hash})
 }
 
 // adminSLO returns the rolling-window SLO report (latency quantiles,
 // availability and burn rate over 1m/5m/1h).
 func (s *Server) adminSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.slo.Report())
+	obs.WriteJSON(w, http.StatusOK, s.slo.Report())
 }
 
 // adminDrift returns the served-prediction drift report. 501 when the
@@ -201,9 +133,9 @@ func (s *Server) adminSLO(w http.ResponseWriter, r *http.Request) {
 // before baselines existed).
 func (s *Server) adminDrift(w http.ResponseWriter, r *http.Request) {
 	if s.drift == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{Error: "this backend has no drift monitor; serve from the registry (-models)"})
+		obs.WriteJSON(w, http.StatusNotImplemented,
+			obs.ErrorBody{Error: "this backend has no drift monitor; serve from the registry (-models)"})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.drift.DriftReport())
+	obs.WriteJSON(w, http.StatusOK, s.drift.DriftReport())
 }

@@ -20,7 +20,7 @@ import (
 // labelledCorpus generates a small synthetic collection labelled on the
 // given simulated architecture, shared by the artifact and server
 // tests.
-func labelledCorpus(t *testing.T, archName string) (ms []*sparse.CSR, best []sparse.Format) {
+func labelledCorpus(t testing.TB, archName string) (ms []*sparse.CSR, best []sparse.Format) {
 	t.Helper()
 	arch, ok := gpusim.ArchByName(archName)
 	if !ok {

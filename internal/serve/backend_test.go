@@ -113,7 +113,7 @@ func (f *fakeBackend) ShadowReport() any {
 
 // trainArtifact fits a small semisup artifact over the shared corpus;
 // seed/clusters vary so tests can mint genuinely different models.
-func trainArtifact(t *testing.T, ms []*sparse.CSR, best []sparse.Format, clusters int, seed int64) *Artifact {
+func trainArtifact(t testing.TB, ms []*sparse.CSR, best []sparse.Format, clusters int, seed int64) *Artifact {
 	t.Helper()
 	sel, err := core.TrainSelector(ms, best, core.Options{NumClusters: clusters, Seed: seed})
 	if err != nil {
@@ -122,7 +122,7 @@ func trainArtifact(t *testing.T, ms []*sparse.CSR, best []sparse.Format, cluster
 	return NewSemisupArtifact(sel.Model(), "Turing")
 }
 
-func mmBytes(t *testing.T, m *sparse.CSR) []byte {
+func mmBytes(t testing.TB, m *sparse.CSR) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := sparse.WriteMatrixMarket(&buf, m); err != nil {

@@ -28,10 +28,10 @@ import (
 // and at most a handful of format times; anything bigger is abuse.
 const maxFeedbackBody = 4 << 10
 
-// defaultPendingFeedback is the consume-once table's capacity when
-// Config.PendingFeedback is zero: how many recent predictions remain
-// joinable against late-arriving feedback before the oldest fall out.
-const defaultPendingFeedback = 4096
+// pendingFeedback is the consume-once table's capacity: how many recent
+// predictions remain joinable against late-arriving feedback before the
+// oldest fall out.
+const pendingFeedback = 4096
 
 // pendingPred is what the server remembers about one served
 // prediction while it waits for feedback.
@@ -69,9 +69,6 @@ type pendingSlot struct {
 }
 
 func newPendingStore(capacity int) *pendingStore {
-	if capacity <= 0 {
-		capacity = defaultPendingFeedback
-	}
 	return &pendingStore{
 		m:    make(map[string]pendingSlot, capacity),
 		ring: make([]string, capacity),
@@ -173,15 +170,13 @@ type feedbackResponse struct {
 
 // handleFeedback is POST /v1/feedback.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	if s.quality == nil {
 		s.feedbackRejected.Inc()
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{Error: "this backend keeps no quality windows; serve from the registry (-models)"})
+		obs.WriteJSON(w, http.StatusNotImplemented,
+			obs.ErrorBody{Error: "this backend keeps no quality windows; serve from the registry (-models)"})
 		return
 	}
 	resp, err := s.feedback(r)
@@ -192,7 +187,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.feedbackAccepted.Inc()
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // feedback validates one report, joins it against the pending
@@ -213,8 +208,8 @@ func (s *Server) feedback(r *http.Request) (*feedbackResponse, error) {
 	if req.RequestID == "" {
 		return nil, badRequest("feedback names no request_id")
 	}
-	if len(req.RequestID) > maxTraceIDLen {
-		return nil, badRequest("request_id exceeds %d characters", maxTraceIDLen)
+	if len(req.RequestID) > obs.MaxRequestIDLen {
+		return nil, badRequest("request_id exceeds %d characters", obs.MaxRequestIDLen)
 	}
 	if req.Item != nil && *req.Item < 0 {
 		return nil, badRequest("feedback item %d is negative", *req.Item)
@@ -308,8 +303,8 @@ func containsFormat(formats []string, f string) bool {
 // quality windows (static servers).
 func (s *Server) adminQuality(w http.ResponseWriter, r *http.Request) {
 	if s.quality == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{Error: "this backend keeps no quality windows; serve from the registry (-models)"})
+		obs.WriteJSON(w, http.StatusNotImplemented,
+			obs.ErrorBody{Error: "this backend keeps no quality windows; serve from the registry (-models)"})
 		return
 	}
 	report := s.quality.QualityReport()
@@ -318,14 +313,14 @@ func (s *Server) adminQuality(w http.ResponseWriter, r *http.Request) {
 	// the window_size/arches keys directly.
 	raw, err := json.Marshal(report)
 	if err != nil {
-		writeJSON(w, http.StatusOK, report)
+		obs.WriteJSON(w, http.StatusOK, report)
 		return
 	}
 	var merged map[string]any
 	if err := json.Unmarshal(raw, &merged); err != nil || merged == nil {
-		writeJSON(w, http.StatusOK, report)
+		obs.WriteJSON(w, http.StatusOK, report)
 		return
 	}
 	merged["cascade"] = s.cascadeStats()
-	writeJSON(w, http.StatusOK, merged)
+	obs.WriteJSON(w, http.StatusOK, merged)
 }

@@ -39,7 +39,7 @@ func (q *qualityFake) QualityReport() any {
 
 // qualityServer builds a backend server whose backend records
 // outcomes, plus one predictable matrix body.
-func qualityServer(t *testing.T, cfg Config) (*Server, *qualityFake, []byte, Prediction) {
+func qualityServer(t testing.TB, cfg Config) (*Server, *qualityFake, []byte, Prediction) {
 	t.Helper()
 	ms, best := labelledCorpus(t, "Turing")
 	art := trainArtifact(t, ms, best, 10, 7)
@@ -180,7 +180,7 @@ func TestFeedbackValidation(t *testing.T) {
 	}{
 		{"unknown request ID", `{"request_id":"never-served","served_ms":1}`, http.StatusNotFound},
 		{"empty request ID", `{"served_ms":1}`, http.StatusBadRequest},
-		{"oversized request ID", `{"request_id":"` + strings.Repeat("x", maxTraceIDLen+1) + `","served_ms":1}`, http.StatusBadRequest},
+		{"oversized request ID", `{"request_id":"` + strings.Repeat("x", obs.MaxRequestIDLen+1) + `","served_ms":1}`, http.StatusBadRequest},
 		{"negative item", `{"request_id":"fb-valid","item":-1,"served_ms":1}`, http.StatusBadRequest},
 		{"zero time", `{"request_id":"fb-valid","times_ms":{"` + want.Format + `":0}}`, http.StatusBadRequest},
 		{"negative time", `{"request_id":"fb-valid","times_ms":{"` + want.Format + `":-2}}`, http.StatusBadRequest},
@@ -216,6 +216,56 @@ func TestFeedbackValidation(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("retry after rejections: %d %s", rec.Code, rec.Body.String())
 	}
+}
+
+// FuzzFeedback: with one pending prediction registered before each
+// input, no /v1/feedback body crashes the server or answers anything
+// but 200, 400, 404 or 413, and an accepted report consumes its entry —
+// the same body posted again answers 404.
+func FuzzFeedback(f *testing.F) {
+	defer obs.Default.Reset()
+	srv, _, mm, want := qualityServer(f, Config{})
+	h := srv.Handler()
+
+	sweep := map[string]float64{}
+	for i, format := range KernelFormatNames() {
+		sweep[format] = float64(i + 1)
+	}
+	full, _ := json.Marshal(map[string]any{"request_id": "fb-valid", "times_ms": sweep})
+	for _, body := range []string{
+		// TestFeedbackValidation's cases.
+		`{"request_id":"never-served","served_ms":1}`,
+		`{"served_ms":1}`,
+		`{"request_id":"` + strings.Repeat("x", obs.MaxRequestIDLen+1) + `","served_ms":1}`,
+		`{"request_id":"fb-valid","item":-1,"served_ms":1}`,
+		`{"request_id":"fb-valid","times_ms":{"` + want.Format + `":0}}`,
+		`{"request_id":"fb-valid","times_ms":{"` + want.Format + `":-2}}`,
+		`{"request_id":"fb-valid","served_ms":-1}`,
+		`{"request_id":"fb-valid","times_ms":{"DIA":1.0}}`,
+		`{"request_id":"fb-valid"}`,
+		`{{{`,
+		`{"request_id":"fb-valid","pad":"` + strings.Repeat("y", maxFeedbackBody) + `"}`,
+		// Accepted reports: a full sweep, the served time alone, and a
+		// batch item (404 here: only a single prediction is pending).
+		string(full),
+		`{"request_id":"fb-valid","served_ms":1.5}`,
+		`{"request_id":"fb-valid","item":0,"served_ms":1.5}`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		predictWithID(t, h, "/v1/predict/matrix", "fb-valid", mm)
+		rec, _ := postFeedback(t, h, body)
+		switch rec.Code {
+		case http.StatusOK:
+			if again, _ := postFeedback(t, h, body); again.Code != http.StatusNotFound {
+				t.Fatalf("accepted report posted again: %d, want 404 (%s)", again.Code, again.Body.String())
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("feedback %q answered %d: %s", body, rec.Code, rec.Body.String())
+		}
+	})
 }
 
 func TestFeedbackWithoutQualityBackend(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -63,13 +62,9 @@ type Config struct {
 	// prediction request (metadata header + verbatim body) for
 	// `spmvselect replay`.
 	Capture *obs.CaptureWriter
-	// PendingFeedback is the capacity of the consume-once table joining
-	// /v1/feedback reports to served predictions (default 4096). Only
-	// used when the backend implements QualityBackend.
-	PendingFeedback int
 	// TraceCapacity bounds the tail-sampled trace store behind
 	// /v1/admin/trace (default 128 retained traces; negative disables
-	// request tracing entirely).
+	// request tracing entirely, and the trace routes answer 501).
 	TraceCapacity int
 	// SlowRequest is the latency above which a request is always traced
 	// and always access-logged regardless of sampling (default 250ms;
@@ -132,6 +127,8 @@ func (c Config) withDefaults() Config {
 //	GET  /v1/admin/slo         rolling-window SLO report (1m/5m/1h)
 //	GET  /v1/admin/drift       served-prediction drift report
 //	GET  /v1/admin/quality     measured prediction-quality report
+//	GET  /v1/admin/trace       retained request traces, newest first
+//	GET  /v1/admin/trace/<id>  one retained span tree (obs.ServeTraces)
 //
 // Predictions route by the request's arch (query parameter, or body
 // field on the JSON endpoints); an empty arch selects the backend's
@@ -190,9 +187,9 @@ type Server struct {
 
 	slo       *obs.SLOWindows
 	accessLog *slog.Logger
-	logSeq    atomic.Int64 // access-log sampling counter
-	traces    *obs.TraceStore
-	burn      *burnProfiler // nil unless DebugDir + BurnThreshold configured
+	logSeq    atomic.Int64    // access-log sampling counter
+	traces    *obs.TraceStore // nil when TraceCapacity < 0
+	burn      *burnProfiler   // nil unless DebugDir + BurnThreshold configured
 
 	requests     *obs.Counter
 	errors       *obs.Counter
@@ -244,7 +241,7 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 	installer, _ := b.(ShadowInstaller)
 	var pending *pendingStore
 	if quality != nil {
-		pending = newPendingStore(cfg.PendingFeedback)
+		pending = newPendingStore(pendingFeedback)
 	}
 	s := &Server{
 		backend:      b,
@@ -285,22 +282,20 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 		feedbackAccepted: obs.Default.Counter("serve/feedback/accepted"),
 		feedbackRejected: obs.Default.Counter("serve/feedback/rejected"),
 	}
-	if cfg.TraceCapacity >= 0 {
-		// The dynamic slow threshold tracks the exported 5m p99 gauge,
-		// which refreshDerived keeps current on every /metrics scrape —
-		// reading a gauge per request instead of recomputing the window.
-		p99 := obs.Default.GaugeVec("slo/latency/seconds", "window", "quantile").With("5m", "p99")
-		s.traces = obs.NewTraceStore(obs.TraceConfig{
-			Capacity:      cfg.TraceCapacity,
-			SlowThreshold: cfg.SlowRequest,
-			SampleEvery:   cfg.TraceSample,
-			DynamicSlow: func() time.Duration {
-				return time.Duration(p99.Value() * float64(time.Second))
-			},
-			Metrics: obs.Default,
-			Prefix:  "serve/trace",
-		})
-	}
+	// The dynamic slow threshold tracks the exported 5m p99 gauge, which
+	// refreshDerived keeps current on every /metrics scrape — reading a
+	// gauge per request instead of recomputing the window.
+	p99 := obs.Default.GaugeVec("slo/latency/seconds", "window", "quantile").With("5m", "p99")
+	s.traces = obs.NewTraceStore(obs.TraceConfig{
+		Capacity:      cfg.TraceCapacity,
+		SlowThreshold: cfg.SlowRequest,
+		SampleEvery:   cfg.TraceSample,
+		DynamicSlow: func() time.Duration {
+			return time.Duration(p99.Value() * float64(time.Second))
+		},
+		Metrics: obs.Default,
+		Prefix:  "serve/trace",
+	})
 	if cfg.DebugDir != "" && cfg.BurnThreshold > 0 {
 		s.burn = newBurnProfiler(burnConfig{
 			Dir:       cfg.DebugDir,
@@ -383,11 +378,6 @@ type ReadyResponse struct {
 	Arches        []ArchStatus `json:"arches"`
 }
 
-// errorResponse is the JSON error body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // Handler returns the service's HTTP handler (its own mux, so tests can
 // drive it without a listener).
 func (s *Server) Handler() http.Handler {
@@ -396,7 +386,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(pattern, s.instrument(pattern, h))
 	}
 	route("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	route("/readyz", s.handleReady)
 	route("/metrics", obs.PromHandler(obs.Default, s.refreshDerived).ServeHTTP)
@@ -412,8 +402,9 @@ func (s *Server) Handler() http.Handler {
 	route("/v1/admin/slo", s.adminEndpoint(http.MethodGet, false, s.adminSLO))
 	route("/v1/admin/drift", s.adminEndpoint(http.MethodGet, false, s.adminDrift))
 	route("/v1/admin/quality", s.adminEndpoint(http.MethodGet, false, s.adminQuality))
-	route("/v1/admin/trace", s.adminEndpoint(http.MethodGet, false, s.adminTraceList))
-	route("/v1/admin/trace/", s.adminEndpoint(http.MethodGet, false, s.adminTraceGet))
+	traces := s.adminEndpoint(http.MethodGet, false, obs.ServeTraces(s.traces, nil))
+	route("/v1/admin/trace", traces)
+	route("/v1/admin/trace/", traces)
 	return mux
 }
 
@@ -440,11 +431,11 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.backend.Ready(); err != nil {
 		resp.Error = err.Error()
-		writeJSON(w, http.StatusServiceUnavailable, resp)
+		obs.WriteJSON(w, http.StatusServiceUnavailable, resp)
 		return
 	}
 	resp.Ready = true
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleModel describes the artifact serving ?arch= (default arch when
@@ -481,7 +472,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if cand, ok := s.backend.Shadow(lm.Arch); ok {
 		resp.ShadowHash = cand.Hash
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // httpError carries a status code with the error.
@@ -520,9 +511,7 @@ func (s *Server) live(arch string) (LiveModel, error) {
 // batchResponse).
 func (s *Server) limited(h func(ctx context.Context, r *http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		if !obs.AllowMethod(w, r, http.MethodPost) {
 			return
 		}
 		s.requests.Inc()
@@ -542,8 +531,8 @@ func (s *Server) limited(h func(ctx context.Context, r *http.Request) (any, erro
 		case <-ctx.Done():
 			s.rejected.Inc()
 			s.errors.Inc()
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorResponse{Error: "server at capacity, retry later"})
+			obs.WriteJSON(w, http.StatusServiceUnavailable,
+				obs.ErrorBody{Error: "server at capacity, retry later"})
 			return
 		}
 		s.inflight.Add(1)
@@ -565,7 +554,7 @@ func (s *Server) limited(h func(ctx context.Context, r *http.Request) (any, erro
 		if info := reqInfoFrom(ctx); info != nil && info.modelHash != "" {
 			w.Header().Set("X-Model-Hash", info.modelHash)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		obs.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -789,37 +778,18 @@ func (s *Server) predictFeatures(ctx context.Context, r *http.Request) (any, err
 }
 
 // Run serves on addr until ctx is cancelled (SIGTERM in the CLI), then
-// shuts down gracefully, draining in-flight requests for up to 5
-// seconds. ready, when non-nil, receives the bound address once the
-// listener is up — how callers learn the port of ":0".
+// shuts down gracefully through obs.RunServer, draining in-flight
+// requests for up to 5 seconds. ready, when non-nil, receives the bound
+// address once the listener is up — how callers learn the port of ":0".
 func (s *Server) Run(ctx context.Context, addr string, ready func(bound string)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: listening on %s: %w", addr, err)
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       s.cfg.Timeout,
-		WriteTimeout:      s.cfg.Timeout,
-	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // stops the burn loop however Run returns
 	if s.burn != nil {
 		go s.burn.loop(ctx, 10*time.Second)
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	srv := &http.Server{Handler: s.Handler(), ReadTimeout: s.cfg.Timeout, WriteTimeout: s.cfg.Timeout}
+	if err := obs.RunServer(ctx, addr, srv, ready); err != nil {
 		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("serve: shutdown: %w", err)
 	}
 	return nil
 }
@@ -832,18 +802,5 @@ func writeError(w http.ResponseWriter, err error) {
 	if errors.As(err, &he) {
 		status = he.status
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	data, err := json.Marshal(v)
-	if err != nil {
-		// v is always one of our own response structs; this cannot
-		// happen for valid predictions, but never crash the handler.
-		fmt.Fprintf(w, `{"error":%q}`, err.Error())
-		return
-	}
-	w.Write(append(data, '\n'))
+	obs.WriteJSON(w, status, obs.ErrorBody{Error: err.Error()})
 }

@@ -109,7 +109,7 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 // MustPredict is a test helper: predict or fail.
-func (a *Artifact) MustPredict(t *testing.T, m *sparse.CSR) Prediction {
+func (a *Artifact) MustPredict(t testing.TB, m *sparse.CSR) Prediction {
 	t.Helper()
 	p, err := a.PredictMatrix(context.Background(), m, nil)
 	if err != nil {

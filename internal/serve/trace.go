@@ -2,28 +2,23 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Request tracing. Every HTTP request gets a trace ID — honouring an
-// incoming X-Request-ID header so a caller (or a proxy in front of the
-// server) can stitch its own logs to ours, minting a random one
-// otherwise. The ID is echoed in the X-Request-ID response header,
+// Request tracing. Every HTTP request gets a trace ID (obs.RequestID) —
+// honouring an incoming X-Request-ID header so a caller (or a proxy in
+// front of the server) can stitch its own logs to ours, minting a random
+// one otherwise. The ID is echoed in the X-Request-ID response header,
 // carried through context into the span tree (obs.WithTraceID), and
 // emitted in the structured JSON access log, so one grep connects a
 // slow request's log line to its spans and its effect on the SLO
 // windows.
-
-// maxTraceIDLen bounds an attacker-supplied X-Request-ID so a huge
-// header cannot bloat logs and span records.
-const maxTraceIDLen = 128
 
 // reqInfo is the per-request record the handlers fill in for the access
 // log: which arch answered, with which artifact, and whether memoized
@@ -58,18 +53,6 @@ func noteCached(ctx context.Context, cached bool) {
 	if ri := reqInfoFrom(ctx); ri != nil {
 		ri.cached = cached
 	}
-}
-
-// newTraceID mints a 16-hex-digit random trace ID. On the (never
-// observed) chance the system randomness source fails, a constant
-// sentinel keeps requests flowing — tracing is diagnostics, not
-// authentication.
-func newTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "rand-unavailable"
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // logThis applies access-log sampling: with -access-log-sample N only
@@ -111,31 +94,22 @@ func (w *statusWriter) WriteHeader(status int) {
 // handlers hang stage children (parse, memo, features, cascade,
 // predict, shadow, drift) off the request context, and the completed
 // tree is offered to the tail-sampling trace store when one is
-// configured. The root is built with StartAlways — span cost on this
-// path is bounded and the store decides after the fact whether the
+// configured (obs.TraceStore.StartRequest/FinishRequest). Span cost on
+// this path is bounded and the store decides after the fact whether the
 // tree is worth keeping.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	inSLO := len(endpoint) >= 4 && endpoint[:4] == "/v1/"
-	traced := s.traces != nil && len(endpoint) >= 12 && endpoint[:12] == "/v1/predict/"
+	inSLO := strings.HasPrefix(endpoint, "/v1/")
+	var traces *obs.TraceStore // nil: this route builds no span tree
+	if strings.HasPrefix(endpoint, "/v1/predict/") {
+		traces = s.traces
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		trace := r.Header.Get("X-Request-ID")
-		if trace == "" {
-			trace = newTraceID()
-		} else if len(trace) > maxTraceIDLen {
-			trace = trace[:maxTraceIDLen]
-		}
+		trace := obs.RequestID(r)
 		w.Header().Set("X-Request-ID", trace)
 
 		info := &reqInfo{}
-		ctx := obs.WithTraceID(r.Context(), trace)
-		ctx = context.WithValue(ctx, reqInfoKey{}, info)
-		var root *obs.Span
-		if traced {
-			ctx, root = obs.StartAlways(ctx, endpoint)
-			if hop, err := strconv.Atoi(r.Header.Get(obs.TraceHopHeader)); err == nil && hop > 0 {
-				root.SetMetric("hop", float64(hop))
-			}
-		}
+		ctx := context.WithValue(obs.WithTraceID(r.Context(), trace), reqInfoKey{}, info)
+		ctx, root := traces.StartRequest(ctx, r, endpoint)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 
 		start := time.Now()
@@ -152,16 +126,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			s.slo.Observe(dur.Seconds(), sw.status >= 500)
 		}
 		slow := s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest
-		if root != nil {
-			root.SetMetric("status", float64(sw.status))
-			if sd := root.EndData(); sd != nil {
-				var forced []string
-				if r.Header.Get(obs.TraceKeepHeader) != "" {
-					forced = append(forced, obs.KeepRequested)
-				}
-				s.traces.Offer(sd, sw.status, forced...)
-			}
-		}
+		traces.FinishRequest(root, r, sw.status)
 		if s.accessLog != nil && s.logThis(endpoint, sw.status, slow) {
 			s.accessLog.LogAttrs(context.Background(), slog.LevelInfo, "request",
 				slog.String("trace_id", trace),

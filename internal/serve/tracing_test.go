@@ -47,7 +47,7 @@ func TestTraceAdminEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("trace list: %d %s", rec.Code, rec.Body.String())
 	}
-	var list traceListResponse
+	var list obs.TraceList
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
 		t.Fatal(err)
 	}
