@@ -12,6 +12,11 @@
 #                  build the same golden corpus) + the serving parity,
 #                  batch, cascade and feature-memo tests at 1, 2 and 4
 #                  CPUs (batch items run inline and fanned out) + the
+#                  tree-learner golden and worker-cap tests at 1, 2
+#                  and 4 CPUs (the forest's shared presort and the
+#                  boosting rounds' per-class trees run inline and
+#                  fanned out; every fit must match the recorded
+#                  digests) + the
 #                  race-free allocation guards (pooled parse scratch,
 #                  feature-memo hits, cascade predict) + the obs
 #                  disabled-path overhead benchmark +
@@ -78,6 +83,9 @@ go test -race -count=1 -cpu 1,2,4 -run 'TestGenerate|TestPermute|TestCorpus' ./i
 
 echo '== serving paths at 1, 2 and 4 CPUs (batch items inline and fanned out)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestServingPathsMatchReference|TestBatch|TestCascade|TestFeatMemo' ./internal/serve
+
+echo '== tree learners at 1, 2 and 4 CPUs (shared presort and per-class boosting inline and fanned out)'
+go test -race -count=1 -cpu 1,2,4 -run 'TestTreeLearnersGolden|AcrossWorkerCaps|TestForest' ./internal/classify
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
 go test -run Allocs -count=1 ./internal/sparse ./internal/serve

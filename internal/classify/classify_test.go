@@ -544,6 +544,27 @@ func TestForestFitDeterministicAcrossWorkerCaps(t *testing.T) {
 	}
 }
 
+// TestGBoostFitDeterministicAcrossWorkerCaps re-fits the same model
+// with the per-class trees grown inline (cap 1) and fanned out (the
+// default budget at GOMAXPROCS 4), and requires identical trees.
+func TestGBoostFitDeterministicAcrossWorkerCaps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	x, y := goldenTask()
+	fit := func(cap int) string {
+		prev := obs.SetMaxWorkers(cap)
+		defer obs.SetMaxWorkers(prev)
+		m := NewGBoost()
+		m.Rounds = 20
+		if err := m.Fit(x, y, 4); err != nil {
+			t.Fatal(err)
+		}
+		return gboostDigest(m)
+	}
+	if seq, par := fit(1), fit(0); seq != par {
+		t.Fatalf("boosted trees differ between worker cap 1 (%s) and the default (%s)", seq, par)
+	}
+}
+
 // BenchmarkKNNPredict measures single-vector KNN prediction: the
 // fixed-size insertion top-k versus the container/heap implementation it
 // replaced (kept inline here as the baseline).

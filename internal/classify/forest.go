@@ -1,7 +1,6 @@
 package classify
 
 import (
-	"context"
 	"math"
 	"math/rand"
 
@@ -53,41 +52,33 @@ func (m *Forest) Fit(x [][]float64, y []int, classes int) error {
 	m.classes = classes
 	m.trees = make([]*Tree, m.Trees)
 
-	// Pre-draw bootstrap samples sequentially for determinism, then
-	// train trees in parallel through the shared obs pool (so forest
-	// training shows up in the parallel/regions and parallel/workers
-	// metrics like every other parallel section). Each tree's seed is
-	// fixed before the fan-out and each goroutine writes only its own
-	// slot, so the fitted forest is identical at any worker count.
+	// Presort the training set once for every tree, and draw each
+	// tree's bootstrap (as row multiplicities) and seed sequentially for
+	// determinism; then grow the trees in parallel through the shared
+	// obs pool (so forest training shows up in the parallel/regions and
+	// parallel/workers metrics like every other parallel section). Each
+	// goroutine writes only its own slot, so the fitted forest is
+	// identical at any worker count.
+	ps := presort(x)
 	rng := rand.New(rand.NewSource(m.Seed))
-	boots := make([][][]float64, m.Trees)
-	bootY := make([][]int, m.Trees)
+	weights := make([][]int32, m.Trees)
 	seeds := make([]int64, m.Trees)
-	for t := 0; t < m.Trees; t++ {
-		bx := make([][]float64, len(x))
-		by := make([]int, len(x))
-		for i := range bx {
-			j := rng.Intn(len(x))
-			bx[i] = x[j]
-			by[i] = y[j]
+	for t := range weights {
+		w := make([]int32, len(x))
+		for range x {
+			w[rng.Intn(len(x))]++
 		}
-		boots[t], bootY[t] = bx, by
+		weights[t] = w
 		seeds[t] = rng.Int63()
 	}
 
-	err := obs.ParallelForErr(context.Background(), m.Trees, 0, func(_ context.Context, t int) error {
+	obs.ParallelFor(m.Trees, func(t int) {
 		tree := NewTree(m.MaxDepth)
 		tree.MaxFeatures = mf
 		tree.Seed = seeds[t]
-		if err := tree.Fit(boots[t], bootY[t], classes); err != nil {
-			return err
-		}
+		tree.fit(ps, y, weights[t], classes)
 		m.trees[t] = tree
-		return nil
 	})
-	if err != nil {
-		return err
-	}
 	m.fitted = true
 	return nil
 }

@@ -2,7 +2,10 @@ package classify
 
 import (
 	"math"
+	"slices"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // GBoost is gradient-boosted decision trees in the XGBoost style:
@@ -66,7 +69,7 @@ type binning struct {
 	// cuts[f] are ascending bin upper edges; value v falls in the first
 	// bin with v <= cuts[f][b], and in bin len(cuts[f]) when above all.
 	cuts [][]float64
-	// idx[i][f] is row i's bin for feature f.
+	// idx[f][i] is row i's bin for feature f.
 	idx [][]uint8
 }
 
@@ -74,16 +77,13 @@ type binning struct {
 // row.
 func buildBinning(x [][]float64) *binning {
 	n, d := len(x), len(x[0])
-	b := &binning{cuts: make([][]float64, d), idx: make([][]uint8, n)}
-	for i := range b.idx {
-		b.idx[i] = make([]uint8, d)
-	}
+	b := &binning{cuts: make([][]float64, d), idx: make([][]uint8, d)}
 	vals := make([]float64, n)
 	for f := 0; f < d; f++ {
 		for i, row := range x {
 			vals[i] = row[f]
 		}
-		sort.Float64s(vals)
+		slices.Sort(vals)
 		// Distinct quantile edges.
 		var cuts []float64
 		for q := 1; q < maxBins; q++ {
@@ -93,14 +93,19 @@ func buildBinning(x [][]float64) *binning {
 			}
 		}
 		b.cuts[f] = cuts
+		col := make([]uint8, n)
 		for i, row := range x {
-			b.idx[i][f] = uint8(sort.SearchFloat64s(cuts, row[f]))
+			col[i] = uint8(sort.SearchFloat64s(cuts, row[f]))
 		}
+		b.idx[f] = col
 	}
 	return b
 }
 
-// Fit runs softmax gradient boosting.
+// Fit runs softmax gradient boosting. A round's per-class trees share
+// only the gradients computed before them, so they grow in parallel
+// through the shared obs pool; each writes its own class's scores, so
+// the model is identical at any worker count.
 func (m *GBoost) Fit(x [][]float64, y []int, classes int) error {
 	if err := checkTrainingInput(x, y, classes); err != nil {
 		return err
@@ -124,18 +129,21 @@ func (m *GBoost) Fit(x [][]float64, y []int, classes int) error {
 	n := len(x)
 	bins := buildBinning(x)
 
-	// Raw scores per sample per class.
-	scores := make([][]float64, n)
-	for i := range scores {
-		scores[i] = make([]float64, classes)
-	}
-	probs := make([]float64, classes)
+	// Raw scores, gradients and hessians per class per sample, and each
+	// class's row buffers for growing its trees.
+	scores := make([][]float64, classes)
 	grad := make([][]float64, classes)
 	hess := make([][]float64, classes)
+	rows := make([][]int32, classes)
+	scratch := make([][]int32, classes)
 	for c := range grad {
+		scores[c] = make([]float64, n)
 		grad[c] = make([]float64, n)
 		hess[c] = make([]float64, n)
+		rows[c] = make([]int32, n)
+		scratch[c] = make([]int32, n)
 	}
+	probs := make([]float64, classes)
 
 	m.trees = make([][]*regTree, 0, m.Rounds)
 	for round := 0; round < m.Rounds; round++ {
@@ -143,13 +151,13 @@ func (m *GBoost) Fit(x [][]float64, y []int, classes int) error {
 		for i := 0; i < n; i++ {
 			maxZ := math.Inf(-1)
 			for c := 0; c < classes; c++ {
-				if scores[i][c] > maxZ {
-					maxZ = scores[i][c]
+				if scores[c][i] > maxZ {
+					maxZ = scores[c][i]
 				}
 			}
 			sum := 0.0
 			for c := 0; c < classes; c++ {
-				probs[c] = math.Exp(scores[i][c] - maxZ)
+				probs[c] = math.Exp(scores[c][i] - maxZ)
 				sum += probs[c]
 			}
 			for c := 0; c < classes; c++ {
@@ -163,17 +171,16 @@ func (m *GBoost) Fit(x [][]float64, y []int, classes int) error {
 			}
 		}
 		roundTrees := make([]*regTree, classes)
-		for c := 0; c < classes; c++ {
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = i
+		obs.ParallelFor(classes, func(c int) {
+			for i := range rows[c] {
+				rows[c][i] = int32(i)
 			}
-			tree := m.growReg(bins, grad[c], hess[c], idx, 0)
+			tree := m.growReg(bins, grad[c], hess[c], rows[c], scratch[c], 0)
 			roundTrees[c] = tree
 			for i := 0; i < n; i++ {
-				scores[i][c] += m.LR * tree.eval(x[i])
+				scores[c][i] += m.LR * tree.eval(x[i])
 			}
-		}
+		})
 		m.trees = append(m.trees, roundTrees)
 	}
 	m.fitted = true
@@ -181,15 +188,17 @@ func (m *GBoost) Fit(x [][]float64, y []int, classes int) error {
 }
 
 // growReg builds a regression tree on the gradient/hessian targets of
-// the samples in idx using histogram split finding.
-func (m *GBoost) growReg(bins *binning, g, h []float64, idx []int, depth int) *regTree {
+// the samples in rows (ascending) using histogram split finding. A
+// split stably partitions rows in place, using scratch, so every node
+// sums its rows in ascending order.
+func (m *GBoost) growReg(bins *binning, g, h []float64, rows, scratch []int32, depth int) *regTree {
 	var gSum, hSum float64
-	for _, i := range idx {
+	for _, i := range rows {
 		gSum += g[i]
 		hSum += h[i]
 	}
 	node := &regTree{leaf: true, value: -gSum / (hSum + m.Lambda)}
-	if depth >= m.MaxDepth || len(idx) < 2 {
+	if depth >= m.MaxDepth || len(rows) < 2 {
 		return node
 	}
 
@@ -197,10 +206,9 @@ func (m *GBoost) growReg(bins *binning, g, h []float64, idx []int, depth int) *r
 	bestGain := 1e-9
 	bestFeat, bestBin := -1, 0
 
-	d := len(bins.cuts)
 	var histG, histH [maxBins]float64
-	for f := 0; f < d; f++ {
-		nCuts := len(bins.cuts[f])
+	for f, cuts := range bins.cuts {
+		nCuts := len(cuts)
 		if nCuts == 0 {
 			continue // constant feature
 		}
@@ -208,8 +216,9 @@ func (m *GBoost) growReg(bins *binning, g, h []float64, idx []int, depth int) *r
 			histG[b] = 0
 			histH[b] = 0
 		}
-		for _, i := range idx {
-			b := bins.idx[i][f]
+		col := bins.idx[f]
+		for _, i := range rows {
+			b := col[i]
 			histG[b] += g[i]
 			histH[b] += h[i]
 		}
@@ -232,22 +241,25 @@ func (m *GBoost) growReg(bins *binning, g, h []float64, idx []int, depth int) *r
 	if bestFeat < 0 {
 		return node
 	}
-	var left, right []int
-	for _, i := range idx {
-		if int(bins.idx[i][bestFeat]) <= bestBin {
-			left = append(left, i)
+	col, right := bins.idx[bestFeat], scratch[:0]
+	nl := 0
+	for _, i := range rows {
+		if int(col[i]) <= bestBin {
+			rows[nl] = i
+			nl++
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
+	copy(rows[nl:], right)
+	if nl == 0 || nl == len(rows) {
 		return node
 	}
 	node.leaf = false
 	node.feature = bestFeat
 	node.threshold = bins.cuts[bestFeat][bestBin]
-	node.left = m.growReg(bins, g, h, left, depth+1)
-	node.right = m.growReg(bins, g, h, right, depth+1)
+	node.left = m.growReg(bins, g, h, rows[:nl], scratch, depth+1)
+	node.right = m.growReg(bins, g, h, rows[nl:], scratch, depth+1)
 	return node
 }
 

@@ -110,26 +110,42 @@ func flatten(n *treeNode, out *[]treeNodeGob) int {
 	return idx
 }
 
-// unflatten rebuilds the subtree rooted at index i.
-func unflatten(nodes []treeNodeGob, i int) (*treeNode, error) {
-	if i < 0 || i >= len(nodes) {
-		return nil, fmt.Errorf("classify: decoded tree node index %d outside [0, %d)", i, len(nodes))
-	}
-	w := nodes[i]
-	n := &treeNode{
-		feature: w.Feature, threshold: w.Threshold,
-		class: w.Class, leaf: w.Leaf, counts: w.Counts,
-	}
-	if !n.leaf {
-		var err error
-		if n.left, err = unflatten(nodes, w.Left); err != nil {
-			return nil, err
+// unflatten rebuilds the tree flatten wrote, rooted at node 0, without
+// recursing. Decoded artifacts are untrusted, so it accepts only a tree
+// that predicts on a vector of nFeatures values without panicking: each
+// child sits after its parent (flatten writes pre-order) and is
+// referenced once, so the structure has no cycle and no shared subtree;
+// every class is in [0, classes) and every split feature in [0,
+// nFeatures).
+func unflatten(nodes []treeNodeGob, classes, nFeatures int) (*treeNode, error) {
+	built := make([]treeNode, len(nodes))
+	referenced := make([]bool, len(nodes))
+	for i, w := range nodes {
+		if w.Class < 0 || w.Class >= classes {
+			return nil, fmt.Errorf("classify: decoded tree node %d has class %d outside [0, %d)", i, w.Class, classes)
 		}
-		if n.right, err = unflatten(nodes, w.Right); err != nil {
-			return nil, err
+		built[i] = treeNode{
+			feature: w.Feature, threshold: w.Threshold,
+			class: w.Class, leaf: w.Leaf, counts: w.Counts,
 		}
+		if w.Leaf {
+			continue
+		}
+		if w.Feature < 0 || w.Feature >= nFeatures {
+			return nil, fmt.Errorf("classify: decoded tree node %d splits on feature %d outside [0, %d)", i, w.Feature, nFeatures)
+		}
+		for _, c := range [2]int{w.Left, w.Right} {
+			if c <= i || c >= len(nodes) {
+				return nil, fmt.Errorf("classify: decoded tree node %d has child %d outside (%d, %d)", i, c, i, len(nodes))
+			}
+			if referenced[c] {
+				return nil, fmt.Errorf("classify: decoded tree node %d is referenced twice", c)
+			}
+			referenced[c] = true
+		}
+		built[i].left, built[i].right = &built[w.Left], &built[w.Right]
 	}
-	return n, nil
+	return &built[0], nil
 }
 
 // GobEncode serialises the fitted tree as a flattened node array.
@@ -159,7 +175,7 @@ func (m *Tree) GobDecode(data []byte) error {
 		importance: w.Importance, nTrain: w.NTrain,
 	}
 	if len(w.Nodes) > 0 {
-		root, err := unflatten(w.Nodes, 0)
+		root, err := unflatten(w.Nodes, w.Classes, len(w.Importance))
 		if err != nil {
 			return err
 		}
@@ -200,6 +216,15 @@ func (m *Forest) GobDecode(data []byte) error {
 	}
 	if w.Fitted && len(w.Estimators) == 0 {
 		return fmt.Errorf("classify: decoded forest is fitted but has no estimators")
+	}
+	// A fitted forest hands every estimator the same vector and indexes
+	// its vote histogram by their predictions, so its estimators must be
+	// fitted over one feature count and the forest's own classes.
+	for i, t := range w.Estimators {
+		if w.Fitted && (!t.fitted || t.classes != w.Classes || len(t.importance) != len(w.Estimators[0].importance)) {
+			return fmt.Errorf("classify: decoded forest estimator %d (fitted %v, %d classes, %d features) does not match the forest (%d classes, %d features)",
+				i, t.fitted, t.classes, len(t.importance), w.Classes, len(w.Estimators[0].importance))
+		}
 	}
 	*m = Forest{
 		Trees: w.Trees, MaxDepth: w.MaxDepth, MaxFeatures: w.MaxFeatures,

@@ -125,3 +125,116 @@ func TestUnfittedClassifierRoundTrips(t *testing.T) {
 		t.Errorf("K = %d, want 3", loaded.K)
 	}
 }
+
+// TestTreeGobRejectsCraftedStructure decodes node arrays that flatten
+// never writes. Each would crash or blow up a replica that loads it:
+// a self-referencing node recursed until Go's fatal stack overflow, a
+// chain of nodes sharing one child built 2^depth copies, and bad
+// classes or features index out of range at predict time.
+func TestTreeGobRejectsCraftedStructure(t *testing.T) {
+	leaf := treeNodeGob{Leaf: true, Left: -1, Right: -1}
+	split := func(feature, left, right int) treeNodeGob {
+		return treeNodeGob{Feature: feature, Left: left, Right: right}
+	}
+	chain := make([]treeNodeGob, 40)
+	for i := range chain[:len(chain)-1] {
+		chain[i] = split(0, i+1, i+1)
+	}
+	chain[len(chain)-1] = leaf
+	for _, tc := range []struct {
+		name  string
+		nodes []treeNodeGob
+	}{
+		{"self-loop", []treeNodeGob{split(0, 0, 0)}},
+		{"back-edge", []treeNodeGob{split(0, 1, 2), split(0, 0, 2), leaf}},
+		{"child-out-of-range", []treeNodeGob{split(0, 1, 3), leaf, leaf}},
+		{"negative-child", []treeNodeGob{split(0, -1, 1), leaf}},
+		{"shared-child", []treeNodeGob{split(0, 1, 1), leaf}},
+		{"shared-child-chain", chain},
+		{"class-too-large", []treeNodeGob{{Leaf: true, Class: 2}}},
+		{"negative-class", []treeNodeGob{split(0, 1, 2), leaf, {Leaf: true, Class: -1}}},
+		{"feature-too-large", []treeNodeGob{split(3, 1, 2), leaf, leaf}},
+		{"negative-feature", []treeNodeGob{split(-1, 1, 2), leaf, leaf}},
+	} {
+		data, err := encodeWire(treeGob{Fitted: true, Classes: 2, Nodes: tc.nodes, Importance: make([]float64, 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tree Tree
+		if err := tree.GobDecode(data); err == nil {
+			t.Errorf("%s: crafted tree accepted", tc.name)
+		}
+	}
+}
+
+// TestForestGobRejectsMismatchedEstimators checks a fitted forest only
+// accepts fitted estimators over its own class count and one feature
+// count: a forest hands them all one vector and indexes its vote
+// histogram by their predictions.
+func TestForestGobRejectsMismatchedEstimators(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	x, y := persistTask(rng, 90, 4)
+	fitted := NewTree(3)
+	if err := fitted.Fit(x, y, 3); err != nil {
+		t.Fatal(err)
+	}
+	x5, y5 := persistTask(rng, 90, 5)
+	wider := NewTree(3)
+	if err := wider.Fit(x5, y5, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		classes int
+		est     *Tree
+	}{
+		{"fewer-forest-classes", 2, fitted},
+		{"no-forest-classes", 0, fitted},
+		{"unfitted-estimator", 3, NewTree(3)},
+		{"feature-count-mismatch", 3, wider},
+	} {
+		data, err := encodeWire(forestGob{Fitted: true, Classes: tc.classes, Estimators: []*Tree{fitted, tc.est}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f Forest
+		if err := f.GobDecode(data); err == nil {
+			t.Errorf("%s: mismatched forest accepted", tc.name)
+		}
+	}
+}
+
+// FuzzTreeGobDecode feeds arbitrary bytes to the tree decoder, seeded
+// with real encodings: it must never panic, and every tree it accepts
+// must predict on a vector as long as its importances.
+func FuzzTreeGobDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(8))
+	x, y := persistTask(rng, 120, 4)
+	for _, depth := range []int{1, 3, 8} {
+		tree := NewTree(depth)
+		if err := tree.Fit(x, y, 3); err != nil {
+			f.Fatal(err)
+		}
+		data, err := tree.GobEncode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	unfitted, err := NewTree(4).GobEncode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(unfitted)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tree Tree
+		if err := tree.GobDecode(data); err != nil {
+			return
+		}
+		c := tree.Predict(make([]float64, len(tree.Importances())))
+		if tree.fitted && (c < 0 || c >= tree.classes) {
+			t.Fatalf("accepted tree predicts class %d outside [0, %d)", c, tree.classes)
+		}
+		tree.Depth()
+	})
+}
