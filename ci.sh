@@ -12,7 +12,11 @@
 #                  build the same golden corpus) + the serving parity,
 #                  batch, cascade and feature-memo tests at 1, 2 and 4
 #                  CPUs (batch items run inline and fanned out) + the
-#                  tree-learner golden and worker-cap tests at 1, 2
+#                  registry's swap and monitor tests at 1, 2 and 4 CPUs
+#                  (hot swaps racing requests, checked against the
+#                  reference pipeline; shadow installs, promotes,
+#                  reloads, and the quality and drift windows they
+#                  rebuild) + the tree-learner golden and worker-cap tests at 1, 2
 #                  and 4 CPUs (the forest's shared presort and the
 #                  boosting rounds' per-class trees run inline and
 #                  fanned out; every fit must match the recorded
@@ -83,6 +87,9 @@ go test -race -count=1 -cpu 1,2,4 -run 'TestGenerate|TestPermute|TestCorpus' ./i
 
 echo '== serving paths at 1, 2 and 4 CPUs (batch items inline and fanned out)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestServingPathsMatchReference|TestBatch|TestCascade|TestFeatMemo' ./internal/serve
+
+echo '== registry swaps and monitors at 1, 2 and 4 CPUs (swaps racing requests, one per-arch record)'
+go test -race -count=1 -cpu 1,2,4 -run 'TestStress|TestInstallShadow|TestPromote|TestReload|TestQuality|TestDrift' ./internal/registry
 
 echo '== tree learners at 1, 2 and 4 CPUs (shared presort and per-class boosting inline and fanned out)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestTreeLearnersGolden|AcrossWorkerCaps|TestForest' ./internal/classify

@@ -36,6 +36,32 @@ func Persistable(c Classifier) bool {
 	return false
 }
 
+// InputDim returns the feature-vector width a fitted persistable model
+// predicts on: a KNN's training-row width, a LogReg's weight width less
+// its bias, a tree's or forest's feature-importance length. It is 0 for
+// an unfitted or non-persistable classifier.
+func InputDim(c Classifier) int {
+	switch m := c.(type) {
+	case *KNN:
+		if m.fitted {
+			return len(m.x[0])
+		}
+	case *LogReg:
+		if m.fitted {
+			return len(m.w[0]) - 1
+		}
+	case *Tree:
+		if m.fitted {
+			return len(m.importance)
+		}
+	case *Forest:
+		if m.fitted {
+			return len(m.trees[0].importance)
+		}
+	}
+	return 0
+}
+
 // ---------------------------------------------------------------------
 // KNN
 
@@ -62,8 +88,18 @@ func (m *KNN) GobDecode(data []byte) error {
 	if err := decodeWire(data, &w); err != nil {
 		return fmt.Errorf("classify: decoding KNN: %w", err)
 	}
-	if w.Fitted && len(w.X) != len(w.Y) {
-		return fmt.Errorf("classify: decoded KNN has %d rows but %d labels", len(w.X), len(w.Y))
+	// A fitted KNN votes with the labels of its nearest rows, so it needs
+	// what Fit needs: rows of one width, each labelled in [0, Classes),
+	// and at least one neighbour to ask. Predict also allocates one vote
+	// per class, so a crafted class count may not outgrow the training
+	// set every prediction scans anyway.
+	if w.Fitted {
+		if err := checkTrainingInput(w.X, w.Y, w.Classes); err != nil {
+			return fmt.Errorf("classify: decoded KNN: %w", err)
+		}
+		if w.K < 1 || w.Classes > len(w.Y) {
+			return fmt.Errorf("classify: decoded KNN has K %d and %d classes over %d rows", w.K, w.Classes, len(w.Y))
+		}
 	}
 	*m = KNN{K: w.K, Weighted: w.Weighted, x: w.X, y: w.Y, classes: w.Classes, fitted: w.Fitted}
 	return nil
@@ -259,8 +295,17 @@ func (m *LogReg) GobDecode(data []byte) error {
 	if err := decodeWire(data, &w); err != nil {
 		return fmt.Errorf("classify: decoding logreg: %w", err)
 	}
-	if w.Fitted && len(w.W) != w.Classes {
-		return fmt.Errorf("classify: decoded logreg has %d weight rows for %d classes", len(w.W), w.Classes)
+	// A fitted LogReg scores a vector against one weight row per class:
+	// the vector's width in weights, then a bias.
+	if w.Fitted {
+		if len(w.W) == 0 || len(w.W) != w.Classes {
+			return fmt.Errorf("classify: decoded logreg has %d weight rows for %d classes", len(w.W), w.Classes)
+		}
+		for c, row := range w.W {
+			if len(row) < 2 || len(row) != len(w.W[0]) {
+				return fmt.Errorf("classify: decoded logreg weight row %d has %d values, row 0 %d; rows need one width of at least 2", c, len(row), len(w.W[0]))
+			}
+		}
 	}
 	*m = LogReg{Epochs: w.Epochs, LR: w.LR, L2: w.L2, w: w.W, classes: w.Classes, fitted: w.Fitted}
 	return nil

@@ -100,15 +100,42 @@ func TestClassifierGobRejectsGarbage(t *testing.T) {
 	if err := knn.GobDecode([]byte{0x01}); err == nil {
 		t.Error("knn accepted garbage")
 	}
-	// A fitted tree without nodes is inconsistent.
-	data, err := encodeWire(treeGob{Fitted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.GobDecode(data); err == nil {
-		t.Error("fitted node-less tree accepted")
+	// A fitted tree without nodes is inconsistent, and so are payloads
+	// whose Predict would index out of range or allocate without bound:
+	// a KNN label beyond its classes, rows of unequal width or a class
+	// count beyond its rows, LogReg weight rows too short to hold a bias
+	// or of unequal width.
+	for _, tc := range []struct {
+		name string
+		wire any
+		into interface{ GobDecode([]byte) error }
+	}{
+		{"fitted node-less tree", treeGob{Fitted: true}, &Tree{}},
+		{"knn label 5 of 2 classes", knnLabel5, &KNN{}},
+		{"knn rows of unequal width", knnGob{K: 1, X: [][]float64{{0, 0, 0}, {1, 1}}, Y: []int{0, 1}, Classes: 2, Fitted: true}, &KNN{}},
+		{"knn without neighbours", knnGob{K: 0, X: [][]float64{{0}, {1}}, Y: []int{0, 1}, Classes: 2, Fitted: true}, &KNN{}},
+		{"knn with more classes than rows", knnGob{K: 1, X: [][]float64{{0}, {1}}, Y: []int{0, 1}, Classes: 1 << 40, Fitted: true}, &KNN{}},
+		{"logreg rows of length 1", logRegLength1, &LogReg{}},
+		{"logreg rows of unequal width", logRegGob{W: [][]float64{{1, 2, 3}, {1, 2}}, Classes: 2, Fitted: true}, &LogReg{}},
+		{"logreg without rows", logRegGob{Fitted: true}, &LogReg{}},
+	} {
+		data, err := encodeWire(tc.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.into.GobDecode(data); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
+
+// Decoding used to accept these two payloads, and then Predict panicked:
+// the KNN indexed its 2-class vote histogram with label 5, and the
+// LogReg read a 3-vector's bias at index 3 of a length-1 weight row.
+var (
+	knnLabel5     = knnGob{K: 1, X: [][]float64{{0, 0, 0}}, Y: []int{5}, Classes: 2, Fitted: true}
+	logRegLength1 = logRegGob{W: [][]float64{{1}, {1}}, Classes: 2, Fitted: true}
+)
 
 // TestUnfittedClassifierRoundTrips checks an unfitted model survives
 // persistence (and still refuses to predict meaningfully).
@@ -236,5 +263,75 @@ func FuzzTreeGobDecode(f *testing.F) {
 			t.Fatalf("accepted tree predicts class %d outside [0, %d)", c, tree.classes)
 		}
 		tree.Depth()
+	})
+}
+
+// FuzzKNNGobDecode feeds arbitrary bytes to the KNN decoder, seeded
+// with real encodings and a payload decoding used to accept: it must
+// never panic, and every fitted KNN it accepts must predict a class in
+// [0, classes) on a vector as wide as its rows.
+func FuzzKNNGobDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	x, y := persistTask(rng, 30, 4)
+	for _, m := range []*KNN{NewKNN(1), {K: 5, Weighted: true}} {
+		if err := m.Fit(x, y, 3); err != nil {
+			f.Fatal(err)
+		}
+		data, err := m.GobEncode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, w := range []knnGob{{K: 3}, knnLabel5} {
+		data, err := encodeWire(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m KNN
+		if err := m.GobDecode(data); err != nil {
+			return
+		}
+		c := m.Predict(make([]float64, InputDim(&m)))
+		if m.fitted && (c < 0 || c >= m.classes) {
+			t.Fatalf("accepted KNN predicts class %d outside [0, %d)", c, m.classes)
+		}
+	})
+}
+
+// FuzzLogRegGobDecode does the same for the LogReg decoder: every
+// fitted LogReg it accepts must predict a class in [0, classes) on a
+// vector as wide as its weight rows less the bias.
+func FuzzLogRegGobDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(10))
+	x, y := persistTask(rng, 60, 4)
+	m := &LogReg{Epochs: 20}
+	if err := m.Fit(x, y, 3); err != nil {
+		f.Fatal(err)
+	}
+	data, err := m.GobEncode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, w := range []logRegGob{{Epochs: 5}, logRegLength1} {
+		data, err := encodeWire(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m LogReg
+		if err := m.GobDecode(data); err != nil {
+			return
+		}
+		c := m.Predict(make([]float64, InputDim(&m)))
+		if m.fitted && (c < 0 || c >= m.classes) {
+			t.Fatalf("accepted LogReg predicts class %d outside [0, %d)", c, m.classes)
+		}
 	})
 }

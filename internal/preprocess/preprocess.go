@@ -315,8 +315,14 @@ func (p *PCA) Transform(x []float64) []float64 {
 // InDim returns the fitted dimensionality.
 func (p *PCA) InDim() int { return len(p.Mean) }
 
-// OutDim returns the number of kept components.
-func (p *PCA) OutDim() int { return p.Components.Rows }
+// OutDim returns the number of kept components (0 for a decoded PCA
+// that carries none).
+func (p *PCA) OutDim() int {
+	if p.Components == nil {
+		return 0
+	}
+	return p.Components.Rows
+}
 
 // Options configures FitPipeline.
 type Options struct {

@@ -29,41 +29,17 @@ import (
 //	registry/drift/alert{arch}        gauge  1 when any signal's PSI >= threshold
 //	registry/drift/samples{arch}      gauge  format-window fill
 
-// DriftOptions tunes the monitor. The zero value selects defaults.
-type DriftOptions struct {
-	// WindowSize is the per-signal rolling-window capacity (default 512
-	// observations).
-	WindowSize int
-	// PSIAlert is the PSI at or above which a signal alerts (default
-	// 0.2 — the conventional "significant shift, investigate" bar; 0.1
-	// is the conventional "moderate" bar).
-	PSIAlert float64
-	// MinSamples is the minimum window fill before a signal may alert,
-	// keeping near-empty windows from paging anyone (default 50).
-	MinSamples int
-}
-
-func (o DriftOptions) withDefaults() DriftOptions {
-	if o.WindowSize <= 0 {
-		o.WindowSize = 512
-	}
-	if o.PSIAlert <= 0 {
-		o.PSIAlert = 0.2
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 50
-	}
-	return o
-}
-
-// SetDriftOptions replaces the monitor tuning. Existing per-arch
-// windows are rebuilt empty on the next baseline install; call it
-// before LoadAll.
-func (r *Registry) SetDriftOptions(o DriftOptions) {
-	r.mu.Lock()
-	r.driftOpts = o.withDefaults()
-	r.mu.Unlock()
-}
+// The monitors' fixed settings. Every rolling window — each drift
+// signal's and each arch's quality window — holds the last windowSize
+// observations. A drift signal alerts at a PSI of psiAlert or more (the
+// conventional "significant shift, investigate" bar; 0.1 is the
+// conventional "moderate" one), once its window holds minSamples
+// observations, so near-empty windows page no one.
+const (
+	windowSize = 512
+	psiAlert   = 0.2
+	minSamples = 50
+)
 
 // ringCounts is a fixed-capacity rolling histogram: a ring of bucket
 // indices plus running per-bucket counts, so adding evicts the oldest
@@ -105,39 +81,27 @@ type driftState struct {
 	feats    []*ringCounts // parallel to baseline.Features
 }
 
-// installDriftLocked (re)builds arch's drift state for a newly
-// installed live artifact. Called under the registry write lock on
-// every live swap — reload and promote — so the windows always describe
-// traffic served by the current model. Artifacts without a baseline
-// clear the state (the arch opts out).
-func (r *Registry) installDriftLocked(arch string, art *serve.Artifact) {
-	if art == nil || art.Baseline == nil {
-		delete(r.drift, arch)
-		return
+// newDriftState builds empty windows against the live artifact's
+// training baseline b; nil without one (the arch opts out). setLive
+// calls it on every live swap, so the windows always describe traffic
+// served by the current model.
+func newDriftState(b *serve.Baseline) *driftState {
+	if b == nil {
+		return nil
 	}
-	opts := r.driftOpts.withDefaults()
-	b := art.Baseline
-	st := &driftState{
-		baseline: b,
-		formats:  newRingCounts(len(b.FormatCounts), opts.WindowSize),
-	}
+	st := &driftState{baseline: b, formats: newRingCounts(len(b.FormatCounts), windowSize)}
 	for _, fb := range b.Features {
-		st.feats = append(st.feats, newRingCounts(len(fb.Counts), opts.WindowSize))
+		st.feats = append(st.feats, newRingCounts(len(fb.Counts), windowSize))
 	}
-	r.drift[arch] = st
+	return st
 }
 
-// RecordServed feeds one served prediction into arch's monitor
-// (serve.DriftBackend). vec is nil when the cascade's cheap stage
-// answered; only the format stream advances then.
+// RecordServed feeds one served prediction into arch's monitor. vec is
+// nil when the cascade's cheap stage answered; only the format stream
+// advances then.
 func (r *Registry) RecordServed(arch string, p serve.Prediction, vec []float64) {
-	a := serve.NormalizeArch(arch)
-	r.mu.RLock()
-	if a == "" {
-		a = r.def
-	}
-	st := r.drift[a]
-	r.mu.RUnlock()
+	as, _ := r.current(arch)
+	st := as.drift
 	if st == nil {
 		return
 	}
@@ -226,56 +190,38 @@ var (
 )
 
 // DriftReport scores every monitored arch and refreshes the drift
-// gauges (serve.DriftBackend; the /metrics handler calls it per
-// scrape).
+// gauges (the /metrics handler calls it per scrape).
 func (r *Registry) DriftReport() any {
-	opts := r.driftOpts.withDefaults()
 	report := DriftReportData{
-		WindowSize: opts.WindowSize,
-		PSIAlert:   opts.PSIAlert,
-		MinSamples: opts.MinSamples,
+		WindowSize: windowSize,
+		PSIAlert:   psiAlert,
+		MinSamples: minSamples,
 		Arches:     []ArchDriftReport{},
 	}
-
-	r.mu.RLock()
-	type archState struct {
-		arch string
-		hash string
-		st   *driftState
-	}
-	states := make([]archState, 0, len(r.drift))
-	for _, a := range r.archesLocked() {
-		st := r.drift[a]
+	_, arches := r.snapshot()
+	for _, as := range arches {
+		st := as.drift
 		if st == nil {
 			continue
 		}
-		as := archState{arch: a, st: st}
-		if ls := r.live[a]; ls != nil && ls.entry != nil {
-			as.hash = ls.entry.Hash
-		}
-		states = append(states, as)
-	}
-	r.mu.RUnlock()
-
-	for _, as := range states {
-		ar := ArchDriftReport{Arch: as.arch, ModelHash: as.hash}
-		as.st.mu.Lock()
-		signals := make([]DriftSignal, 0, 1+len(as.st.baseline.Features))
-		psi, chi2 := psiChi2(as.st.baseline.FormatCounts, as.st.formats.counts)
+		ar := ArchDriftReport{Arch: as.arch, ModelHash: as.live.hash()}
+		st.mu.Lock()
+		signals := make([]DriftSignal, 0, 1+len(st.baseline.Features))
+		psi, chi2 := psiChi2(st.baseline.FormatCounts, st.formats.counts)
 		signals = append(signals, DriftSignal{
-			Signal: "format", Samples: as.st.formats.total, PSI: psi, Chi2: chi2,
-			Alert: psi >= opts.PSIAlert && as.st.formats.total >= int64(opts.MinSamples),
+			Signal: "format", Samples: st.formats.total, PSI: psi, Chi2: chi2,
+			Alert: psi >= psiAlert && st.formats.total >= minSamples,
 		})
-		for i, fb := range as.st.baseline.Features {
-			w := as.st.feats[i]
+		for i, fb := range st.baseline.Features {
+			w := st.feats[i]
 			p, c := psiChi2(fb.Counts, w.counts)
 			signals = append(signals, DriftSignal{
 				Signal: fb.Name, Samples: w.total, PSI: p, Chi2: c,
-				Alert: p >= opts.PSIAlert && w.total >= int64(opts.MinSamples),
+				Alert: p >= psiAlert && w.total >= minSamples,
 			})
 		}
-		formatSamples := as.st.formats.total
-		as.st.mu.Unlock()
+		formatSamples := st.formats.total
+		st.mu.Unlock()
 
 		for _, sg := range signals {
 			driftPSI.With(as.arch, sg.Signal).Set(sg.PSI)

@@ -85,6 +85,10 @@ func TestDriftBaselineRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := r.DriftReport().(DriftReportData)
+	if rep.WindowSize != 512 || rep.PSIAlert != 0.2 || rep.MinSamples != 50 {
+		t.Errorf("drift settings = window %d, psi alert %v, min samples %d; want 512, 0.2, 50",
+			rep.WindowSize, rep.PSIAlert, rep.MinSamples)
+	}
 	ar := driftArch(t, rep, "turing")
 	if ar.Alert {
 		t.Error("empty windows alert")
@@ -102,7 +106,6 @@ func TestDriftAlertsOnSkewedStream(t *testing.T) {
 	dir := t.TempDir()
 	path := saveBaselineArtifact(t, dir, "turing.gob")
 	r := New()
-	r.SetDriftOptions(DriftOptions{WindowSize: 256, PSIAlert: 0.2, MinSamples: 50})
 	if err := r.Configure("turing", path); err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +142,14 @@ func TestDriftAlertsOnSkewedStream(t *testing.T) {
 		t.Fatalf("training-like stream alerted: %+v", ar.Signals)
 	}
 
-	// Phase 2: skew — every answer is label 0 and every feature sits far
-	// beyond the training range (overflow buckets).
+	// Phase 2: skew — a full window of answers that are all label 0,
+	// with every feature far beyond the training range (overflow
+	// buckets).
 	huge := make([]float64, features.Count)
 	for i := range huge {
 		huge[i] = 1e18
 	}
-	for i := 0; i < 300; i++ {
+	for i := 0; i < windowSize; i++ {
 		r.RecordServed("turing", serve.Prediction{Label: 0}, huge)
 	}
 	rep = r.DriftReport().(DriftReportData)

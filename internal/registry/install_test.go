@@ -41,7 +41,7 @@ func TestInstallShadow(t *testing.T) {
 	if _, err := r.InstallShadow("turing", []byte("not an artifact")); err == nil {
 		t.Error("InstallShadow accepted undecodable bytes")
 	}
-	if _, ok := r.Shadow("turing"); ok {
+	if _, ok := candidateOf(t, r, "turing"); ok {
 		t.Fatal("failed installs left a shadow behind")
 	}
 
@@ -52,7 +52,7 @@ func TestInstallShadow(t *testing.T) {
 	if hash != wantHash {
 		t.Fatalf("InstallShadow hash %s, want %s", hash, wantHash)
 	}
-	cand, ok := r.Shadow("turing")
+	cand, ok := candidateOf(t, r, "turing")
 	if !ok || cand.Hash != wantHash {
 		t.Fatalf("Shadow after install = %+v ok=%v", cand, ok)
 	}
@@ -93,7 +93,7 @@ func TestInstallShadow(t *testing.T) {
 	if err != nil || lm.Hash != wantHash {
 		t.Fatalf("Live after promote = %+v, %v", lm, err)
 	}
-	if _, ok := r.Shadow("turing"); ok {
+	if _, ok := candidateOf(t, r, "turing"); ok {
 		t.Fatal("shadow slot survived promotion")
 	}
 
@@ -109,7 +109,7 @@ func TestInstallShadow(t *testing.T) {
 	if _, err := r.InstallShadow("turing", otherBytes); err != nil {
 		t.Fatal(err)
 	}
-	cand2, ok := r.Shadow("turing")
+	cand2, ok := candidateOf(t, r, "turing")
 	if !ok || cand2.Hash != serve.HashBytes(otherBytes) {
 		t.Fatalf("replacement candidate = %+v ok=%v", cand2, ok)
 	}
@@ -176,7 +176,7 @@ func TestInstallShadowWritesNoFiles(t *testing.T) {
 	if after, _ := r.Live("turing"); after.Hash != before.Hash {
 		t.Fatalf("Reload swapped the live model %s -> %s", before.Hash, after.Hash)
 	}
-	if cand, ok := r.Shadow("turing"); !ok || cand.Hash != serve.HashBytes(pushes[0]) {
+	if cand, ok := candidateOf(t, r, "turing"); !ok || cand.Hash != serve.HashBytes(pushes[0]) {
 		t.Fatalf("Reload dropped the pushed candidate: %+v ok=%v", cand, ok)
 	}
 	if err := r.Ready(); err != nil {

@@ -29,30 +29,6 @@ import (
 //	registry/quality/samples{arch}                 gauge    full outcomes in the window
 //	registry/quality/confusion{arch,predicted,best} gauge   window predicted-vs-best counts
 
-// QualityOptions tunes the quality windows. The zero value selects
-// defaults.
-type QualityOptions struct {
-	// WindowSize is the per-arch rolling-window capacity (default 512
-	// outcomes).
-	WindowSize int
-}
-
-func (o QualityOptions) withDefaults() QualityOptions {
-	if o.WindowSize <= 0 {
-		o.WindowSize = 512
-	}
-	return o
-}
-
-// SetQualityOptions replaces the quality-window tuning. Existing
-// windows are rebuilt empty on the next live swap; call it before
-// LoadAll.
-func (r *Registry) SetQualityOptions(o QualityOptions) {
-	r.mu.Lock()
-	r.qualityOpts = o.withDefaults()
-	r.mu.Unlock()
-}
-
 // outcomeRec is one windowed outcome.
 type outcomeRec struct {
 	pred     int
@@ -123,16 +99,11 @@ func (q *qualityState) evictLocked(old outcomeRec) {
 	}
 }
 
-// installQualityLocked (re)builds arch's quality window for a newly
-// installed live artifact. Called under the registry write lock on
-// every live swap — reload and promote — so the window only ever
+// newQualityState builds an empty window for a live artifact mapping
+// formats. setLive calls it on every live swap, so the window only ever
 // tallies outcomes of the model currently serving.
-func (r *Registry) installQualityLocked(arch string, art *serve.Artifact) {
-	opts := r.qualityOpts.withDefaults()
-	r.quality[arch] = &qualityState{
-		formats: art.Formats,
-		ring:    make([]outcomeRec, opts.WindowSize),
-	}
+func newQualityState(formats []string) *qualityState {
+	return &qualityState{formats: formats, ring: make([]outcomeRec, windowSize)}
 }
 
 // Quality metrics share the obs registry with everything else.
@@ -144,22 +115,15 @@ var (
 	qualityConfusion = obs.Default.GaugeVec("registry/quality/confusion", "arch", "predicted", "best")
 )
 
-// RecordOutcome feeds one measured outcome into arch's quality window
-// (serve.QualityBackend). Outcomes carrying a shadow candidate's
-// measured time also advance the shadow report's measured tallies, so
-// promote decisions can weigh measured quality, not just agreement. An
-// outcome racing a swap (the window was just rebuilt) lands in the new
-// window — the feedback describes traffic the operator still considers
-// this arch's.
+// RecordOutcome feeds one measured outcome into arch's quality window.
+// Outcomes carrying a shadow candidate's measured time also advance the
+// shadow report's measured tallies, so promote decisions can weigh
+// measured quality, not just agreement. Feedback arriving after a swap
+// lands in the new window — it describes traffic the operator still
+// considers this arch's.
 func (r *Registry) RecordOutcome(arch string, o serve.Outcome) {
-	a := serve.NormalizeArch(arch)
-	r.mu.RLock()
-	if a == "" {
-		a = r.def
-	}
-	q := r.quality[a]
-	st := r.stats[a]
-	r.mu.RUnlock()
+	st, _ := r.current(arch)
+	q := st.quality
 	if q == nil {
 		return
 	}
@@ -170,9 +134,9 @@ func (r *Registry) RecordOutcome(arch string, o serve.Outcome) {
 		servedMs: o.ServedMs,
 		full:     o.Full,
 	})
-	qualityOutcomes.With(a).Inc()
-	if o.HasCandidate && st != nil {
-		st.recordMeasured(o)
+	qualityOutcomes.With(st.arch).Inc()
+	if o.HasCandidate && st.stats != nil {
+		st.stats.recordMeasured(o)
 	}
 }
 
@@ -212,34 +176,15 @@ type QualityReportData struct {
 }
 
 // QualityReport snapshots every arch's quality window and refreshes
-// the quality gauges (serve.QualityBackend; the /metrics handler calls
-// it per scrape).
+// the quality gauges (the /metrics handler calls it per scrape).
 func (r *Registry) QualityReport() any {
-	opts := r.qualityOpts.withDefaults()
-	report := QualityReportData{WindowSize: opts.WindowSize, Arches: []ArchQualityReport{}}
-
-	r.mu.RLock()
-	type archState struct {
-		arch string
-		hash string
-		q    *qualityState
-	}
-	states := make([]archState, 0, len(r.quality))
-	for _, a := range r.archesLocked() {
-		q := r.quality[a]
-		if q == nil {
+	report := QualityReportData{WindowSize: windowSize, Arches: []ArchQualityReport{}}
+	_, arches := r.snapshot()
+	for _, as := range arches {
+		if as.quality == nil {
 			continue
 		}
-		as := archState{arch: a, q: q}
-		if ls := r.live[a]; ls != nil && ls.entry != nil {
-			as.hash = ls.entry.Hash
-		}
-		states = append(states, as)
-	}
-	r.mu.RUnlock()
-
-	for _, as := range states {
-		ar := as.q.report(as.arch, as.hash)
+		ar := as.quality.report(as.arch, as.live.hash())
 		qualityAccuracy.With(as.arch).Set(ar.Accuracy)
 		qualityRegret.With(as.arch, "p50").Set(ar.RegretP50)
 		qualityRegret.With(as.arch, "p90").Set(ar.RegretP90)

@@ -53,6 +53,9 @@ func TestQualityWindowAccuracyRegretConfusion(t *testing.T) {
 	})
 
 	report := r.QualityReport().(QualityReportData)
+	if report.WindowSize != 512 {
+		t.Errorf("window size = %d, want 512", report.WindowSize)
+	}
 	if len(report.Arches) != 1 {
 		t.Fatalf("report arches = %d, want 1", len(report.Arches))
 	}
@@ -92,9 +95,8 @@ func TestQualityWindowAccuracyRegretConfusion(t *testing.T) {
 
 func TestQualityWindowEvictionAndSwapReset(t *testing.T) {
 	r := loadedRegistry(t)
-	r.SetQualityOptions(QualityOptions{WindowSize: 4})
-	// Options apply on the next install — force one by promoting a
-	// shadow onto the arch.
+	// A promotion installs a fresh window.
+	r.RecordOutcome("turing", fullOutcome(0, 1, 3.0))
 	dir := t.TempDir()
 	cand := saveArtifact(t, dir, "cand.gob", 6, 2)
 	if err := r.ConfigureShadow("turing", cand); err != nil {
@@ -106,21 +108,24 @@ func TestQualityWindowEvictionAndSwapReset(t *testing.T) {
 	if _, err := r.Promote("turing"); err != nil {
 		t.Fatal(err)
 	}
+	if ar := r.QualityReport().(QualityReportData).Arches[0]; ar.Accepted != 0 {
+		t.Fatalf("window survived a promotion: %+v", ar)
+	}
 
-	// Fill past the window: 6 outcomes into 4 slots. The two oldest
-	// (misses) evict, leaving 4 hits → accuracy 1.0.
+	// Fill past the window: two misses, then a full window of hits.
+	// The misses evict, leaving only hits → accuracy 1.0.
 	for i := 0; i < 2; i++ {
 		r.RecordOutcome("turing", fullOutcome(0, 1, 3.0))
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < windowSize; i++ {
 		r.RecordOutcome("turing", fullOutcome(1, 1, 1.0))
 	}
 	ar := r.QualityReport().(QualityReportData).Arches[0]
-	if ar.Samples != 4 || ar.Accuracy != 1.0 {
-		t.Fatalf("windowed samples %d accuracy %v, want 4 / 1.0", ar.Samples, ar.Accuracy)
+	if ar.Samples != windowSize || ar.Accuracy != 1.0 {
+		t.Fatalf("windowed samples %d accuracy %v, want %d / 1.0", ar.Samples, ar.Accuracy, windowSize)
 	}
-	if ar.Accepted != 6 {
-		t.Fatalf("accepted = %d, want 6 (eviction must not shrink the cumulative count)", ar.Accepted)
+	if ar.Accepted != windowSize+2 {
+		t.Fatalf("accepted = %d, want %d (eviction must not shrink the cumulative count)", ar.Accepted, windowSize+2)
 	}
 	if ar.Confusion[0][1] != 0 {
 		t.Fatalf("evicted outcomes still in the confusion grid: %v", ar.Confusion)

@@ -45,12 +45,74 @@ type Entry struct {
 	Path string
 }
 
+// model is the entry as the serving layer sees it under arch.
+func (e *Entry) model(arch string) serve.LiveModel {
+	return serve.LiveModel{Arch: arch, Hash: e.Hash, Source: e.Path, Artifact: e.Artifact}
+}
+
 // slot is one configured position (live or shadow) for an arch: where
 // to load from, what is currently installed, and the last load error.
 type slot struct {
 	path  string // "" for a pushed candidate, which Reload skips
 	entry *Entry // nil until the first successful load
 	err   error  // last load failure (a failed reload keeps the old entry)
+}
+
+// hash is the installed entry's content hash, "" before the first load.
+func (s *slot) hash() string {
+	if s.entry == nil {
+		return ""
+	}
+	return s.entry.Hash
+}
+
+// archState is everything the registry keeps for one configured arch:
+// the live slot, the optional shadow candidate with its tallies, and
+// the drift and quality windows of the live model's traffic. Its fields
+// change only under the registry's write lock, and a swap replaces the
+// tallies and windows instead of clearing them, so a copy taken under
+// the read lock stays coherent: the request path records into the
+// copy's tallies and windows without holding the lock, and a record
+// racing a swap lands in the discarded ones.
+type archState struct {
+	arch string // the normalized name it is configured under
+	live slot
+	cand slot // the shadow candidate, present while stats is non-nil
+	// stats compares the candidate with the live model; nil when no
+	// candidate is configured or pushed.
+	stats   *ShadowStats
+	drift   *driftState   // nil while the live artifact has no baseline
+	quality *qualityState // nil until the live slot first loads
+}
+
+// setLive installs e as the live model. It is the one place a live
+// model changes, for Reload and Promote alike: the shadow tallies
+// restart, since they compared the replaced model, and the drift and
+// quality windows are rebuilt for the new model's baseline and formats.
+// The caller holds the registry's write lock.
+func (st *archState) setLive(e *Entry) {
+	st.live.entry, st.live.err = e, nil
+	if st.stats != nil {
+		st.stats = new(ShadowStats)
+	}
+	st.drift = newDriftState(e.Artifact.Baseline)
+	st.quality = newQualityState(e.Artifact.Formats)
+}
+
+// setCandidate installs s as the shadow candidate with fresh tallies.
+func (st *archState) setCandidate(s slot) {
+	st.cand, st.stats = s, new(ShadowStats)
+}
+
+// slot returns the live slot, or the candidate's (nil without one).
+func (st *archState) slot(shadow bool) *slot {
+	switch {
+	case !shadow:
+		return &st.live
+	case st.stats == nil:
+		return nil
+	}
+	return &st.cand
 }
 
 // Registry is a concurrency-safe, versioned collection of named
@@ -60,18 +122,8 @@ type slot struct {
 type Registry struct {
 	mu     sync.RWMutex
 	def    string // default arch ("" until set or first Configure)
-	live   map[string]*slot
-	shadow map[string]*slot
-	stats  map[string]*ShadowStats
-	// drift holds the per-arch drift monitor for live artifacts that
-	// carry a training baseline; driftOpts tunes it.
-	drift     map[string]*driftState
-	driftOpts DriftOptions
-	// quality holds the per-arch measured-outcome window for live
-	// artifacts (fed by /v1/feedback); qualityOpts tunes it.
-	quality     map[string]*qualityState
-	qualityOpts QualityOptions
-	onSwap      []func()
+	state  map[string]*archState
+	onSwap []func()
 
 	swaps      *obs.Counter
 	reloads    *obs.Counter
@@ -79,29 +131,56 @@ type Registry struct {
 	loadErrors *obs.Counter
 }
 
-// The registry satisfies the serving interfaces, including the
-// drift-monitoring and measured-quality surfaces.
+// The registry satisfies both serving interfaces.
 var (
-	_ serve.Backend         = (*Registry)(nil)
-	_ serve.AdminBackend    = (*Registry)(nil)
-	_ serve.DriftBackend    = (*Registry)(nil)
-	_ serve.QualityBackend  = (*Registry)(nil)
-	_ serve.ShadowInstaller = (*Registry)(nil)
+	_ serve.Backend      = (*Registry)(nil)
+	_ serve.AdminBackend = (*Registry)(nil)
 )
 
 // New returns an empty registry. Configure architectures, then LoadAll.
 func New() *Registry {
 	return &Registry{
-		live:       map[string]*slot{},
-		shadow:     map[string]*slot{},
-		stats:      map[string]*ShadowStats{},
-		drift:      map[string]*driftState{},
-		quality:    map[string]*qualityState{},
+		state:      map[string]*archState{},
 		swaps:      obs.Default.Counter("registry/swaps"),
 		reloads:    obs.Default.Counter("registry/reloads"),
 		promotes:   obs.Default.Counter("registry/promotes"),
 		loadErrors: obs.Default.Counter("registry/load_errors"),
 	}
+}
+
+// lookupLocked resolves arch, normalized and with "" selecting the
+// default, to its state (nil when unconfigured). The caller holds r.mu.
+func (r *Registry) lookupLocked(arch string) (string, *archState) {
+	a := serve.NormalizeArch(arch)
+	if a == "" {
+		a = r.def
+	}
+	return a, r.state[a]
+}
+
+// current resolves arch and copies its state under the read lock; ok is
+// false for an unconfigured arch.
+func (r *Registry) current(arch string) (archState, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if _, st := r.lookupLocked(arch); st != nil {
+		return *st, true
+	}
+	return archState{}, false
+}
+
+// snapshot copies the default arch and every arch's state, sorted by
+// arch, under the read lock; reports and listings then read the copies
+// without holding it.
+func (r *Registry) snapshot() (def string, arches []archState) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	arches = make([]archState, 0, len(r.state))
+	for _, st := range r.state {
+		arches = append(arches, *st)
+	}
+	sort.Slice(arches, func(i, j int) bool { return arches[i].arch < arches[j].arch })
+	return r.def, arches
 }
 
 // Configure declares a live slot: arch will be served from the artifact
@@ -117,10 +196,10 @@ func (r *Registry) Configure(arch, path string) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.live[a]; dup {
+	if _, dup := r.state[a]; dup {
 		return fmt.Errorf("registry: architecture %q configured twice", a)
 	}
-	r.live[a] = &slot{path: path}
+	r.state[a] = &archState{arch: a, live: slot{path: path}}
 	if r.def == "" {
 		r.def = a
 	}
@@ -128,23 +207,21 @@ func (r *Registry) Configure(arch, path string) error {
 }
 
 // ConfigureShadow declares a shadow candidate for an already-configured
-// arch. Every request the live model answers is also scored by the
-// candidate, and the tallies feed ShadowReport.
+// arch ("" selects the default). Every request the live model answers
+// is also scored by the candidate, and the tallies feed ShadowReport.
 func (r *Registry) ConfigureShadow(arch, path string) error {
-	a := serve.NormalizeArch(arch)
-	if path == "" {
-		return fmt.Errorf("registry: empty shadow artifact path for %q", a)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.live[a]; !ok {
+	a, st := r.lookupLocked(arch)
+	switch {
+	case path == "":
+		return fmt.Errorf("registry: empty shadow artifact path for %q", a)
+	case st == nil:
 		return fmt.Errorf("registry: shadow for unconfigured architecture %q", a)
-	}
-	if _, dup := r.shadow[a]; dup {
+	case st.stats != nil:
 		return fmt.Errorf("registry: shadow for %q configured twice", a)
 	}
-	r.shadow[a] = &slot{path: path}
-	r.stats[a] = newShadowStats()
+	st.setCandidate(slot{path: path})
 	return nil
 }
 
@@ -159,7 +236,6 @@ func (r *Registry) ConfigureShadow(arch, path string) error {
 // replaces the candidate and resets its tallies. Returns the registry's
 // own content hash of the received bytes.
 func (r *Registry) InstallShadow(arch string, data []byte) (string, error) {
-	a := serve.NormalizeArch(arch)
 	hash := serve.HashBytes(data)
 	art, err := serve.Load(bytes.NewReader(data))
 	if err != nil {
@@ -167,27 +243,24 @@ func (r *Registry) InstallShadow(arch string, data []byte) (string, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if a == "" {
-		a = r.def
-	}
-	if _, ok := r.live[a]; !ok {
+	_, st := r.lookupLocked(arch)
+	if st == nil {
 		return "", fmt.Errorf("registry: %w %q", serve.ErrUnknownArch, arch)
 	}
-	if ss := r.shadow[a]; ss != nil && ss.entry != nil && ss.entry.Hash == hash {
+	if st.stats != nil && st.cand.hash() == hash {
 		return hash, nil
 	}
-	r.shadow[a] = &slot{entry: &Entry{Artifact: art, Hash: hash}}
-	r.stats[a] = newShadowStats()
+	st.setCandidate(slot{entry: &Entry{Artifact: art, Hash: hash}})
 	return hash, nil
 }
 
 // SetDefault selects the arch serving requests that name none. It must
 // already be configured.
 func (r *Registry) SetDefault(arch string) error {
-	a := serve.NormalizeArch(arch)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.live[a]; !ok {
+	a, st := r.lookupLocked(arch)
+	if st == nil {
 		return fmt.Errorf("registry: default architecture %q is not configured", a)
 	}
 	r.def = a
@@ -243,27 +316,15 @@ type loadTarget struct {
 func (r *Registry) Reload() (changed []string, err error) {
 	r.reloads.Inc()
 
+	var targets []loadTarget
 	r.mu.RLock()
-	targets := make([]loadTarget, 0, len(r.live)+len(r.shadow))
-	for a, s := range r.live {
-		if s.path == "" {
-			continue
+	for a, st := range r.state {
+		for _, t := range [2]loadTarget{{arch: a, name: a}, {arch: a, name: "shadow:" + a, shadow: true}} {
+			if s := st.slot(t.shadow); s != nil && s.path != "" {
+				t.path, t.oldHash = s.path, s.hash()
+				targets = append(targets, t)
+			}
 		}
-		t := loadTarget{arch: a, name: a, path: s.path}
-		if s.entry != nil {
-			t.oldHash = s.entry.Hash
-		}
-		targets = append(targets, t)
-	}
-	for a, s := range r.shadow {
-		if s.path == "" {
-			continue
-		}
-		t := loadTarget{arch: a, name: "shadow:" + a, shadow: true, path: s.path}
-		if s.entry != nil {
-			t.oldHash = s.entry.Hash
-		}
-		targets = append(targets, t)
 	}
 	r.mu.RUnlock()
 	sort.Slice(targets, func(i, j int) bool { return targets[i].name < targets[j].name })
@@ -286,11 +347,8 @@ func (r *Registry) Reload() (changed []string, err error) {
 	var errs []error
 	r.mu.Lock()
 	for i, t := range targets {
-		slots := r.live
-		if t.shadow {
-			slots = r.shadow
-		}
-		s := slots[t.arch]
+		st := r.state[t.arch] // arches are never removed
+		s := st.slot(t.shadow)
 		if s == nil || s.path != t.path {
 			// The slot was promoted, replaced or reconfigured while we
 			// read the file; its content, or failure, no longer
@@ -308,18 +366,11 @@ func (r *Registry) Reload() (changed []string, err error) {
 		if entry == nil {
 			continue
 		}
-		s.entry = entry
-		s.err = nil
 		changed = append(changed, t.name)
-		if st := r.stats[t.arch]; st != nil {
-			st.Reset()
-		}
-		if !t.shadow {
-			// A new live model means new drift windows against its own
-			// training baseline, and a fresh quality window — old
-			// outcomes described the replaced model.
-			r.installDriftLocked(t.arch, entry.Artifact)
-			r.installQualityLocked(t.arch, entry.Artifact)
+		if t.shadow {
+			st.setCandidate(slot{path: t.path, entry: entry})
+		} else {
+			st.setLive(entry)
 		}
 	}
 	r.mu.Unlock()
@@ -353,41 +404,33 @@ func loadEntry(path, oldHash string) (entry *Entry, fresh bool, err error) {
 // Promote atomically flips arch's shadow candidate to live: the
 // candidate becomes the serving entry, its file (none for a pushed
 // candidate) becomes the slot's reload source, the shadow slot
-// disappears and its tallies reset. Returns the new live hash.
+// disappears and its tallies with it. Returns the new live hash.
 func (r *Registry) Promote(arch string) (string, error) {
-	a := serve.NormalizeArch(arch)
 	r.mu.Lock()
-	if a == "" {
-		a = r.def
+	a, st := r.lookupLocked(arch)
+	var err error
+	switch {
+	case st == nil:
+		err = fmt.Errorf("registry: %w %q", serve.ErrUnknownArch, arch)
+	case st.stats == nil:
+		err = fmt.Errorf("registry: no shadow candidate registered for %q", a)
+	case st.cand.entry == nil:
+		err = fmt.Errorf("registry: shadow candidate for %q is not loaded", a)
 	}
-	ls, ok := r.live[a]
-	if !ok {
+	if err != nil {
 		r.mu.Unlock()
-		return "", fmt.Errorf("registry: %w %q", serve.ErrUnknownArch, arch)
+		return "", err
 	}
-	ss := r.shadow[a]
-	if ss == nil {
-		r.mu.Unlock()
-		return "", fmt.Errorf("registry: no shadow candidate registered for %q", a)
-	}
-	if ss.entry == nil {
-		r.mu.Unlock()
-		return "", fmt.Errorf("registry: shadow candidate for %q is not loaded", a)
-	}
-	ls.entry = ss.entry
-	ls.path = ss.path
-	ls.err = nil
-	delete(r.shadow, a)
-	delete(r.stats, a)
-	r.installDriftLocked(a, ls.entry.Artifact)
-	r.installQualityLocked(a, ls.entry.Artifact)
-	hash := ls.entry.Hash
+	c := st.cand
+	st.cand, st.stats = slot{}, nil
+	st.live.path = c.path
+	st.setLive(c.entry)
 	r.mu.Unlock()
 
 	r.promotes.Inc()
 	r.swaps.Inc()
 	r.fireSwapHooks()
-	return hash, nil
+	return c.entry.Hash, nil
 }
 
 // ---------------------------------------------------------------------
@@ -402,105 +445,73 @@ func (r *Registry) DefaultArch() string {
 
 // Arches lists the configured live architectures, sorted.
 func (r *Registry) Arches() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.archesLocked()
-}
-
-func (r *Registry) archesLocked() []string {
-	out := make([]string, 0, len(r.live))
-	for a := range r.live {
-		out = append(out, a)
+	_, arches := r.snapshot()
+	out := make([]string, len(arches))
+	for i, s := range arches {
+		out[i] = s.arch
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Live resolves arch ("" selects the default) to its serving model.
+// Live resolves arch ("" selects the default) to its serving model and,
+// in the same lookup, the loaded shadow candidate if there is one.
 func (r *Registry) Live(arch string) (serve.LiveModel, error) {
-	a := serve.NormalizeArch(arch)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if a == "" {
-		a = r.def
-	}
-	s, ok := r.live[a]
+	st, ok := r.current(arch)
 	if !ok {
 		return serve.LiveModel{}, fmt.Errorf("registry: %w %q (serving: %v)",
-			serve.ErrUnknownArch, arch, r.archesLocked())
+			serve.ErrUnknownArch, arch, r.Arches())
 	}
-	if s.entry == nil {
-		if s.err != nil {
-			return serve.LiveModel{}, fmt.Errorf("registry: %w for %q: %v", serve.ErrNotLoaded, a, s.err)
-		}
-		return serve.LiveModel{}, fmt.Errorf("registry: %w for %q (still loading)", serve.ErrNotLoaded, a)
+	if st.live.entry == nil {
+		return serve.LiveModel{}, notLoadedErr(st.arch, &st.live)
 	}
-	return serve.LiveModel{Arch: a, Hash: s.entry.Hash, Source: s.entry.Path, Artifact: s.entry.Artifact}, nil
-}
-
-// Shadow returns the loaded candidate for arch, when one is registered.
-func (r *Registry) Shadow(arch string) (serve.LiveModel, bool) {
-	a := serve.NormalizeArch(arch)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if a == "" {
-		a = r.def
+	lm := st.live.entry.model(st.arch)
+	if st.stats != nil && st.cand.entry != nil {
+		cm := st.cand.entry.model(st.arch)
+		lm.Candidate = &cm
 	}
-	s := r.shadow[a]
-	if s == nil || s.entry == nil {
-		return serve.LiveModel{}, false
-	}
-	return serve.LiveModel{Arch: a, Hash: s.entry.Hash, Source: s.entry.Path, Artifact: s.entry.Artifact}, true
+	return lm, nil
 }
 
 // Ready returns nil once every configured live and shadow artifact has
 // loaded, and otherwise an error naming a slot that has not.
 func (r *Registry) Ready() error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.live) == 0 {
+	_, arches := r.snapshot()
+	if len(arches) == 0 {
 		return fmt.Errorf("registry: no architectures configured")
 	}
-	for _, a := range r.archesLocked() {
-		if s := r.live[a]; s.entry == nil {
-			return notLoadedErr(a, s)
+	for _, s := range arches {
+		if s.live.entry == nil {
+			return notLoadedErr(s.arch, &s.live)
 		}
-	}
-	for a, s := range r.shadow {
-		if s.entry == nil {
-			return notLoadedErr("shadow:"+a, s)
+		if s.stats != nil && s.cand.entry == nil {
+			return notLoadedErr("shadow:"+s.arch, &s.cand)
 		}
 	}
 	return nil
 }
 
+// notLoadedErr explains why slot name has no entry.
 func notLoadedErr(name string, s *slot) error {
 	if s.err != nil {
-		return fmt.Errorf("registry: %s failed to load: %v", name, s.err)
+		return fmt.Errorf("registry: %w: %s failed to load: %v", serve.ErrNotLoaded, name, s.err)
 	}
-	return fmt.Errorf("registry: %s not loaded yet", name)
+	return fmt.Errorf("registry: %w: %s still loading", serve.ErrNotLoaded, name)
 }
 
 // Status reports the per-arch load state, sorted by arch.
 func (r *Registry) Status() []serve.ArchStatus {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]serve.ArchStatus, 0, len(r.live))
-	for _, a := range r.archesLocked() {
-		s := r.live[a]
-		st := serve.ArchStatus{Arch: a, Default: a == r.def, Source: s.path}
-		if s.entry != nil {
-			st.Loaded = true
-			st.Hash = s.entry.Hash
+	def, arches := r.snapshot()
+	out := make([]serve.ArchStatus, 0, len(arches))
+	for _, s := range arches {
+		st := serve.ArchStatus{
+			Arch: s.arch, Default: s.arch == def, Source: s.live.path,
+			Loaded: s.live.entry != nil, Hash: s.live.hash(),
 		}
-		if s.err != nil {
-			st.Error = s.err.Error()
+		if s.live.err != nil {
+			st.Error = s.live.err.Error()
 		}
-		if ss := r.shadow[a]; ss != nil {
-			st.Shadow = true
-			if ss.entry != nil {
-				st.ShadowHash = ss.entry.Hash
-			}
+		if s.stats != nil {
+			st.Shadow, st.ShadowHash = true, s.cand.hash()
 		}
 		out = append(out, st)
 	}

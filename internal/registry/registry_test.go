@@ -84,6 +84,20 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 }
 
+// candidateOf returns arch's loaded shadow candidate as Live reports
+// it alongside the live model.
+func candidateOf(t *testing.T, r *Registry, arch string) (serve.LiveModel, bool) {
+	t.Helper()
+	lm, err := r.Live(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lm.Candidate == nil {
+		return serve.LiveModel{}, false
+	}
+	return *lm.Candidate, true
+}
+
 func TestConfigureAndLoad(t *testing.T) {
 	dir := t.TempDir()
 	pT := saveArtifact(t, dir, "turing.gob", 10, 7)
@@ -266,7 +280,7 @@ func TestPromote(t *testing.T) {
 	if err := r.LoadAll(); err != nil {
 		t.Fatal(err)
 	}
-	cand, ok := r.Shadow("turing")
+	cand, ok := candidateOf(t, r, "turing")
 	if !ok || cand.Hash != fileHash(t, pCand) {
 		t.Fatalf("Shadow = %+v, %v", cand, ok)
 	}
@@ -295,7 +309,7 @@ func TestPromote(t *testing.T) {
 	if lm.Hash != hash || lm.Source != pCand {
 		t.Fatalf("post-promote live = %+v", lm)
 	}
-	if _, ok := r.Shadow("turing"); ok {
+	if _, ok := candidateOf(t, r, "turing"); ok {
 		t.Error("shadow slot survived promotion")
 	}
 	rep = r.ShadowReport().(ShadowReportData)

@@ -81,8 +81,6 @@ func (s *ShadowStats) recordMeasured(o serve.Outcome) {
 	}
 }
 
-func newShadowStats() *ShadowStats { return &ShadowStats{} }
-
 // record tallies one comparison.
 func (s *ShadowStats) record(live, cand serve.Prediction) {
 	s.scored.Add(1)
@@ -98,22 +96,6 @@ func (s *ShadowStats) record(live, cand serve.Prediction) {
 	}
 }
 
-// Reset zeroes the tallies — the comparison restarts when either side
-// of the pair is swapped.
-func (s *ShadowStats) Reset() {
-	s.scored.Store(0)
-	s.agree.Store(0)
-	s.disagree.Store(0)
-	s.outOfRange.Store(0)
-	for i := range s.confusion {
-		s.confusion[i].Store(0)
-	}
-	s.measuredMu.Lock()
-	s.measured, s.liveWins, s.candWins, s.ties = 0, 0, 0, 0
-	s.liveLogRegret, s.candLogRegret, s.regretMeasured = 0, 0, 0
-	s.measuredMu.Unlock()
-}
-
 // Shadow metrics share the obs registry with everything else.
 var (
 	shadowScored   = obs.Default.Counter("registry/shadow/scored")
@@ -122,18 +104,15 @@ var (
 )
 
 // RecordShadow tallies one live-vs-candidate comparison for arch. A
-// race with Promote (the stats vanish between the request resolving
-// the shadow and recording) drops the sample silently — the pair it
-// describes no longer exists.
+// comparison racing a swap of either side lands in the replaced
+// tallies, or nowhere once the candidate is gone: the pair it describes
+// no longer exists.
 func (r *Registry) RecordShadow(arch string, live, cand serve.Prediction) {
-	a := serve.NormalizeArch(arch)
-	r.mu.RLock()
-	st := r.stats[a]
-	r.mu.RUnlock()
-	if st == nil {
+	st, _ := r.current(arch)
+	if st.stats == nil {
 		return
 	}
-	st.record(live, cand)
+	st.stats.record(live, cand)
 	shadowScored.Inc()
 	if live.Label == cand.Label {
 		shadowAgree.Inc()
@@ -182,18 +161,18 @@ type ShadowReportData struct {
 
 // ShadowReport snapshots every registered live/candidate pair.
 func (r *Registry) ShadowReport() any {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	report := ShadowReportData{Arches: []ArchShadowReport{}}
-	for _, a := range r.archesLocked() {
-		ss := r.shadow[a]
-		st := r.stats[a]
-		if ss == nil || st == nil {
+	_, arches := r.snapshot()
+	for _, s := range arches {
+		st := s.stats
+		if st == nil {
 			continue
 		}
 		ar := ArchShadowReport{
-			Arch:          a,
-			CandidatePath: ss.path,
+			Arch:          s.arch,
+			LiveHash:      s.live.hash(),
+			CandidateHash: s.cand.hash(),
+			CandidatePath: s.cand.path,
 			Scored:        st.scored.Load(),
 			Agree:         st.agree.Load(),
 			Disagree:      st.disagree.Load(),
@@ -214,12 +193,6 @@ func (r *Registry) ShadowReport() any {
 			ar.CandidateRegretGM = math.Exp(st.candLogRegret / n)
 		}
 		st.measuredMu.Unlock()
-		if ls := r.live[a]; ls != nil && ls.entry != nil {
-			ar.LiveHash = ls.entry.Hash
-		}
-		if ss.entry != nil {
-			ar.CandidateHash = ss.entry.Hash
-		}
 		grid := make([][]int64, numClasses)
 		for i := range grid {
 			grid[i] = make([]int64, numClasses)

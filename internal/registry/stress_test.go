@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/features"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
@@ -19,10 +20,13 @@ import (
 // goroutines hammer the single-matrix and batch prediction endpoints
 // while another goroutine concurrently rewrites the artifact files,
 // reloads, and promotes the shadow candidate. Every request must
-// succeed and every response must carry a model hash that corresponds
-// to one of the artifacts that was ever installed — a torn swap would
-// surface as a failed request, an unknown hash, or a race report
-// (this test is what `go test -race` is for).
+// succeed, every response must carry a model hash that corresponds to
+// one of the artifacts that was ever installed, and every answer must
+// equal the reference pipeline — streaming sparse.ReadMatrixMarket ->
+// features.Extract -> Artifact.Predict — on the artifact that hash
+// names. A torn swap would surface as a failed request, an unknown
+// hash, a wrong answer, or a race report (this test is what `go test
+// -race` is for).
 func TestStressHotSwapUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	vA := saveArtifact(t, dir, "a.gob", 10, 7)
@@ -33,10 +37,13 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 	copyFile(t, vA, live)
 	copyFile(t, vC, cand)
 
-	known := map[string]bool{
-		fileHash(t, vA): true,
-		fileHash(t, vB): true,
-		fileHash(t, vC): true,
+	arts := map[string]*serve.Artifact{}
+	for _, p := range []string{vA, vB, vC} {
+		art, err := serve.LoadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts[fileHash(t, p)] = art
 	}
 
 	r := New()
@@ -71,6 +78,22 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// want[hash][i] is the reference answer of the artifact named hash
+	// to bodies[i].
+	want := map[string][]serve.Prediction{}
+	for hash, art := range arts {
+		for _, body := range bodies {
+			m, err := sparse.ReadMatrixMarket(bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := art.Predict(features.Extract(m).Slice())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[hash] = append(want[hash], p)
+		}
 	}
 
 	const (
@@ -109,9 +132,14 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 		close(stop)
 	}()
 
-	checkHash := func(kind string, i int, hash string) {
-		if !known[hash] {
-			fail("%s %d: response hash %q is not any installed artifact", kind, i, hash)
+	// check compares one answer to bodies[body] with the reference on
+	// the artifact the response names.
+	check := func(where, hash string, body int, got serve.Prediction) {
+		ref, ok := want[hash]
+		if !ok {
+			fail("%s: response hash %q is not any installed artifact", where, hash)
+		} else if got != ref[body] {
+			fail("%s: served %+v, reference (%s) answers %+v", where, got, hash, ref[body])
 		}
 	}
 
@@ -121,12 +149,13 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < requests; i++ {
 				if c%2 == 0 {
+					body := (c + i) % len(bodies)
 					req := httptest.NewRequest(http.MethodPost, "/v1/predict/matrix",
-						bytes.NewReader(bodies[(c+i)%len(bodies)]))
+						bytes.NewReader(bodies[body]))
 					rec := httptest.NewRecorder()
 					h.ServeHTTP(rec, req)
 					var out struct {
-						Format    string `json:"format"`
+						serve.Prediction
 						ModelHash string `json:"model_hash"`
 					}
 					if rec.Code != http.StatusOK {
@@ -137,7 +166,7 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 						fail("matrix %d/%d: bad body %q (%v)", c, i, rec.Body.String(), err)
 						continue
 					}
-					checkHash("matrix", i, out.ModelHash)
+					check(fmt.Sprintf("matrix %d/%d", c, i), out.ModelHash, body, out.Prediction)
 				} else {
 					req := httptest.NewRequest(http.MethodPost, "/v1/predict/batch",
 						bytes.NewReader(batchBody))
@@ -148,11 +177,9 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 						continue
 					}
 					var out struct {
-						ModelHash string `json:"model_hash"`
-						Errors    int    `json:"errors"`
-						Results   []struct {
-							Format string `json:"format"`
-						} `json:"results"`
+						ModelHash string             `json:"model_hash"`
+						Errors    int                `json:"errors"`
+						Results   []serve.Prediction `json:"results"`
 					}
 					if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 						fail("batch %d/%d: bad body (%v)", c, i, err)
@@ -160,8 +187,11 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 					}
 					if out.Errors != 0 || len(out.Results) != 3 {
 						fail("batch %d/%d: %d errors, %d results", c, i, out.Errors, len(out.Results))
+						continue
 					}
-					checkHash("batch", i, out.ModelHash)
+					for k, got := range out.Results {
+						check(fmt.Sprintf("batch %d/%d[%d]", c, i, k), out.ModelHash, k, got)
+					}
 				}
 			}
 		}(c)
@@ -203,7 +233,7 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 		t.Fatalf("not ready after stress: %v", err)
 	}
 	lm, err := r.Live("")
-	if err != nil || !known[lm.Hash] {
+	if err != nil || arts[lm.Hash] == nil {
 		t.Fatalf("final live = %+v, %v", lm, err)
 	}
 	if fmt.Sprint(r.Arches()) != "[turing]" {

@@ -6,17 +6,21 @@ import (
 	"repro/internal/obs"
 )
 
-// The /v1/admin/* surface: reload, promote, shadow report. Admin
-// requests mutate which model answers traffic, so they refuse
-// unauthenticated callers by default — the server must be started with
-// an admin token, and every request must present it as a bearer token
-// (obs.CheckBearer).
+// The /v1/admin/* surface: reload, promote, shadow, drift and quality
+// reports. Admin requests mutate which model answers traffic, so they
+// refuse unauthenticated callers by default — the server must be
+// started with an admin token, and every request must present it as a
+// bearer token (obs.CheckBearer).
+
+// errNoAdmin is the 501 answer of every endpoint that needs an
+// AdminBackend, on a server without one.
+var errNoAdmin = obs.ErrorBody{Error: "this server hosts a static model; feedback and admin operations need the registry (-models)"}
 
 // adminEndpoint wraps an admin handler with the method check, the
 // token gate and the admin metrics. needBackend marks handlers that
-// mutate or read the AdminBackend (reload, promote, shadow) — they
-// answer 501 on a static server; read-only telemetry endpoints (SLO,
-// drift, traces) work on any backend and pass false.
+// mutate or read the AdminBackend — they answer 501 on a static
+// server; the SLO and trace endpoints work on any backend and pass
+// false.
 func (s *Server) adminEndpoint(method string, needBackend bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.adminReqs.Inc()
@@ -28,8 +32,7 @@ func (s *Server) adminEndpoint(method string, needBackend bool, h http.HandlerFu
 			return
 		}
 		if needBackend && s.admin == nil {
-			obs.WriteJSON(w, http.StatusNotImplemented,
-				obs.ErrorBody{Error: "this server hosts a static model; admin operations need the registry (-models)"})
+			obs.WriteJSON(w, http.StatusNotImplemented, errNoAdmin)
 			return
 		}
 		h(w, r)
@@ -100,11 +103,6 @@ type shadowInstallResponse struct {
 // filesystem with the controller. Scoring starts immediately;
 // promotion stays a separate, explicit step.
 func (s *Server) adminShadowInstall(w http.ResponseWriter, r *http.Request) {
-	if s.installer == nil {
-		obs.WriteJSON(w, http.StatusNotImplemented,
-			obs.ErrorBody{Error: "this server cannot accept pushed candidates; serve from the registry (-models)"})
-		return
-	}
 	data, err := s.readBody(r)
 	if err != nil {
 		writeError(w, err)
@@ -114,7 +112,7 @@ func (s *Server) adminShadowInstall(w http.ResponseWriter, r *http.Request) {
 	if arch == "" {
 		arch = s.backend.DefaultArch()
 	}
-	hash, err := s.installer.InstallShadow(arch, data)
+	hash, err := s.admin.InstallShadow(arch, data)
 	if err != nil {
 		obs.WriteJSON(w, http.StatusConflict, obs.ErrorBody{Error: err.Error()})
 		return
@@ -128,14 +126,7 @@ func (s *Server) adminSLO(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, s.slo.Report())
 }
 
-// adminDrift returns the served-prediction drift report. 501 when the
-// backend has no drift monitor (static servers, artifacts trained
-// before baselines existed).
+// adminDrift returns the served-prediction drift report.
 func (s *Server) adminDrift(w http.ResponseWriter, r *http.Request) {
-	if s.drift == nil {
-		obs.WriteJSON(w, http.StatusNotImplemented,
-			obs.ErrorBody{Error: "this backend has no drift monitor; serve from the registry (-models)"})
-		return
-	}
-	obs.WriteJSON(w, http.StatusOK, s.drift.DriftReport())
+	obs.WriteJSON(w, http.StatusOK, s.admin.DriftReport())
 }

@@ -174,6 +174,9 @@ func (a *Artifact) Validate() error {
 		if !classify.Persistable(a.Clf) {
 			return fmt.Errorf("serve: classifier %T is not persistable", a.Clf)
 		}
+		if err := checkPipeline("classifier", a.Pipeline, a.Clf); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("serve: unknown artifact kind %q", a.Kind)
 	}
@@ -186,6 +189,22 @@ func (a *Artifact) Validate() error {
 		if err := a.Cascade.Validate(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkPipeline rejects a decoded pipeline with an empty stage, and a
+// classifier fitted on vectors of another width than its pipeline
+// emits. Either would panic at predict time: a KNN, for one, measuring
+// the distance between vectors of unequal length.
+func checkPipeline(what string, p preprocess.Chain, clf classify.Classifier) error {
+	for i, t := range p {
+		if t == nil {
+			return fmt.Errorf("serve: %s pipeline stage %d is empty", what, i)
+		}
+	}
+	if in, out := classify.InputDim(clf), p.OutDim(); in != out {
+		return fmt.Errorf("serve: %s takes %d features but its pipeline emits %d", what, in, out)
 	}
 	return nil
 }

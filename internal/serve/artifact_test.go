@@ -10,10 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/gpusim"
+	"repro/internal/preprocess"
 	"repro/internal/sparse"
 )
 
@@ -219,6 +221,55 @@ func TestLoadRejectsForeignStreams(t *testing.T) {
 	}
 	if err := (&Artifact{Kind: "mystery", Formats: KernelFormatNames()}).Validate(); err == nil {
 		t.Error("unknown kind validated")
+	}
+}
+
+// TestLoadRejectsMisfitPipeline: each of these artifacts decodes, and
+// at the parent each either loaded and then panicked in Predict (a KNN
+// fitted on 3-vectors behind the 8-wide pipeline, measuring distances
+// between vectors of unequal length; an empty pipeline stage; a PCA
+// stage without components) or panicked in Load itself (a cascade
+// whose first stage is empty). A reload or a pushed shadow candidate
+// reaches both through Load, which must refuse them with an error.
+func TestLoadRejectsMisfitPipeline(t *testing.T) {
+	ms, best := labelledCorpus(t, "Turing")
+	knn, err := TrainClassifierArtifact("knn", "Turing", features.Matrix(features.ExtractAll(ms)), labelsOf(best), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := classify.NewKNN(1)
+	if err := narrow.Fit([][]float64{{0, 0, 0}, {1, 1, 1}}, []int{0, 1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	narrowKNN := *knn
+	narrowKNN.Clf = narrow
+	emptyStage := *knn
+	emptyStage.Pipeline = preprocess.Chain{knn.Pipeline[0], nil, knn.Pipeline[2]}
+	pca := *knn.Pipeline[2].(*preprocess.PCA)
+	pca.Components = nil
+	noComponents := *knn
+	noComponents.Pipeline = preprocess.Chain{knn.Pipeline[0], knn.Pipeline[1], &pca}
+	casc, _ := cascadeArtifact(t, 0.6)
+	stage := *casc.Cascade
+	stage.Pipeline = append(preprocess.Chain{nil}, stage.Pipeline[1:]...)
+	emptyCascadeStage := *casc
+	emptyCascadeStage.Cascade = &stage
+
+	for name, art := range map[string]Artifact{
+		"knn fitted on 3-vectors": narrowKNN,
+		"empty pipeline stage":    emptyStage,
+		"pca without components":  noComponents,
+		"empty cascade stage":     emptyCascadeStage,
+	} {
+		// Save validates, so the artifact is encoded the way Save would.
+		var buf bytes.Buffer
+		io.WriteString(&buf, artifactMagic)
+		if err := gob.NewEncoder(&buf).Encode(artifactEnvelope{Version: ArtifactVersion, Payload: art}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: Load accepted it", name)
+		}
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // models come from. A single static artifact (the original `serve
 // -model` deployment) and the multi-architecture registry
 // (internal/registry, `serve -models`) both satisfy it; the registry
-// additionally implements AdminBackend, which unlocks the /v1/admin/*
-// endpoints (reload, promote, shadow report).
+// additionally implements AdminBackend, which unlocks /v1/feedback and
+// the /v1/admin/* model endpoints (reload, promote, shadow, drift,
+// quality).
 
 // Routing errors a Backend returns from Live. The server maps them to
 // HTTP statuses: unknown arch -> 404, configured-but-unloaded -> 503.
@@ -39,6 +40,10 @@ type LiveModel struct {
 	Source string
 	// Artifact is the fitted pipeline itself.
 	Artifact *Artifact
+	// Candidate is the loaded shadow candidate for Arch, resolved in the
+	// same lookup as the live model; nil when there is none. The server
+	// scores it on every request the live model answers.
+	Candidate *LiveModel
 }
 
 // ArchStatus is the per-architecture load state reported on /readyz and
@@ -55,37 +60,20 @@ type ArchStatus struct {
 }
 
 // Backend is the model source behind a Server: it resolves request
-// architectures to live artifacts, exposes shadow candidates for
-// side-by-side scoring, and reports readiness.
+// architectures to live artifacts and their shadow candidates, tallies
+// live-vs-candidate comparisons, and reports readiness.
 type Backend interface {
 	// DefaultArch is the architecture serving requests that name none.
 	DefaultArch() string
 	// Live resolves arch ("" selects the default) to the model serving
-	// it. Errors wrap ErrUnknownArch or ErrNotLoaded.
+	// it, with its candidate. Errors wrap ErrUnknownArch or ErrNotLoaded.
 	Live(arch string) (LiveModel, error)
-	// Shadow returns the candidate registered for the resolved arch.
-	Shadow(arch string) (LiveModel, bool)
 	// RecordShadow tallies one live-vs-candidate comparison for arch.
 	RecordShadow(arch string, live, cand Prediction)
 	// Ready returns nil once every configured artifact has loaded.
 	Ready() error
 	// Status lists the per-arch load state for /readyz.
 	Status() []ArchStatus
-}
-
-// DriftBackend is the optional drift-monitoring surface: backends that
-// implement it receive every served prediction and answer
-// /v1/admin/drift. The registry implements it by comparing per-arch
-// rolling windows of served predictions and features against the live
-// artifact's training baseline.
-type DriftBackend interface {
-	// RecordServed feeds one served prediction into the monitor. vec is
-	// the raw feature vector, or nil when the request was answered
-	// without parsing the body (a cache hit).
-	RecordServed(arch string, p Prediction, vec []float64)
-	// DriftReport returns the JSON-serialisable drift report and
-	// refreshes any derived gauges.
-	DriftReport() any
 }
 
 // Outcome is one measured prediction outcome, assembled by the
@@ -115,41 +103,39 @@ type Outcome struct {
 	CandidateMs  float64
 }
 
-// QualityBackend is the optional measured-quality surface: backends
-// that implement it receive every feedback outcome and answer
-// /v1/admin/quality. The registry implements it with per-arch rolling
-// windows of top-1 accuracy, regret quantiles and a predicted-vs-best
-// confusion matrix, and routes shadow-candidate outcomes into the
-// shadow report so promotions can weigh measured quality.
-type QualityBackend interface {
-	// RecordOutcome feeds one measured outcome for arch into the
-	// quality windows.
-	RecordOutcome(arch string, o Outcome)
-	// QualityReport returns the JSON-serialisable quality report and
-	// refreshes the derived quality gauges.
-	QualityReport() any
-}
-
-// AdminBackend is the optional mutation surface behind /v1/admin/*.
+// AdminBackend is the optional surface of a backend that monitors and
+// swaps its models, as the registry does. It receives every served
+// prediction and feedback outcome, answers the drift, quality and
+// shadow reports, and reloads, promotes and installs models. Without
+// it, /v1/feedback and those /v1/admin/* endpoints answer 501.
 type AdminBackend interface {
+	// RecordServed feeds one served prediction into the drift monitor,
+	// which compares rolling windows of served formats and features
+	// with the live artifact's training baseline. vec is the full
+	// feature vector, or nil when the cascade's cheap stage answered.
+	RecordServed(arch string, p Prediction, vec []float64)
+	// RecordOutcome feeds one measured outcome for arch into the
+	// quality windows (top-1 accuracy, regret quantiles, a
+	// predicted-vs-best confusion matrix) and, when a candidate also
+	// answered, into the shadow report's measured tallies.
+	RecordOutcome(arch string, o Outcome)
+	// DriftReport, QualityReport and ShadowReport return the
+	// JSON-serialisable reports; the first two also refresh their
+	// gauges.
+	DriftReport() any
+	QualityReport() any
+	ShadowReport() any
 	// Reload re-reads every artifact from its source, swapping only the
 	// ones whose content hash changed, and returns their names.
 	Reload() (changed []string, err error)
 	// Promote flips arch's shadow candidate to live and returns the new
 	// live hash.
 	Promote(arch string) (newHash string, err error)
-	// ShadowReport returns the JSON-serialisable shadow evaluation
-	// report.
-	ShadowReport() any
-}
-
-// ShadowInstaller is the optional push-rollout surface: backends that
-// implement it accept candidate artifact bytes over the wire (the
-// fleet rollout controller's push phase) instead of requiring the
-// candidate to pre-exist on every replica's disk. The returned hash is
-// the backend's own content hash of what it received — the caller
-// compares it against the hash of what it sent to detect corruption.
-type ShadowInstaller interface {
+	// InstallShadow accepts candidate artifact bytes over the wire (the
+	// fleet rollout's push phase), so the candidate need not exist on
+	// every replica's disk. The returned hash is the backend's own
+	// content hash of what it received; the caller compares it with the
+	// hash of what it sent to detect corruption.
 	InstallShadow(arch string, data []byte) (hash string, err error)
 }
 
@@ -215,7 +201,6 @@ func (b *staticBackend) Live(arch string) (LiveModel, error) {
 	return LiveModel{}, fmt.Errorf("%w %q (this server hosts only %q)", ErrUnknownArch, arch, b.m.Arch)
 }
 
-func (b *staticBackend) Shadow(string) (LiveModel, bool)             { return LiveModel{}, false }
 func (b *staticBackend) RecordShadow(string, Prediction, Prediction) {}
 func (b *staticBackend) Ready() error                                { return nil }
 

@@ -16,14 +16,16 @@ import (
 )
 
 // fakeBackend is a swappable in-memory Backend + AdminBackend for
-// exercising the server's routing, shadow scoring, readiness and admin
-// plumbing without the registry (which has its own tests).
+// exercising the server's routing, shadow scoring, feedback, readiness
+// and admin plumbing without the registry (which has its own tests).
 type fakeBackend struct {
 	mu       sync.Mutex
 	def      string
 	models   map[string]LiveModel
 	shadows  map[string]LiveModel
 	records  []string // "arch live->cand" per RecordShadow
+	outcomes []Outcome
+	arches   []string // the arch of each outcome
 	notReady error
 	reloadCh []string
 }
@@ -60,14 +62,10 @@ func (f *fakeBackend) Live(arch string) (LiveModel, error) {
 	if lm.Artifact == nil {
 		return LiveModel{}, fmt.Errorf("%w for %q", ErrNotLoaded, a)
 	}
+	if cand, ok := f.shadows[a]; ok {
+		lm.Candidate = &cand
+	}
 	return lm, nil
-}
-
-func (f *fakeBackend) Shadow(arch string) (LiveModel, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	lm, ok := f.shadows[NormalizeArch(arch)]
-	return lm, ok
 }
 
 func (f *fakeBackend) RecordShadow(arch string, live, cand Prediction) {
@@ -109,6 +107,27 @@ func (f *fakeBackend) Promote(arch string) (string, error) {
 
 func (f *fakeBackend) ShadowReport() any {
 	return map[string]any{"fake": true}
+}
+
+func (f *fakeBackend) InstallShadow(string, []byte) (string, error) {
+	return "", fmt.Errorf("fake backend takes no pushed candidates")
+}
+
+func (f *fakeBackend) RecordServed(string, Prediction, []float64) {}
+
+func (f *fakeBackend) DriftReport() any { return map[string]any{"fake": true} }
+
+func (f *fakeBackend) RecordOutcome(arch string, o Outcome) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.outcomes = append(f.outcomes, o)
+	f.arches = append(f.arches, arch)
+}
+
+func (f *fakeBackend) QualityReport() any {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return map[string]any{"outcomes": len(f.outcomes)}
 }
 
 // trainArtifact fits a small semisup artifact over the shared corpus;
@@ -476,10 +495,19 @@ func adminReq(t *testing.T, h http.Handler, method, path, token string) *httptes
 
 // TestAdminAuth: the admin surface refuses unauthenticated mutation by
 // default (no token configured -> 401 for everyone), enforces the
-// configured token, and still answers 501 for static backends.
+// configured token, and still answers 501 for static backends on every
+// endpoint that needs the admin backend.
 func TestAdminAuth(t *testing.T) {
 	ms, best := labelledCorpus(t, "Turing")
 	art := trainArtifact(t, ms, best, 10, 7)
+	backendPaths := []struct{ method, path string }{
+		{http.MethodPost, "/v1/admin/reload"},
+		{http.MethodPost, "/v1/admin/promote"},
+		{http.MethodGet, "/v1/admin/shadow"},
+		{http.MethodPost, "/v1/admin/shadow/install"},
+		{http.MethodGet, "/v1/admin/drift"},
+		{http.MethodGet, "/v1/admin/quality"},
+	}
 
 	// No token configured: every admin request is refused.
 	srvNoToken, err := NewServer(art, Config{})
@@ -487,11 +515,7 @@ func TestAdminAuth(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := srvNoToken.Handler()
-	for _, p := range []struct{ method, path string }{
-		{http.MethodPost, "/v1/admin/reload"},
-		{http.MethodPost, "/v1/admin/promote"},
-		{http.MethodGet, "/v1/admin/shadow"},
-	} {
+	for _, p := range backendPaths {
 		rec := adminReq(t, h, p.method, p.path, "")
 		if rec.Code != http.StatusUnauthorized {
 			t.Errorf("%s with no token configured: %d, want 401", p.path, rec.Code)
@@ -514,9 +538,10 @@ func TestAdminAuth(t *testing.T) {
 	if rec.Code != http.StatusUnauthorized || rec.Header().Get("WWW-Authenticate") == "" {
 		t.Errorf("wrong token: %d %q, want 401 + WWW-Authenticate", rec.Code, rec.Header().Get("WWW-Authenticate"))
 	}
-	rec = adminReq(t, h, http.MethodPost, "/v1/admin/reload", "s3cret")
-	if rec.Code != http.StatusNotImplemented {
-		t.Errorf("static backend admin: %d, want 501", rec.Code)
+	for _, p := range backendPaths {
+		if rec := adminReq(t, h, p.method, p.path, "s3cret"); rec.Code != http.StatusNotImplemented {
+			t.Errorf("static backend %s: %d, want 501", p.path, rec.Code)
+		}
 	}
 	rec = adminReq(t, h, http.MethodGet, "/v1/admin/reload", "s3cret")
 	if rec.Code != http.StatusMethodNotAllowed {

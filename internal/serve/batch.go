@@ -87,14 +87,14 @@ type batchResponse struct {
 // predictBatchItem answers one batch position: the shared predictBody
 // path plus the per-item feedback registration (batch item i of
 // request ID reports as "ID#i").
-func (s *Server) predictBatchItem(ctx context.Context, lm, cand LiveModel, scratch *features.Scratch, ps *sparse.ParseScratch, item []byte, i int) batchItem {
+func (s *Server) predictBatchItem(ctx context.Context, lm LiveModel, scratch *features.Scratch, ps *sparse.ParseScratch, item []byte, i int) batchItem {
 	if err := ctx.Err(); err != nil {
 		return batchItem{Error: "request cancelled: " + err.Error()}
 	}
 	if len(item) == 0 {
 		return batchItem{Error: "empty matrix body"}
 	}
-	ans, err := s.predictBody(ctx, lm, cand, scratch, ps, item)
+	ans, err := s.predictBody(ctx, lm, scratch, ps, item)
 	if err != nil {
 		return batchItem{Error: err.Error()}
 	}
@@ -148,7 +148,6 @@ func (s *Server) predictBatch(ctx context.Context, r *http.Request) (any, error)
 	s.batchReqs.Inc()
 	s.batchItems.Add(int64(n))
 
-	cand, _ := s.backend.Shadow(lm.Arch)
 	results := make([]batchItem, n)
 	var itemErrs atomic.Int64
 	var crashed atomic.Pointer[string]
@@ -174,7 +173,7 @@ func (s *Server) predictBatch(ctx context.Context, r *http.Request) (any, error)
 			// the parent X-Request-ID.
 			ictx, span := obs.StartChild(ctx, "serve/batch/item")
 			span.SetMetric("index", float64(i))
-			results[i] = s.predictBatchItem(ictx, lm, cand, &scratch, ps, items[i], i)
+			results[i] = s.predictBatchItem(ictx, lm, &scratch, ps, items[i], i)
 			if results[i].Error != "" {
 				itemErrs.Add(1)
 			}

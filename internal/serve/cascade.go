@@ -73,6 +73,9 @@ func (c *Cascade) Validate() error {
 	if _, ok := c.Clf.(ProbaClassifier); !ok {
 		return fmt.Errorf("serve: cascade classifier %T has no probability estimate", c.Clf)
 	}
+	if err := checkPipeline("cascade classifier", c.Pipeline, c.Clf); err != nil {
+		return err
+	}
 	if d := c.Pipeline.InDim(); d != 0 && d != features.CheapCount {
 		return fmt.Errorf("serve: cascade pipeline expects %d features, stage has %d", d, features.CheapCount)
 	}

@@ -251,11 +251,11 @@ func TestPredictBodyMemoHitAllocs(t *testing.T) {
 	var scratch features.Scratch
 	ps := sparse.GetParseScratch()
 	defer sparse.PutParseScratch(ps)
-	if _, err := srv.predictBody(context.Background(), lm, LiveModel{}, &scratch, ps, mm); err != nil {
+	if _, err := srv.predictBody(context.Background(), lm, &scratch, ps, mm); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := srv.predictBody(context.Background(), lm, LiveModel{}, &scratch, ps, mm); err != nil {
+		if _, err := srv.predictBody(context.Background(), lm, &scratch, ps, mm); err != nil {
 			t.Fatal(err)
 		}
 	})

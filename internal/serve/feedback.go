@@ -117,7 +117,7 @@ func (p *pendingStore) take(key string) (pendingPred, bool) {
 
 // notePending remembers one served prediction under its feedback key
 // so a later /v1/feedback can be joined against it. No-op unless the
-// backend has a quality surface (feedback answers 501 without one).
+// backend has an admin surface (feedback answers 501 without one).
 func (s *Server) notePending(ctx context.Context, itemSuffix string, lm LiveModel, live Prediction, cand Prediction, candOK bool) {
 	if s.pending == nil {
 		return
@@ -173,10 +173,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
-	if s.quality == nil {
+	if s.admin == nil {
 		s.feedbackRejected.Inc()
-		obs.WriteJSON(w, http.StatusNotImplemented,
-			obs.ErrorBody{Error: "this backend keeps no quality windows; serve from the registry (-models)"})
+		obs.WriteJSON(w, http.StatusNotImplemented, errNoAdmin)
 		return
 	}
 	resp, err := s.feedback(r)
@@ -191,7 +190,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 // feedback validates one report, joins it against the pending
-// prediction, and feeds the outcome to the quality backend.
+// prediction, and feeds the outcome to the admin backend.
 func (s *Server) feedback(r *http.Request) (*feedbackResponse, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxFeedbackBody+1))
 	if err != nil {
@@ -276,7 +275,7 @@ func (s *Server) feedback(r *http.Request) (*feedbackResponse, error) {
 		return nil, &httpError{status: http.StatusNotFound,
 			err: fmt.Errorf("request ID %q was already reported", key)}
 	}
-	s.quality.RecordOutcome(pp.arch, o)
+	s.admin.RecordOutcome(pp.arch, o)
 
 	return &feedbackResponse{
 		RequestID: req.RequestID,
@@ -299,15 +298,9 @@ func containsFormat(formats []string, f string) bool {
 }
 
 // adminQuality is GET /v1/admin/quality: the measured-quality report,
-// plus the server's cascade tallies. 501 when the backend keeps no
-// quality windows (static servers).
+// plus the server's cascade tallies.
 func (s *Server) adminQuality(w http.ResponseWriter, r *http.Request) {
-	if s.quality == nil {
-		obs.WriteJSON(w, http.StatusNotImplemented,
-			obs.ErrorBody{Error: "this backend keeps no quality windows; serve from the registry (-models)"})
-		return
-	}
-	report := s.quality.QualityReport()
+	report := s.admin.QualityReport()
 	// Graft the cascade stats onto the backend's report without
 	// changing its top-level shape — replay and the dashboards decode
 	// the window_size/arches keys directly.

@@ -14,36 +14,13 @@ import (
 	"repro/internal/obs"
 )
 
-// qualityFake wraps fakeBackend with an outcome recorder, so the
-// feedback endpoint joins against a real backend without pulling the
-// registry into serve's tests.
-type qualityFake struct {
-	*fakeBackend
-	mu       sync.Mutex
-	outcomes []Outcome
-	arches   []string
-}
-
-func (q *qualityFake) RecordOutcome(arch string, o Outcome) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.outcomes = append(q.outcomes, o)
-	q.arches = append(q.arches, arch)
-}
-
-func (q *qualityFake) QualityReport() any {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return map[string]any{"outcomes": len(q.outcomes)}
-}
-
-// qualityServer builds a backend server whose backend records
-// outcomes, plus one predictable matrix body.
-func qualityServer(t testing.TB, cfg Config) (*Server, *qualityFake, []byte, Prediction) {
+// qualityServer builds a server over the fake backend, which records
+// feedback outcomes, plus one predictable matrix body.
+func qualityServer(t testing.TB, cfg Config) (*Server, *fakeBackend, []byte, Prediction) {
 	t.Helper()
 	ms, best := labelledCorpus(t, "Turing")
 	art := trainArtifact(t, ms, best, 10, 7)
-	qb := &qualityFake{fakeBackend: newFakeBackend("turing")}
+	qb := newFakeBackend("turing")
 	qb.set("turing", art, "hash-q")
 	srv, err := NewBackendServer(qb, cfg)
 	if err != nil {

@@ -173,17 +173,14 @@ func (c Config) withDefaults() Config {
 // and emitted in the access log. Requests to /v1/* also feed the
 // rolling SLO windows behind /v1/admin/slo.
 type Server struct {
-	backend   Backend
-	admin     AdminBackend    // nil when the backend has no admin surface
-	drift     DriftBackend    // nil when the backend has no drift monitor
-	quality   QualityBackend  // nil when the backend keeps no quality windows
-	installer ShadowInstaller // nil when the backend cannot accept pushed candidates
-	cfg       Config
-	sem       chan struct{}
-	featMemo  *featMemo
-	capture   *obs.CaptureWriter // nil unless recording traffic
-	pending   *pendingStore      // nil unless quality != nil
-	started   time.Time
+	backend  Backend
+	admin    AdminBackend // nil when the backend has no admin surface
+	cfg      Config
+	sem      chan struct{}
+	featMemo *featMemo
+	capture  *obs.CaptureWriter // nil unless recording traffic
+	pending  *pendingStore      // nil unless admin != nil
+	started  time.Time
 
 	slo       *obs.SLOWindows
 	accessLog *slog.Logger
@@ -228,27 +225,22 @@ func NewServer(art *Artifact, cfg Config) (*Server, error) {
 }
 
 // NewBackendServer builds the HTTP service over any model backend.
-// When the backend also implements AdminBackend the /v1/admin/*
-// endpoints are live (still gated by Config.AdminToken).
+// When the backend also implements AdminBackend, /v1/feedback and the
+// /v1/admin/* model endpoints are live (the admin ones still gated by
+// Config.AdminToken).
 func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 	if b == nil {
 		return nil, fmt.Errorf("serve: nil backend")
 	}
 	cfg = cfg.withDefaults()
 	admin, _ := b.(AdminBackend)
-	drift, _ := b.(DriftBackend)
-	quality, _ := b.(QualityBackend)
-	installer, _ := b.(ShadowInstaller)
 	var pending *pendingStore
-	if quality != nil {
+	if admin != nil {
 		pending = newPendingStore(pendingFeedback)
 	}
 	s := &Server{
 		backend:      b,
 		admin:        admin,
-		drift:        drift,
-		quality:      quality,
-		installer:    installer,
 		cfg:          cfg,
 		sem:          make(chan struct{}, cfg.MaxConcurrent),
 		featMemo:     newFeatMemo(cfg.FeatMemoSize),
@@ -398,10 +390,10 @@ func (s *Server) Handler() http.Handler {
 	route("/v1/admin/reload", s.adminEndpoint(http.MethodPost, true, s.adminReload))
 	route("/v1/admin/promote", s.adminEndpoint(http.MethodPost, true, s.adminPromote))
 	route("/v1/admin/shadow", s.adminEndpoint(http.MethodGet, true, s.adminShadow))
-	route("/v1/admin/shadow/install", s.adminEndpoint(http.MethodPost, false, s.adminShadowInstall))
+	route("/v1/admin/shadow/install", s.adminEndpoint(http.MethodPost, true, s.adminShadowInstall))
 	route("/v1/admin/slo", s.adminEndpoint(http.MethodGet, false, s.adminSLO))
-	route("/v1/admin/drift", s.adminEndpoint(http.MethodGet, false, s.adminDrift))
-	route("/v1/admin/quality", s.adminEndpoint(http.MethodGet, false, s.adminQuality))
+	route("/v1/admin/drift", s.adminEndpoint(http.MethodGet, true, s.adminDrift))
+	route("/v1/admin/quality", s.adminEndpoint(http.MethodGet, true, s.adminQuality))
 	traces := s.adminEndpoint(http.MethodGet, false, obs.ServeTraces(s.traces, nil))
 	route("/v1/admin/trace", traces)
 	route("/v1/admin/trace/", traces)
@@ -412,11 +404,9 @@ func (s *Server) Handler() http.Handler {
 // scores) up to date; PromHandler runs it before every scrape.
 func (s *Server) refreshDerived() {
 	s.slo.Export(obs.Default)
-	if s.drift != nil {
-		s.drift.DriftReport() // updates the registry's drift gauges
-	}
-	if s.quality != nil {
-		s.quality.QualityReport() // updates the registry's quality gauges
+	if s.admin != nil {
+		s.admin.DriftReport()   // updates the registry's drift gauges
+		s.admin.QualityReport() // updates the registry's quality gauges
 	}
 }
 
@@ -469,8 +459,8 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		resp.CascadeTarget = c.TargetAgreement
 		resp.CascadeHitRate = c.HeldoutHitRate
 	}
-	if cand, ok := s.backend.Shadow(lm.Arch); ok {
-		resp.ShadowHash = cand.Hash
+	if c := lm.Candidate; c != nil {
+		resp.ShadowHash = c.Hash
 	}
 	obs.WriteJSON(w, http.StatusOK, resp)
 }
@@ -586,11 +576,10 @@ type answered struct {
 }
 
 // predictBody answers one MatrixMarket body against a resolved live
-// model: feature-memo lookup (keyed by body content alone), else parse
-// and extract (through the caller's scratches), then predict and answer.
-// Shared by the single-matrix endpoint and every batch item, so the two
-// paths cannot drift. cand is the registered shadow candidate (zero when
-// none).
+// model and its candidate: feature-memo lookup (keyed by body content
+// alone), else parse and extract (through the caller's scratches), then
+// predict and answer. Shared by the single-matrix endpoint and every
+// batch item, so the two paths cannot drift.
 //
 // The memo holds features, never answers, so the live artifact decides
 // every request: a hot-swap takes effect on the next request with no
@@ -598,7 +587,7 @@ type answered struct {
 // entry answers only where the parse path would have answered from the
 // cheap stage alone: the cascade clears its threshold on it and no
 // shadow needs the full vector. Otherwise the body is parsed.
-func (s *Server) predictBody(ctx context.Context, lm, cand LiveModel, scratch *features.Scratch, ps *sparse.ParseScratch, body []byte) (answered, error) {
+func (s *Server) predictBody(ctx context.Context, lm LiveModel, scratch *features.Scratch, ps *sparse.ParseScratch, body []byte) (answered, error) {
 	memoKey := ""
 	var memo featEntry
 	if s.featMemo.Enabled() {
@@ -606,11 +595,11 @@ func (s *Server) predictBody(ctx context.Context, lm, cand LiveModel, scratch *f
 		memoKey = string(sum[:16])
 		mctx, msp := obs.StartChild(ctx, "memo")
 		var ok bool
-		if memo, ok = s.featMemo.Get(memoKey); ok && (memo.full != nil || cand.Artifact == nil) {
+		if memo, ok = s.featMemo.Get(memoKey); ok && (memo.full != nil || lm.Candidate == nil) {
 			if pred, feats, err := lm.Artifact.predict(mctx, memo.cheap, memo.full, nil, nil); err == nil {
 				msp.SetMetric("hit", 1)
 				s.memoHits.Inc()
-				ans := s.answer(mctx, lm, cand, pred, feats.full)
+				ans := s.answer(mctx, lm, pred, feats.full)
 				msp.End()
 				ans.cached = true
 				return ans, nil
@@ -631,7 +620,7 @@ func (s *Server) predictBody(ctx context.Context, lm, cand LiveModel, scratch *f
 	if err != nil {
 		return answered{}, badRequest("%v", err)
 	}
-	if cand.Artifact != nil && feats.full == nil {
+	if lm.Candidate != nil && feats.full == nil {
 		// The candidate scores the full vector whichever stage answered,
 		// so shadow agreement still compares whole models (shadowing
 		// forfeits the cascade's win while it lasts).
@@ -644,7 +633,7 @@ func (s *Server) predictBody(ctx context.Context, lm, cand LiveModel, scratch *f
 		// full vector upgrades a cheap-only entry.
 		s.featMemo.Put(memoKey, feats)
 	}
-	return s.answer(ctx, lm, cand, pred, feats.full), nil
+	return s.answer(ctx, lm, pred, feats.full), nil
 }
 
 // answer records one served prediction and is the only code that does:
@@ -652,7 +641,7 @@ func (s *Server) predictBody(ctx context.Context, lm, cand LiveModel, scratch *f
 // vector, the per-arch/format counter and the drift record. full is nil
 // only when the cheap stage answered an unshadowed request; the drift
 // monitor then advances only its predicted-format stream.
-func (s *Server) answer(ctx context.Context, lm, cand LiveModel, pred Prediction, full []float64) answered {
+func (s *Server) answer(ctx context.Context, lm LiveModel, pred Prediction, full []float64) answered {
 	if lm.Artifact.Cascade != nil {
 		if pred.Stage == StageCheap {
 			s.cascadeHits.Inc()
@@ -662,11 +651,11 @@ func (s *Server) answer(ctx context.Context, lm, cand LiveModel, pred Prediction
 		s.cascadeConf.Observe(pred.Confidence)
 	}
 	ans := answered{pred: pred}
-	if cand.Artifact != nil {
+	if c := lm.Candidate; c != nil {
 		// The candidate's answer feeds the backend's live-vs-candidate
 		// tally and, through feedback, its measured-time score.
 		_, ssp := obs.StartChild(ctx, "shadow")
-		cp, err := cand.Artifact.Predict(full)
+		cp, err := c.Artifact.Predict(full)
 		if err != nil {
 			s.shadowErrors.Inc()
 		} else {
@@ -676,9 +665,9 @@ func (s *Server) answer(ctx context.Context, lm, cand LiveModel, pred Prediction
 		ssp.End()
 	}
 	s.predictions.With(lm.Arch, pred.Format).Inc()
-	if s.drift != nil {
+	if s.admin != nil {
 		_, sp := obs.StartChild(ctx, "drift")
-		s.drift.RecordServed(lm.Arch, pred, full)
+		s.admin.RecordServed(lm.Arch, pred, full)
 		sp.End()
 	}
 	return ans
@@ -722,11 +711,10 @@ func (s *Server) predictMatrix(ctx context.Context, r *http.Request) (any, error
 	if err := ctx.Err(); err != nil {
 		return nil, &httpError{status: http.StatusServiceUnavailable, err: err}
 	}
-	cand, _ := s.backend.Shadow(lm.Arch)
 	var scratch features.Scratch
 	ps := sparse.GetParseScratch()
 	defer sparse.PutParseScratch(ps)
-	ans, err := s.predictBody(ctx, lm, cand, &scratch, ps, body)
+	ans, err := s.predictBody(ctx, lm, &scratch, ps, body)
 	if err != nil {
 		return nil, err
 	}
@@ -766,12 +754,11 @@ func (s *Server) predictFeatures(ctx context.Context, r *http.Request) (any, err
 	if err := ctx.Err(); err != nil {
 		return nil, &httpError{status: http.StatusServiceUnavailable, err: err}
 	}
-	cand, _ := s.backend.Shadow(lm.Arch)
 	pred, _, err := lm.Artifact.predict(ctx, nil, req.Features, nil, nil)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	ans := s.answer(ctx, lm, cand, pred, req.Features)
+	ans := s.answer(ctx, lm, pred, req.Features)
 	s.notePending(ctx, "", lm, ans.pred, ans.cand, ans.candOK)
 	s.captureRequest(ctx, "/v1/predict/features", lm, r.Header.Get("Content-Type"), body, []string{pred.Format})
 	return predictResponse{Prediction: pred, Arch: lm.Arch, ModelHash: lm.Hash}, nil
