@@ -514,7 +514,6 @@ func BenchmarkTablesParallel(b *testing.B) {
 		prev := obs.SetMaxWorkers(workers)
 		defer obs.SetMaxWorkers(prev)
 		opt := eval.QuickOptions()
-		opt.Workers = workers
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -22,7 +22,10 @@
 #                  fanned out; every fit must match the recorded
 #                  digests) + the
 #                  race-free allocation guards (pooled parse scratch,
-#                  feature-memo hits, cascade predict) + the obs
+#                  feature-memo hits, cascade predict) + 20 s of
+#                  FuzzReadMatrixMarket (the byte-slice MatrixMarket
+#                  reader fuzzed against the streaming reader: same
+#                  verdict, same matrix) + the obs
 #                  disabled-path overhead benchmark +
 #                  four end-to-end serving smoke tests (single-model
 #                  with telemetry:
@@ -96,6 +99,11 @@ go test -race -count=1 -cpu 1,2,4 -run 'TestTreeLearnersGolden|AcrossWorkerCaps|
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
 go test -run Allocs -count=1 ./internal/sparse ./internal/serve
+
+# A 1 s minimisation budget: with the default 60 s, a new input can
+# hold the fuzzer at 0 execs/s for most of the run.
+echo '== MatrixMarket readers fuzzed against each other (20 s)'
+go test -run '^$' -fuzz '^FuzzReadMatrixMarket$' -fuzztime 20s -fuzzminimizetime 1s ./internal/sparse
 
 echo '== obs disabled-path overhead (budget: < 2 ns/op, see internal/obs)'
 go test -run - -bench BenchmarkObsOverhead -benchtime 100x . ./internal/obs

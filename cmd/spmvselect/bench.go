@@ -434,12 +434,10 @@ func benchParallel() (any, error) {
 	render := func(workers int) (string, time.Duration, error) {
 		prev := obs.SetMaxWorkers(workers)
 		defer obs.SetMaxWorkers(prev)
-		o := opt
-		o.Workers = workers
 		var buf bytes.Buffer
 		start := time.Now()
 		for k := 3; k <= 8; k++ {
-			if err := renderTable(ctx, &buf, env, o, k); err != nil {
+			if err := renderTable(ctx, &buf, env, opt, k); err != nil {
 				return "", 0, err
 			}
 		}

@@ -233,11 +233,10 @@ func cmdTable(args []string, all bool) error {
 	}
 	opt := options(*quick)
 	if *workers > 0 {
-		// Cap the shared obs pool, not just the scheduler, so -workers 1
-		// yields a genuinely sequential run all the way down (K-Means,
-		// forest training, feature extraction).
+		// The shared obs pool bounds the table scheduler and everything
+		// below it (K-Means, forest training, feature extraction), so
+		// -workers 1 yields a genuinely sequential run all the way down.
 		obs.SetMaxWorkers(*workers)
-		opt.Workers = *workers
 	}
 
 	command := "table"

@@ -62,6 +62,31 @@ func InputDim(c Classifier) int {
 	return 0
 }
 
+// Classes returns the number of classes a fitted persistable model
+// labels; a forest's or KNN's Predict allocates one vote per class. It
+// is 0 for an unfitted or non-persistable classifier.
+func Classes(c Classifier) int {
+	switch m := c.(type) {
+	case *KNN:
+		if m.fitted {
+			return m.classes
+		}
+	case *LogReg:
+		if m.fitted {
+			return m.classes
+		}
+	case *Tree:
+		if m.fitted {
+			return m.classes
+		}
+	case *Forest:
+		if m.fitted {
+			return m.classes
+		}
+	}
+	return 0
+}
+
 // ---------------------------------------------------------------------
 // KNN
 

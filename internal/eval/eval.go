@@ -30,11 +30,6 @@ type Options struct {
 	CNNEpochs int
 	// Seed drives fold assignment and model seeds.
 	Seed int64
-	// Workers bounds the experiment scheduler's concurrent CV cells for
-	// Tables 4-7; 0 uses the global obs budget (GOMAXPROCS, or the
-	// -workers cap). The rendered tables are byte-identical for every
-	// setting — see scheduler.go.
-	Workers int
 }
 
 // PaperOptions is the full-scale configuration used by cmd/spmvselect.

@@ -23,25 +23,13 @@ import (
 	"repro/internal/obs"
 )
 
-// workerCount resolves the scheduler's worker budget: Options.Workers
-// when set, otherwise the global obs budget (GOMAXPROCS, or the
-// -workers cap installed via obs.SetMaxWorkers).
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return obs.MaxWorkers()
-}
-
 // runCells runs the n independent cells of one table's grid on the
 // scheduler. Each cell must confine its writes to its own result slot;
-// runCells provides the fan-out, bounded workers, obs span + metrics,
-// context cancellation and first-error propagation.
-func runCells(ctx context.Context, table string, n int, opt Options, cell func(ctx context.Context, i int) error) error {
-	workers := opt.workerCount()
-	if workers > n {
-		workers = n
-	}
+// runCells provides the fan-out, bounded workers (the global obs budget:
+// GOMAXPROCS, or the -workers cap installed via obs.SetMaxWorkers), obs
+// span + metrics, context cancellation and first-error propagation.
+func runCells(ctx context.Context, table string, n int, cell func(ctx context.Context, i int) error) error {
+	workers := min(obs.MaxWorkers(), n)
 	ctx, span := obs.Start(ctx, "sched/"+table)
 	defer span.End()
 	span.SetMetric("cells", float64(n))

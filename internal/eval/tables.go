@@ -141,7 +141,7 @@ func Table4(ctx context.Context, env *Env, opt Options) ([]Table4Row, error) {
 		avgNC int
 	}
 	results := make([]result, len(cells))
-	err := runCells(ctx, "table4", len(cells), opt, func(ctx context.Context, i int) error {
+	err := runCells(ctx, "table4", len(cells), func(ctx context.Context, i int) error {
 		c := cells[i]
 		ctx, sp := obs.Start(ctx, "cell/"+c.arch+"/"+c.combo.Name())
 		defer sp.End()
@@ -244,7 +244,7 @@ func Table5(ctx context.Context, env *Env, opt Options) ([]Table5Row, error) {
 		}
 	}
 	rows := make([]Table5Row, len(cells))
-	err := runCells(ctx, "table5", len(cells), opt, func(ctx context.Context, i int) error {
+	err := runCells(ctx, "table5", len(cells), func(ctx context.Context, i int) error {
 		c := cells[i]
 		ctx, sp := obs.Start(ctx, fmt.Sprintf("cell/%s-%s/%s", c.pair[0].Name, c.pair[1].Name, c.combo.Name()))
 		defer sp.End()
@@ -354,7 +354,7 @@ func Table6(ctx context.Context, env *Env, opt Options) ([]Table6Row, error) {
 		images [][]float64
 	}
 	preps := make([]prep, len(env.Archs))
-	err := runCells(ctx, "table6/prep", len(env.Archs), opt, func(ctx context.Context, i int) error {
+	err := runCells(ctx, "table6/prep", len(env.Archs), func(ctx context.Context, i int) error {
 		d := env.Corpus.PerArch[env.Archs[i].Name]
 		feats, err := scaledFeatures(d)
 		if err != nil {
@@ -380,7 +380,7 @@ func Table6(ctx context.Context, env *Env, opt Options) ([]Table6Row, error) {
 		}
 	}
 	rows := make([]Table6Row, len(cells))
-	err = runCells(ctx, "table6", len(cells), opt, func(ctx context.Context, i int) error {
+	err = runCells(ctx, "table6", len(cells), func(ctx context.Context, i int) error {
 		c := cells[i]
 		feats := c.prep.feats
 		if c.spec.OnImages {
@@ -511,7 +511,7 @@ func Table7Pairs(archs []gpusim.Arch) [][2]gpusim.Arch {
 func Table7(ctx context.Context, env *Env, opt Options) ([]Table7Row, error) {
 	pairs := Table7Pairs(env.Archs)
 	feats := make([][][]float64, len(pairs))
-	err := runCells(ctx, "table7/prep", len(pairs), opt, func(ctx context.Context, i int) error {
+	err := runCells(ctx, "table7/prep", len(pairs), func(ctx context.Context, i int) error {
 		// Identical features; scaling fit on the pair's common subset.
 		f, err := scaledFeatures(env.Common[pairs[i][1].Name])
 		if err != nil {
@@ -536,7 +536,7 @@ func Table7(ctx context.Context, env *Env, opt Options) ([]Table7Row, error) {
 		}
 	}
 	rows := make([]Table7Row, len(cells))
-	err = runCells(ctx, "table7", len(cells), opt, func(ctx context.Context, i int) error {
+	err = runCells(ctx, "table7", len(cells), func(ctx context.Context, i int) error {
 		c := cells[i]
 		row, err := transferSupervisedCell(ctx, env, c.pair, c.feats, c.spec, opt)
 		if err != nil {

@@ -294,10 +294,6 @@ type HistogramSnapshot struct {
 	Sum    float64   `json:"sum"`
 	Min    float64   `json:"min"`
 	Max    float64   `json:"max"`
-	// DroppedMerges counts merges whose bucket counts had to be
-	// discarded because the bucket bounds disagreed (Count/Sum/Min/Max
-	// still merged). Non-zero means the bucket distribution undercounts.
-	DroppedMerges int64 `json:"dropped_merges,omitempty"`
 	// Exemplars lists the last trace ID seen per populated bucket
 	// (only buckets that recorded one), sorted by bucket index.
 	Exemplars []BucketExemplar `json:"exemplars,omitempty"`
@@ -350,102 +346,12 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return h.Max
 }
 
-// merge adds another snapshot of the same histogram. Bucket counts are
-// only combined when the bounds match; on a mismatch the receiver's
-// buckets win, only Count/Sum/Min/Max are merged, and the drop is
-// recorded in DroppedMerges — quantiles computed from such a merge
-// undercount, and the field makes that visible instead of silent.
-func (h HistogramSnapshot) merge(o HistogramSnapshot) HistogramSnapshot {
-	out := h
-	out.Counts = append([]int64(nil), h.Counts...)
-	same := len(h.Bounds) == len(o.Bounds) && len(h.Counts) == len(o.Counts)
-	if same {
-		for i := range h.Bounds {
-			if h.Bounds[i] != o.Bounds[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		for i := range out.Counts {
-			out.Counts[i] += o.Counts[i]
-		}
-	}
-	out.DroppedMerges = h.DroppedMerges + o.DroppedMerges
-	if !same {
-		out.DroppedMerges++
-	}
-	switch {
-	case h.Count == 0:
-		out.Min, out.Max = o.Min, o.Max
-	case o.Count > 0:
-		out.Min = math.Min(h.Min, o.Min)
-		out.Max = math.Max(h.Max, o.Max)
-	}
-	out.Count += o.Count
-	out.Sum += o.Sum
-	if same && len(o.Exemplars) > 0 {
-		have := make(map[int]bool, len(h.Exemplars))
-		for _, e := range h.Exemplars {
-			have[e.Bucket] = true
-		}
-		out.Exemplars = append([]BucketExemplar(nil), h.Exemplars...)
-		for _, e := range o.Exemplars {
-			if !have[e.Bucket] {
-				out.Exemplars = append(out.Exemplars, e)
-			}
-		}
-		sort.Slice(out.Exemplars, func(i, j int) bool {
-			return out.Exemplars[i].Bucket < out.Exemplars[j].Bucket
-		})
-	}
-	return out
-}
-
 // Snapshot is a frozen registry: counters, gauges and histograms by
-// name. It serialises to JSON and merges with other snapshots, the
-// building block for aggregating per-shard or per-run metrics.
+// name. It serialises to JSON.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Merge returns the combination of two snapshots: counters and
-// histogram counts add, gauges keep the other snapshot's value when it
-// has one (last writer wins, matching gauge semantics).
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)+len(o.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)+len(o.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)+len(o.Histograms)),
-	}
-	for n, v := range s.Counters {
-		out.Counters[n] = v
-	}
-	for n, v := range o.Counters {
-		out.Counters[n] += v
-	}
-	for n, v := range s.Gauges {
-		out.Gauges[n] = v
-	}
-	for n, v := range o.Gauges {
-		out.Gauges[n] = v
-	}
-	for n, h := range s.Histograms {
-		if oh, ok := o.Histograms[n]; ok {
-			out.Histograms[n] = h.merge(oh)
-		} else {
-			out.Histograms[n] = h
-		}
-	}
-	for n, h := range o.Histograms {
-		if _, ok := s.Histograms[n]; !ok {
-			out.Histograms[n] = h
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------

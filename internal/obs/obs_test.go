@@ -167,31 +167,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-func TestSnapshotMergeAndJSON(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("n").Add(3)
-	a.Gauge("w").Set(2)
-	a.Histogram("h", []float64{1, 2}).Observe(1.5)
-	b := NewRegistry()
-	b.Counter("n").Add(4)
-	b.Counter("only_b").Add(1)
-	b.Gauge("w").Set(5)
-	b.Histogram("h", []float64{1, 2}).Observe(0.5)
-
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Counters["n"] != 7 || m.Counters["only_b"] != 1 {
-		t.Errorf("merged counters = %v", m.Counters)
-	}
-	if m.Gauges["w"] != 5 {
-		t.Errorf("merged gauge = %v, want 5 (last writer)", m.Gauges["w"])
-	}
-	h := m.Histograms["h"]
-	if h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Errorf("merged histogram = %+v", h)
-	}
-	if h.Min != 0.5 || h.Max != 1.5 {
-		t.Errorf("merged min/max = %v/%v", h.Min, h.Max)
-	}
+func TestSnapshotJSON(t *testing.T) {
 	// Empty histograms must serialise (no Inf min/max).
 	empty := NewRegistry()
 	empty.Histogram("e", []float64{1})

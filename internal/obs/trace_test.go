@@ -77,51 +77,6 @@ func TestServeStopIdempotent(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeMismatchedBounds: a merge across disagreeing bucket
-// layouts must keep the totals and surface the drop, not silently
-// undercount.
-func TestHistogramMergeMismatchedBounds(t *testing.T) {
-	a := HistogramSnapshot{Bounds: []float64{1, 10}, Counts: []int64{3, 2, 1}, Count: 6, Sum: 30, Min: 0.5, Max: 40}
-	b := HistogramSnapshot{Bounds: []float64{1, 100}, Counts: []int64{1, 1, 1}, Count: 3, Sum: 150, Min: 0.1, Max: 120}
-	out := a.merge(b)
-	if out.DroppedMerges != 1 {
-		t.Errorf("DroppedMerges = %d, want 1", out.DroppedMerges)
-	}
-	// The receiver's buckets survive untouched; totals still combine.
-	for i, want := range []int64{3, 2, 1} {
-		if out.Counts[i] != want {
-			t.Errorf("counts[%d] = %d, want %d", i, out.Counts[i], want)
-		}
-	}
-	if out.Count != 9 || out.Sum != 180 || out.Min != 0.1 || out.Max != 120 {
-		t.Errorf("totals not merged: %+v", out)
-	}
-	// Drops accumulate across chained merges.
-	if out2 := out.merge(b); out2.DroppedMerges != 2 {
-		t.Errorf("chained DroppedMerges = %d, want 2", out2.DroppedMerges)
-	}
-	// Matching bounds merge cleanly and record nothing.
-	if clean := a.merge(a); clean.DroppedMerges != 0 || clean.Counts[0] != 6 {
-		t.Errorf("clean merge: %+v", clean)
-	}
-}
-
-func TestSnapshotMergeSurfacesDrops(t *testing.T) {
-	s1 := Snapshot{Histograms: map[string]HistogramSnapshot{
-		"h": {Bounds: []float64{1}, Counts: []int64{1, 0}, Count: 1, Sum: 1, Min: 1, Max: 1},
-	}}
-	s2 := Snapshot{Histograms: map[string]HistogramSnapshot{
-		"h": {Bounds: []float64{2}, Counts: []int64{1, 0}, Count: 1, Sum: 2, Min: 2, Max: 2},
-	}}
-	m := s1.Merge(s2)
-	if m.Histograms["h"].DroppedMerges != 1 {
-		t.Errorf("snapshot merge lost the drop record: %+v", m.Histograms["h"])
-	}
-	if m.Histograms["h"].Count != 2 {
-		t.Errorf("count = %d", m.Histograms["h"].Count)
-	}
-}
-
 func TestQuantileGuards(t *testing.T) {
 	h := HistogramSnapshot{Bounds: []float64{1, 10}, Counts: []int64{5, 4, 1}, Count: 10, Min: 0.5, Max: 50}
 	if got := h.Quantile(math.NaN()); !math.IsNaN(got) {

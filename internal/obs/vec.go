@@ -16,7 +16,7 @@ import (
 //
 // Every child instrument is registered in the owning Registry under its
 // full series key — `name{k1="v1",k2="v2"}` with sorted keys fixed at
-// vector creation — so Snapshot, Merge and the JSON/expvar views pick
+// vector creation — so Snapshot and the JSON/expvar views pick
 // labeled series up with no extra plumbing, and the exposition layer
 // recovers name and labels by splitting the key at the first '{'.
 

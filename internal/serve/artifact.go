@@ -174,7 +174,7 @@ func (a *Artifact) Validate() error {
 		if !classify.Persistable(a.Clf) {
 			return fmt.Errorf("serve: classifier %T is not persistable", a.Clf)
 		}
-		if err := checkPipeline("classifier", a.Pipeline, a.Clf); err != nil {
+		if err := checkPipeline("classifier", a.Pipeline, a.Clf, len(a.Formats)); err != nil {
 			return err
 		}
 	default:
@@ -186,25 +186,44 @@ func (a *Artifact) Validate() error {
 		}
 	}
 	if a.Cascade != nil {
-		if err := a.Cascade.Validate(); err != nil {
+		if err := a.Cascade.Validate(len(a.Formats)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkPipeline rejects a decoded pipeline with an empty stage, and a
-// classifier fitted on vectors of another width than its pipeline
-// emits. Either would panic at predict time: a KNN, for one, measuring
-// the distance between vectors of unequal length.
-func checkPipeline(what string, p preprocess.Chain, clf classify.Classifier) error {
+// checkPipeline rejects a decoded pipeline with an empty or misshapen
+// stage, a classifier fitted on vectors of another width than its
+// pipeline emits, and a classifier labelling more classes than the
+// artifact maps formats. The first two would panic at predict time (a
+// scaler reading past its Max, a PCA projecting a vector of another
+// width than its components, a KNN measuring the distance between
+// vectors of unequal length); the last would allocate a vote per class
+// on every request.
+func checkPipeline(what string, p preprocess.Chain, clf classify.Classifier, formats int) error {
 	for i, t := range p {
-		if t == nil {
+		misshapen := false
+		switch s := t.(type) {
+		case nil:
 			return fmt.Errorf("serve: %s pipeline stage %d is empty", what, i)
+		case *preprocess.MinMaxScaler:
+			misshapen = len(s.Max) != len(s.Min)
+		case *preprocess.PCA:
+			// Rows <= len(Data) keeps Rows*Cols from overflowing.
+			c := s.Components
+			misshapen = c == nil || c.Cols != len(s.Mean) ||
+				c.Rows < 0 || c.Rows > len(c.Data) || len(c.Data) != c.Rows*c.Cols
+		}
+		if misshapen {
+			return fmt.Errorf("serve: %s pipeline stage %d (%T) is misshapen", what, i, t)
 		}
 	}
 	if in, out := classify.InputDim(clf), p.OutDim(); in != out {
 		return fmt.Errorf("serve: %s takes %d features but its pipeline emits %d", what, in, out)
+	}
+	if c := classify.Classes(clf); c > formats {
+		return fmt.Errorf("serve: %s labels %d classes but artifact maps %d formats", what, c, formats)
 	}
 	return nil
 }

@@ -224,13 +224,51 @@ func TestLoadRejectsForeignStreams(t *testing.T) {
 	}
 }
 
+// craftedForest decodes a forest of one leaf-only estimator over
+// features inputs that labels classes classes, as a crafted artifact
+// could carry it: its Predict allocates one vote per class.
+func craftedForest(t *testing.T, features, classes int) *classify.Forest {
+	t.Helper()
+	type node struct{ Leaf bool }
+	var tree bytes.Buffer
+	if err := gob.NewEncoder(&tree).Encode(struct {
+		Nodes      []node
+		Classes    int
+		Fitted     bool
+		Importance []float64
+	}{[]node{{Leaf: true}}, classes, true, make([]float64, features)}); err != nil {
+		t.Fatal(err)
+	}
+	est := new(classify.Tree)
+	if err := est.GobDecode(tree.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var forest bytes.Buffer
+	if err := gob.NewEncoder(&forest).Encode(struct {
+		Estimators []*classify.Tree
+		Classes    int
+		Fitted     bool
+	}{[]*classify.Tree{est}, classes, true}); err != nil {
+		t.Fatal(err)
+	}
+	f := new(classify.Forest)
+	if err := f.GobDecode(forest.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestLoadRejectsMisfitPipeline: each of these artifacts decodes, and
-// at the parent each either loaded and then panicked in Predict (a KNN
+// unchecked each would either load and then panic in Predict (a KNN
 // fitted on 3-vectors behind the 8-wide pipeline, measuring distances
 // between vectors of unequal length; an empty pipeline stage; a PCA
-// stage without components) or panicked in Load itself (a cascade
-// whose first stage is empty). A reload or a pushed shadow candidate
-// reaches both through Load, which must refuse them with an error.
+// stage without components; a scaler whose Max is shorter than its
+// Min; a PCA whose components are wider than its Mean), panic in Load
+// itself (a cascade whose first stage is empty), or load and then
+// allocate 128 MB of votes in every Predict (a forest, or a cascade
+// forest, labelling 1<<24 classes). A reload or a pushed shadow
+// candidate reaches all of them through Load, which must refuse them
+// with an error.
 func TestLoadRejectsMisfitPipeline(t *testing.T) {
 	ms, best := labelledCorpus(t, "Turing")
 	knn, err := TrainClassifierArtifact("knn", "Turing", features.Matrix(features.ExtractAll(ms)), labelsOf(best), 1)
@@ -254,12 +292,30 @@ func TestLoadRejectsMisfitPipeline(t *testing.T) {
 	stage.Pipeline = append(preprocess.Chain{nil}, stage.Pipeline[1:]...)
 	emptyCascadeStage := *casc
 	emptyCascadeStage.Cascade = &stage
+	scaler := *knn.Pipeline[1].(*preprocess.MinMaxScaler)
+	scaler.Max = scaler.Max[:5]
+	shortMax := *knn
+	shortMax.Pipeline = preprocess.Chain{knn.Pipeline[0], &scaler, knn.Pipeline[2]}
+	narrowPCA := *knn.Pipeline[2].(*preprocess.PCA)
+	narrowPCA.Mean = narrowPCA.Mean[:5]
+	pcaWiderThanMean := *knn
+	pcaWiderThanMean.Pipeline = preprocess.Chain{knn.Pipeline[0], knn.Pipeline[1], &narrowPCA}
+	manyClasses := *knn
+	manyClasses.Clf = craftedForest(t, knn.Pipeline.OutDim(), 1<<24)
+	cascStage := *casc.Cascade
+	cascStage.Clf = craftedForest(t, cascStage.Pipeline.OutDim(), 1<<24)
+	manyCascadeClasses := *casc
+	manyCascadeClasses.Cascade = &cascStage
 
 	for name, art := range map[string]Artifact{
-		"knn fitted on 3-vectors": narrowKNN,
-		"empty pipeline stage":    emptyStage,
-		"pca without components":  noComponents,
-		"empty cascade stage":     emptyCascadeStage,
+		"knn fitted on 3-vectors":         narrowKNN,
+		"empty pipeline stage":            emptyStage,
+		"pca without components":          noComponents,
+		"empty cascade stage":             emptyCascadeStage,
+		"scaler max shorter than min":     shortMax,
+		"pca components wider than mean":  pcaWiderThanMean,
+		"forest of 1<<24 classes":         manyClasses,
+		"cascade forest of 1<<24 classes": manyCascadeClasses,
 	} {
 		// Save validates, so the artifact is encoded the way Save would.
 		var buf bytes.Buffer

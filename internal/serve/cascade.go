@@ -56,9 +56,9 @@ type Cascade struct {
 	HeldoutSize      int
 }
 
-// Validate checks the cascade is usable for prediction. Its labels are
-// checked against the artifact's Formats at predict time.
-func (c *Cascade) Validate() error {
+// Validate checks the cascade is usable for prediction by an artifact
+// mapping formats formats.
+func (c *Cascade) Validate(formats int) error {
 	// The serve path feeds the stage ExtractCheap's row, or the same
 	// positions gathered from a full vector, so no other order can work.
 	if !slices.Equal(c.Indices, features.CheapIndices[:]) {
@@ -73,7 +73,7 @@ func (c *Cascade) Validate() error {
 	if _, ok := c.Clf.(ProbaClassifier); !ok {
 		return fmt.Errorf("serve: cascade classifier %T has no probability estimate", c.Clf)
 	}
-	if err := checkPipeline("cascade classifier", c.Pipeline, c.Clf); err != nil {
+	if err := checkPipeline("cascade classifier", c.Pipeline, c.Clf, formats); err != nil {
 		return err
 	}
 	if d := c.Pipeline.InDim(); d != 0 && d != features.CheapCount {

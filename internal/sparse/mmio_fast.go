@@ -14,7 +14,8 @@ import (
 
 // The byte-level MatrixMarket fast path. ReadMatrixMarketBytes parses
 // the in-memory body directly — no bufio.Scanner, no strings.Fields, no
-// fmt.Sscan — with hand-rolled integer/float tokenizers and pooled
+// fmt.Sscan — with one byte-class scanner for the header, the size line
+// and the entries (scanToken, scanInt, scanFloat) and pooled
 // triplet/CSR scratch, producing byte-identical CSR output to the
 // streaming reader (same assembly algorithm, same float rounding, same
 // accept/reject verdicts). Inputs the byte parser cannot model
@@ -155,106 +156,6 @@ func ReadMatrixMarketBytesScratch(data []byte, s *ParseScratch) (*CSR, error) {
 // verdicts stay identical.
 const maxLineLen = 1 << 24
 
-// byteLines iterates '\n'-separated lines of an in-memory buffer with
-// bufio.ScanLines semantics: the terminator and one trailing '\r' are
-// stripped, and a final unterminated line is returned.
-type byteLines struct {
-	data []byte
-	pos  int
-}
-
-func (b *byteLines) next() (line []byte, ok bool) {
-	if b.pos >= len(b.data) {
-		return nil, false
-	}
-	rest := b.data[b.pos:]
-	if i := bytes.IndexByte(rest, '\n'); i >= 0 {
-		line = rest[:i]
-		b.pos += i + 1
-	} else {
-		line = rest
-		b.pos = len(b.data)
-	}
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, true
-}
-
-// isSpaceASCII matches unicode.IsSpace restricted to single-byte runes —
-// the separator set strings.Fields uses on pure-ASCII input.
-func isSpaceASCII(b byte) bool {
-	switch b {
-	case ' ', '\t', '\n', '\v', '\f', '\r':
-		return true
-	}
-	return false
-}
-
-// nextTok returns the next ASCII-whitespace-separated token of line
-// starting at *i. ok is false when the line is exhausted. fallback is
-// true when a byte >= 0x80 is seen before the token ends: Unicode
-// whitespace could split the line differently than the ASCII rules, so
-// the caller must re-parse with the streaming reader.
-func nextTok(line []byte, i *int) (tok []byte, ok, fallback bool) {
-	j := *i
-	for j < len(line) {
-		b := line[j]
-		if b >= utf8.RuneSelf {
-			return nil, false, true
-		}
-		if !isSpaceASCII(b) {
-			break
-		}
-		j++
-	}
-	if j >= len(line) {
-		*i = j
-		return nil, false, false
-	}
-	k := j
-	for k < len(line) {
-		b := line[k]
-		if b >= utf8.RuneSelf {
-			return nil, false, true
-		}
-		if isSpaceASCII(b) {
-			break
-		}
-		k++
-	}
-	*i = k
-	return line[j:k], true, false
-}
-
-type lineKind int
-
-const (
-	lineData lineKind = iota
-	lineSkip
-	lineFallback
-)
-
-// classifyLine decides blank/comment/data by the streaming reader's
-// rules (TrimSpace + "%" prefix) using ASCII whitespace only; a high
-// byte seen before the decision is settled forces a fallback, since
-// Unicode trimming could reclassify the line.
-func classifyLine(line []byte) lineKind {
-	for _, b := range line {
-		if b >= utf8.RuneSelf {
-			return lineFallback
-		}
-		if isSpaceASCII(b) {
-			continue
-		}
-		if b == '%' {
-			return lineSkip
-		}
-		return lineData
-	}
-	return lineSkip
-}
-
 // asciiLowerEq reports tok == want after ASCII lowercasing of tok
 // (callers have already established tok is pure ASCII).
 func asciiLowerEq(tok []byte, want string) bool {
@@ -285,152 +186,10 @@ func asciiLower(tok []byte) string {
 	return string(out)
 }
 
-// parseIntBytes is strconv.Atoi over bytes: optional sign, at least one
-// decimal digit, nothing else. Overflowing int64 reports !ok, matching
-// Atoi's ErrRange rejection in the streaming reader.
-func parseIntBytes(tok []byte) (int, bool) {
-	if len(tok) == 0 {
-		return 0, false
-	}
-	i := 0
-	neg := false
-	if tok[0] == '+' || tok[0] == '-' {
-		neg = tok[0] == '-'
-		i++
-		if i == len(tok) {
-			return 0, false
-		}
-	}
-	for i < len(tok) && tok[i] == '0' {
-		i++
-	}
-	var n uint64
-	digits := 0
-	for ; i < len(tok); i++ {
-		b := tok[i]
-		if b < '0' || b > '9' {
-			return 0, false
-		}
-		digits++
-		if digits > 19 { // past int64 range, no wraparound possible below
-			return 0, false
-		}
-		n = n*10 + uint64(b-'0')
-	}
-	if neg {
-		if n > 1<<63 {
-			return 0, false
-		}
-		return -int(n), true
-	}
-	if n > math.MaxInt64 {
-		return 0, false
-	}
-	return int(n), true
-}
-
 // pow10tab holds the exactly-representable powers of ten.
 var pow10tab = [...]float64{
 	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-}
-
-// parseFloatFastPath converts tokens whose mantissa fits in 53 bits and
-// whose decimal exponent is within ±22: float64(mant) and the power of
-// ten are then both exact, so the single multiply/divide is correctly
-// rounded (Clinger's fast path) — bit-identical to strconv.ParseFloat.
-// Anything else (long mantissas, huge exponents, hex floats, inf/nan,
-// underscores) reports !ok and goes to strconv itself.
-func parseFloatFastPath(tok []byte) (float64, bool) {
-	i, n := 0, len(tok)
-	if n == 0 {
-		return 0, false
-	}
-	neg := false
-	if tok[0] == '+' || tok[0] == '-' {
-		neg = tok[0] == '-'
-		i++
-	}
-	// Integer digits, then an optional '.' and fraction digits. mant
-	// accumulates the raw digit string; leading zeros multiply into it
-	// harmlessly, and a total of <= 19 digits cannot overflow uint64.
-	var mant uint64
-	is := i
-	for i < n {
-		c := tok[i] - '0'
-		if c > 9 {
-			break
-		}
-		mant = mant*10 + uint64(c)
-		i++
-	}
-	digits := i - is
-	exp := 0 // decimal exponent of mant
-	if i < n && tok[i] == '.' {
-		i++
-		fs := i
-		for i < n {
-			c := tok[i] - '0'
-			if c > 9 {
-				break
-			}
-			mant = mant*10 + uint64(c)
-			i++
-		}
-		exp = fs - i
-		digits += i - fs
-	}
-	if digits == 0 || digits > 19 {
-		return 0, false
-	}
-	if i < n {
-		if b := tok[i]; b != 'e' && b != 'E' {
-			return 0, false
-		}
-		i++
-		eneg := false
-		if i < n && (tok[i] == '+' || tok[i] == '-') {
-			eneg = tok[i] == '-'
-			i++
-		}
-		if i >= n {
-			return 0, false
-		}
-		ev := 0
-		for ; i < n; i++ {
-			b := tok[i]
-			if b < '0' || b > '9' {
-				return 0, false
-			}
-			ev = ev*10 + int(b-'0')
-			if ev > 400 {
-				return 0, false
-			}
-		}
-		if eneg {
-			ev = -ev
-		}
-		exp += ev
-	}
-	if mant == 0 {
-		if neg {
-			return math.Copysign(0, -1), true
-		}
-		return 0, true
-	}
-	if mant < 1<<53 && exp >= -22 && exp <= 22 {
-		f := float64(mant)
-		if exp > 0 {
-			f *= pow10tab[exp]
-		} else if exp < 0 {
-			f /= pow10tab[-exp]
-		}
-		if neg {
-			f = -f
-		}
-		return f, true
-	}
-	return elParse(mant, exp, neg)
 }
 
 // Eisel-Lemire decimal→binary conversion for the mantissa/exponent
@@ -541,11 +300,9 @@ func bytesString(b []byte) string {
 }
 
 // parseFloatBytes parses tok exactly like strconv.ParseFloat(string(tok), 64)
-// without allocating on the success path.
+// without allocating on the success path. The reader calls it only for
+// the tokens scanFloat declines.
 func parseFloatBytes(tok []byte) (float64, error) {
-	if f, ok := parseFloatFastPath(tok); ok {
-		return f, nil
-	}
 	f, err := strconv.ParseFloat(bytesString(tok), 64)
 	if err != nil {
 		// The error retains its input string; rebuild it over a stable
@@ -563,8 +320,9 @@ const (
 	scanFallback
 )
 
-// Byte classes for the entry-section scanner: one table load replaces
-// the whitespace switch plus the non-ASCII comparison.
+// Byte classes for the scanner that reads the header, the size line and
+// the entries: one table load replaces the whitespace switch plus the
+// non-ASCII comparison.
 const (
 	clTok   = 0 // ordinary token byte
 	clSpace = 1 // intra-line ASCII whitespace
@@ -584,10 +342,32 @@ func init() {
 	}
 }
 
+// scanToken skips intra-line whitespace from pos and returns the token
+// [ts,te) that follows. At the end of the line it returns scanEOL with
+// ts == te at the '\n' or the end of data; on a byte >= utf8.RuneSelf
+// before the token ends it returns scanFallback.
+func scanToken(data []byte, pos int) (ts, te int, st scanStatus) {
+	n := len(data)
+	for pos < n && byteClass[data[pos]] == clSpace {
+		pos++
+	}
+	ts = pos
+	for pos < n && byteClass[data[pos]] == clTok {
+		pos++
+	}
+	switch {
+	case pos < n && byteClass[data[pos]] == clHigh:
+		return ts, pos, scanFallback
+	case pos == ts:
+		return ts, ts, scanEOL
+	}
+	return ts, pos, scanOK
+}
+
 // scanInt skips intra-line whitespace, then scans one token and parses
 // it as a decimal integer in the same pass. ok=false with st==scanOK
-// means the token [ts,te) did not match the inline grammar; the caller
-// re-parses it with parseIntBytes, which delivers the final verdict.
+// means the token [ts,te) is not what strconv.Atoi accepts (an optional
+// sign and decimal digits, within int64), so the caller rejects it.
 func scanInt(data []byte, pos int) (v int, ts, te, newPos int, st scanStatus, ok bool) {
 	n := len(data)
 	for pos < n {
@@ -794,40 +574,66 @@ func lineAt(data []byte, start int) []byte {
 	return l
 }
 
+// reserve readies the triplet buffers for the declared entries, but
+// never trusts the size line for more than the remaining bytes could
+// encode (the shortest entry is "1 1 1\n", or "1 1\n" for pattern): an
+// adversarial size line must not force a huge allocation before any
+// entry is read.
+func (s *ParseScratch) reserve(declared, remaining int, pattern, symmetric bool) ([]int32, []int32, []float64) {
+	minEntry := 6
+	if pattern {
+		minEntry = 4
+	}
+	n := min(declared, remaining/minEntry+1)
+	if symmetric {
+		n *= 2 // mirrored entries; n <= len(data), no overflow
+	}
+	if cap(s.r) < n {
+		s.r = make([]int32, 0, n)
+	}
+	if cap(s.c) < n {
+		s.c = make([]int32, 0, n)
+	}
+	if cap(s.v) < n {
+		s.v = make([]float64, 0, n)
+	}
+	return s.r[:0], s.c[:0], s.v[:0]
+}
+
 // readMatrixMarketFast is the byte-level parser. handled=false means
 // the input needs the streaming reader (non-ASCII whitespace in a
 // tokenized position, or a line at the scanner's token cap) — never an
 // error, just "cannot promise identical verdicts".
 func readMatrixMarketFast(data []byte, s *ParseScratch) (m *CSR, handled bool, err error) {
 	const maxSafeLine = maxLineLen - 2
-	bl := byteLines{data: data}
-
-	line, ok := bl.next()
-	if !ok {
+	if len(data) == 0 {
 		return nil, true, fmt.Errorf("sparse: empty MatrixMarket stream")
 	}
-	if len(line) > maxSafeLine {
-		return nil, false, nil
-	}
+
+	// The header is always the first line: exactly five fields.
 	var hdr [5][]byte
-	nh := 0
-	for i := 0; ; {
-		tok, ok, fb := nextTok(line, &i)
-		if fb {
+	nh, pos := 0, 0
+	for {
+		ts, te, st := scanToken(data, pos)
+		if st == scanFallback {
 			return nil, false, nil
 		}
-		if !ok {
+		pos = te
+		if st == scanEOL {
 			break
 		}
-		if nh == 5 {
-			nh = 6 // a sixth field: malformed
+		if nh == len(hdr) {
+			nh++ // a sixth field: malformed
 			break
 		}
-		hdr[nh] = tok
+		hdr[nh] = data[ts:te]
 		nh++
 	}
 	if nh != 5 || !asciiLowerEq(hdr[0], "%%matrixmarket") {
-		return nil, true, fmt.Errorf("sparse: malformed MatrixMarket header %q", string(line))
+		return nil, true, fmt.Errorf("sparse: malformed MatrixMarket header %q", string(lineAt(data, 0)))
+	}
+	if pos > maxSafeLine {
+		return nil, false, nil
 	}
 	if !asciiLowerEq(hdr[1], "matrix") || !asciiLowerEq(hdr[2], "coordinate") {
 		return nil, true, fmt.Errorf("sparse: unsupported MatrixMarket object %q %q",
@@ -853,99 +659,26 @@ func readMatrixMarketFast(data []byte, s *ParseScratch) (m *CSR, handled bool, e
 		return nil, true, fmt.Errorf("sparse: unsupported MatrixMarket symmetry %q", asciiLower(hdr[4]))
 	}
 
-	// Skip comments, read the size line: exactly three integers, no
-	// trailing garbage.
-	var rows, cols, declared int
-	for {
-		line, ok = bl.next()
-		if !ok {
-			return nil, true, fmt.Errorf("sparse: MatrixMarket stream missing size line")
-		}
-		if len(line) > maxSafeLine {
-			return nil, false, nil
-		}
-		switch classifyLine(line) {
-		case lineSkip:
-			continue
-		case lineFallback:
-			return nil, false, nil
-		}
-		var nums [3]int
-		nt := 0
-		bad := false
-		for i := 0; ; {
-			tok, ok, fb := nextTok(line, &i)
-			if fb {
-				return nil, false, nil
-			}
-			if !ok {
-				break
-			}
-			if nt == 3 {
-				bad = true // trailing garbage
-				break
-			}
-			v, okInt := parseIntBytes(tok)
-			if !okInt {
-				bad = true
-				break
-			}
-			nums[nt] = v
-			nt++
-		}
-		if bad || nt != 3 {
-			return nil, true, fmt.Errorf("sparse: bad MatrixMarket size line %q", string(line))
-		}
-		rows, cols, declared = nums[0], nums[1], nums[2]
-		break
-	}
-	if rows <= 0 || cols <= 0 || declared < 0 {
-		return nil, true, fmt.Errorf("sparse: bad MatrixMarket sizes %d %d %d", rows, cols, declared)
-	}
-
-	// Reserve for the declared entries, but never trust the header for
-	// more than the remaining bytes could actually encode (the shortest
-	// entry is "1 1 1\n", or "1 1\n" for pattern): an adversarial size
-	// line must not force a huge allocation before any entry is read.
-	remaining := len(data) - bl.pos
-	minEntry := 6
-	if pattern {
-		minEntry = 4
-	}
-	maxFromBody := remaining/minEntry + 1
-	res := declared
-	if res > maxFromBody {
-		res = maxFromBody
-	}
-	if symSign != 0 {
-		res *= 2 // symmetric expansion; res <= len(data), no overflow
-	}
-	if cap(s.r) < res {
-		s.r = make([]int32, 0, res)
-	}
-	if cap(s.c) < res {
-		s.c = make([]int32, 0, res)
-	}
-	if cap(s.v) < res {
-		s.v = make([]float64, 0, res)
-	}
-	rr, cc, vv := s.r[:0], s.c[:0], s.v[:0]
-
-	// The entry section is scanned as one flat byte stream rather than
-	// line by line: newlines terminate entries, but there is no separate
-	// line-splitting pass. Every accepted line is still length-checked
-	// against the scanner cap before its entry counts, so verdicts match
-	// the streaming reader even on pathological input.
-	read := 0
-	pos := bl.pos
+	// The rest of the body is scanned as one flat byte stream rather
+	// than line by line: newlines terminate the size line and the
+	// entries, but there is no separate line-splitting pass. Every
+	// accepted line is still length-checked against the scanner cap
+	// before it counts, so verdicts match the streaming reader even on
+	// pathological input.
+	var rows, cols, declared, read int
+	var rr, cc []int32
+	var vv []float64
 	end := len(data)
+	if pos < end {
+		pos++ // the header's '\n'
+	}
 	for pos < end {
 		lineStart := pos
-		// Leading whitespace, then classify: blank, comment, or entry.
+		// Leading whitespace, then classify: blank, comment, or data.
 		var b byte
 		for pos < end {
 			b = data[pos]
-			if b == '\n' || !isSpaceASCII(b) {
+			if byteClass[b] != clSpace {
 				break
 			}
 			pos++
@@ -978,6 +711,39 @@ func readMatrixMarketFast(data []byte, s *ParseScratch) (m *CSR, handled bool, e
 				return nil, false, nil
 			}
 			pos += j + 1
+			continue
+		}
+
+		if rows == 0 {
+			// The first data line is the size line: exactly three
+			// integers and nothing after them.
+			var dims [3]int
+			for k := range dims {
+				v, _, _, p, st, ok := scanInt(data, pos)
+				if st == scanFallback {
+					return nil, false, nil
+				}
+				if st == scanEOL || !ok {
+					return nil, true, fmt.Errorf("sparse: bad MatrixMarket size line %q", string(lineAt(data, lineStart)))
+				}
+				dims[k], pos = v, p
+			}
+			_, eol, st := scanToken(data, pos)
+			if st == scanFallback {
+				return nil, false, nil
+			}
+			if st == scanOK {
+				return nil, true, fmt.Errorf("sparse: bad MatrixMarket size line %q", string(lineAt(data, lineStart)))
+			}
+			if eol-lineStart > maxSafeLine {
+				return nil, false, nil
+			}
+			rows, cols, declared = dims[0], dims[1], dims[2]
+			if rows <= 0 || cols <= 0 || declared < 0 {
+				return nil, true, fmt.Errorf("sparse: bad MatrixMarket sizes %d %d %d", rows, cols, declared)
+			}
+			pos = min(eol+1, end)
+			rr, cc, vv = s.reserve(declared, end-pos, pattern, symSign != 0)
 			continue
 		}
 
@@ -1051,6 +817,9 @@ func readMatrixMarketFast(data []byte, s *ParseScratch) (m *CSR, handled bool, e
 			vv = append(vv, symSign*v)
 		}
 		read++
+	}
+	if rows == 0 {
+		return nil, true, fmt.Errorf("sparse: MatrixMarket stream missing size line")
 	}
 	s.r, s.c, s.v = rr, cc, vv
 	if read != declared {

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -143,9 +144,39 @@ func TestReadMatrixMarketDifferential(t *testing.T) {
 		{"unicode in header", "%%MatrixMarket\u00a0matrix coordinate real general\n1 1 1\n1 1 1\n"},
 		{"trailing nbsp after value", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.5\u00a0x\n"},
 		{"invalid utf8 byte", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.5\xff\n"},
+		{"nbsp after header", "%%MatrixMarket matrix coordinate real general\u00a0\n1 1 1\n1 1 1\n"},
+		{"sixth header field non-ascii", "%%MatrixMarket matrix coordinate real general \u00e9\n1 1 1\n1 1 1\n"},
+		{"header leading whitespace", " \f%%MatrixMarket\vmatrix coordinate\freal general\n1 1 1\n1 1 1\n"},
+		{"header only crlf", "%%MatrixMarket matrix coordinate real general\r\n"},
+		{"header only no newline", "%%MatrixMarket matrix coordinate real general"},
+		{"nbsp after size line", "%%MatrixMarket matrix coordinate real general\n2 2 1\u00a0\n1 1 1\n"},
+		{"nbsp inside size line", "%%MatrixMarket matrix coordinate real general\n2 2 \u00a01\n1 1 1\n"},
+		{"size line sign only", "%%MatrixMarket matrix coordinate real general\n+ 2 1\n1 1 1\n"},
+		{"size line twenty digits", "%%MatrixMarket matrix coordinate real general\n2 2 00000000000000000001\n1 1 1\n"},
+		{"size line overflow", "%%MatrixMarket matrix coordinate real general\n9223372036854775808 2 1\n1 1 1\n"},
+		{"crlf size line", "%%MatrixMarket matrix coordinate real general\n% c\r\n2 2 1 \r\n1 1 1\n"},
+		{"size line at eof", "%%MatrixMarket matrix coordinate real general\n2 2 0"},
+		{"comment at eof", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n% end"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkParsersAgree(t, tc.data) })
+	}
+
+	// Lines at the caps: maxLineLen-2 bytes is the longest line the
+	// fast path parses itself, and maxLineLen bytes is past what the
+	// streaming reader's scanner accepts.
+	const hdr = "%%MatrixMarket matrix coordinate real general"
+	for _, n := range []int{maxLineLen - 2, maxLineLen} {
+		pad := func(line string) string { return line + strings.Repeat(" ", n-len(line)) }
+		for _, tc := range []struct{ name, data string }{
+			{"header", pad(hdr) + "\n1 1 1\n1 1 2\n"},
+			{"comment", hdr + "\n" + pad("% c") + "\n1 1 1\n1 1 2\n"},
+			{"size line", hdr + "\n" + pad("1 1 1") + "\n1 1 2\n"},
+			{"entry", hdr + "\n1 1 1\n" + pad("1 1 2") + "\n"},
+			{"trailing blanks", hdr + "\n1 1 1\n1 1 2\n" + pad("") + "\n"},
+		} {
+			t.Run(fmt.Sprintf("%s of %d bytes", tc.name, n), func(t *testing.T) { checkParsersAgree(t, tc.data) })
+		}
 	}
 }
 
@@ -199,20 +230,29 @@ func TestSizeLineTrailingGarbageRejected(t *testing.T) {
 	}
 }
 
-// TestParseFloatBytesMatchesStrconv pins the hand-rolled float
-// tokenizer (Clinger fast path + Eisel-Lemire + strconv fallback) to
+// TestParseFloatBytesMatchesStrconv pins the reader's value path —
+// scanFloat's fused Clinger/Eisel-Lemire conversion, then
+// parseFloatBytes for the tokens scanFloat declines — to
 // strconv.ParseFloat bit for bit across formatted corpora: uniform
 // mantissa bits, every %.17g/%g/%e shape, denormals, huge exponents.
 func TestParseFloatBytesMatchesStrconv(t *testing.T) {
 	check := func(s string) {
 		t.Helper()
 		want, werr := strconv.ParseFloat(s, 64)
-		got, gerr := parseFloatBytes([]byte(s))
+		tok := []byte(s)
+		got, ts, te, _, st, ok := scanFloat(tok, 0)
+		if st != scanOK || ts != 0 || te != len(tok) {
+			t.Fatalf("scanFloat(%q) scanned [%d,%d) with status %d", s, ts, te, st)
+		}
+		var gerr error
+		if !ok {
+			got, gerr = parseFloatBytes(tok)
+		}
 		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("verdicts differ on %q: strconv %v, parseFloatBytes %v", s, werr, gerr)
+			t.Fatalf("verdicts differ on %q: strconv %v, reader %v", s, werr, gerr)
 		}
 		if werr == nil && math.Float64bits(want) != math.Float64bits(got) {
-			t.Fatalf("value differs on %q: strconv %x, parseFloatBytes %x",
+			t.Fatalf("value differs on %q: strconv %x, reader %x",
 				s, math.Float64bits(want), math.Float64bits(got))
 		}
 	}
@@ -259,8 +299,8 @@ func buildParseBody(t testing.TB, entries int) []byte {
 
 // TestParseBytesScratchAllocs is the allocation-regression guard for the
 // pooled fast path: a warmed scratch parse allocates only the returned
-// CSR (struct + rowPtr + colIdx + vals), even with %.17g mantissas that
-// take the strconv fallback.
+// CSR (struct + rowPtr + colIdx + vals), even with %.17g mantissas,
+// which resolve in elParse.
 func TestParseBytesScratchAllocs(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
