@@ -11,7 +11,10 @@
 #                  (the sequential and the pipelined generator must
 #                  build the same golden corpus) + the serving parity,
 #                  batch, cascade and feature-memo tests at 1, 2 and 4
-#                  CPUs (batch items run inline and fanned out) + the
+#                  CPUs (batch items run inline and fanned out), with
+#                  the proxied parity test (the same bodies through the
+#                  proxy to two replicas, sized and chunked, across a
+#                  forced hedge and a forced failover) + the
 #                  registry's swap and monitor tests at 1, 2 and 4 CPUs
 #                  (hot swaps racing requests, checked against the
 #                  reference pipeline; shadow installs, promotes,
@@ -22,7 +25,8 @@
 #                  fanned out; every fit must match the recorded
 #                  digests) + the
 #                  race-free allocation guards (pooled parse scratch,
-#                  feature-memo hits, cascade predict) + 20 s of
+#                  feature-memo hits, cascade predict, the one-allocation
+#                  sized body read) + 20 s of
 #                  FuzzReadMatrixMarket (the byte-slice MatrixMarket
 #                  reader fuzzed against the streaming reader: same
 #                  verdict, same matrix) + the obs
@@ -88,8 +92,8 @@ go test -race ./...
 echo '== corpus generation at 1, 2 and 4 CPUs (sequential and pipelined paths)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestGenerate|TestPermute|TestCorpus' ./internal/dataset ./internal/sparse
 
-echo '== serving paths at 1, 2 and 4 CPUs (batch items inline and fanned out)'
-go test -race -count=1 -cpu 1,2,4 -run 'TestServingPathsMatchReference|TestBatch|TestCascade|TestFeatMemo' ./internal/serve
+echo '== serving paths at 1, 2 and 4 CPUs (direct and proxied; batch items inline and fanned out)'
+go test -race -count=1 -cpu 1,2,4 -run 'TestServingPathsMatchReference|TestProxiedPathsMatchReference|TestBatch|TestCascade|TestFeatMemo' ./internal/serve
 
 echo '== registry swaps and monitors at 1, 2 and 4 CPUs (swaps racing requests, one per-arch record)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestStress|TestInstallShadow|TestPromote|TestReload|TestQuality|TestDrift' ./internal/registry
@@ -98,7 +102,7 @@ echo '== tree learners at 1, 2 and 4 CPUs (shared presort and per-class boosting
 go test -race -count=1 -cpu 1,2,4 -run 'TestTreeLearnersGolden|AcrossWorkerCaps|TestForest' ./internal/classify
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
-go test -run Allocs -count=1 ./internal/sparse ./internal/serve
+go test -run Allocs -count=1 ./internal/sparse ./internal/serve ./internal/obs
 
 # A 1 s minimisation budget: with the default 60 s, a new input can
 # hold the fuzzer at 0 execs/s for most of the run.

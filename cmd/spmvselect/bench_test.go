@@ -7,11 +7,30 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestMedianRatio: the parse gate's statistic pairs the sides' passes
+// round by round, so one slow round on either side moves it not at all.
+func TestMedianRatio(t *testing.T) {
+	ms := func(ds ...int) sideTimes {
+		st := sideTimes{}
+		for _, d := range ds {
+			st.passes = append(st.passes, time.Duration(d)*time.Millisecond)
+		}
+		return st
+	}
+	if got := medianRatio(ms(30, 90, 30), ms(10, 10, 15)); got != 3 {
+		t.Errorf("odd rounds: median ratio %v, want 3", got)
+	}
+	if got := medianRatio(ms(30, 40, 10, 90), ms(10, 10, 10, 10)); got != 3.5 {
+		t.Errorf("even rounds: median ratio %v, want 3.5", got)
+	}
+}
 
 func TestQuantilesNearestRank(t *testing.T) {
 	for _, tc := range []struct {
@@ -185,8 +204,11 @@ func TestTimeSidesInterleavesAndKeepsMinima(t *testing.T) {
 	}
 	for s, n := range []int{5, 3} {
 		st := times[s]
-		if len(st.all) != 3*n || len(st.min) != n || len(st.answers) != n {
-			t.Fatalf("side %d: %d timings, %d minima, %d answers", s, len(st.all), len(st.min), len(st.answers))
+		if len(st.all) != 3*n || len(st.min) != n || len(st.answers) != n || len(st.passes) != 3 {
+			t.Fatalf("side %d: %d timings, %d minima, %d answers, %d passes", s, len(st.all), len(st.min), len(st.answers), len(st.passes))
+		}
+		if st.best != slices.Min(st.passes) {
+			t.Errorf("side %d: best pass %v is not the fastest of %v", s, st.best, st.passes)
 		}
 		for i, m := range st.min {
 			if m <= 0 || m > st.best {

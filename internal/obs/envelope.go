@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -17,10 +18,10 @@ import (
 )
 
 // The request envelope shared by the serve and proxy tiers: the request
-// ID, the always-on trace root and its trace-store offer, the trace
-// admin routes, the admin bearer check, JSON replies and the
-// listen/serve/drain loop. Each tier keeps only what is its own — its
-// routes, its metrics and its background loops.
+// ID, the bounded body read, the always-on trace root and its
+// trace-store offer, the trace admin routes, the admin bearer check,
+// JSON replies and the listen/serve/drain loop. Each tier keeps only
+// what is its own — its routes, its metrics and its background loops.
 
 // MaxRequestIDLen bounds a caller-supplied X-Request-ID, so a huge
 // header cannot bloat logs, span records and feedback tables.
@@ -41,6 +42,43 @@ func RequestID(r *http.Request) string {
 		return "rand-unavailable"
 	}
 	return hex.EncodeToString(b[:])
+}
+
+// maxFirstBodyBuffer caps the buffer a declared Content-Length buys
+// before any byte arrives, so a header alone never makes a hop allocate
+// more than this; past it, memory follows the bytes actually received.
+const maxFirstBodyBuffer = 1 << 20
+
+// ReadBody reads r's body up to bound+1 bytes and returns exactly what
+// io.ReadAll(io.LimitReader(r.Body, bound+1)) returns, errors included:
+// a result longer than bound means the body exceeds it. The first
+// buffer is ContentLength+1 bytes (capped at 1 MiB and at bound+1), so
+// a body of its declared length is read in one allocation, the +1
+// taking the EOF read without growing; a body of unknown length starts
+// at 512 bytes. The buffer doubles as bytes arrive, up to bound+1.
+func ReadBody(r *http.Request, bound int64) ([]byte, error) {
+	limit := bound + 1
+	size := min(512, limit)
+	if r.ContentLength >= 0 {
+		// min before +1: a declared length of MaxInt64 must not wrap.
+		size = min(r.ContentLength, bound) + 1
+	}
+	size = min(size, maxFirstBodyBuffer)
+	lr := io.LimitedReader{R: r.Body, N: limit}
+	b := make([]byte, 0, size)
+	for {
+		n, err := lr.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) && int64(cap(b)) < limit {
+			b = append(make([]byte, 0, min(2*int64(cap(b)), limit)), b...)
+		}
+	}
 }
 
 // StartRequest opens the always-on root span named name for one request

@@ -1,15 +1,20 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -286,5 +291,122 @@ func TestRunServerListenError(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "listening on") {
 		t.Fatalf("RunServer on a taken port = %v", err)
+	}
+}
+
+// TestReadBodyMatchesReadAll holds ReadBody to its contract: whatever
+// the body, its declared length, the bound and the way the reader
+// hands out bytes, it returns what io.ReadAll(io.LimitReader(body,
+// bound+1)) returns — the same bytes, a non-nil slice, the same error.
+func TestReadBodyMatchesReadAll(t *testing.T) {
+	errCut := errors.New("connection cut")
+	readers := []struct {
+		name string
+		// upTo skips bodies longer than this: byte-at-a-time reads of
+		// the large bodies add run time, not growth steps, which the
+		// half reader already takes in short reads.
+		upTo int
+		wrap func([]byte) io.Reader
+	}{
+		{"whole", math.MaxInt, func(b []byte) io.Reader { return bytes.NewReader(b) }},
+		{"half", math.MaxInt, func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) }},
+		{"one-byte", 513, func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+		{"data-with-eof", math.MaxInt, func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) }},
+		{"cut", math.MaxInt, func(b []byte) io.Reader {
+			return io.MultiReader(bytes.NewReader(b), iotest.ErrReader(errCut))
+		}},
+	}
+	failures := 0
+	for _, n := range []int{0, 1, 511, 512, 513, 225_000, 1<<20 - 1, 1 << 20, 1<<20 + 1, 3 << 20} {
+		if RaceEnabled && n > 225_000 {
+			// One goroutine shares nothing for the race detector to see,
+			// and its copy instrumentation takes ~20 s over these bodies.
+			continue
+		}
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i*7 + i>>9)
+		}
+		var bounds []int64
+		for _, b := range []int64{int64(n) / 2, int64(n) - 1, int64(n), int64(n) + 1} {
+			if b >= 0 && (len(bounds) == 0 || b != bounds[len(bounds)-1]) {
+				bounds = append(bounds, b)
+			}
+		}
+		for _, bound := range bounds {
+			declared := []int64{-1, 0, int64(n) / 2, int64(n), int64(n) + 1000, bound + 1000, math.MaxInt64}
+			for _, cl := range declared {
+				for _, rd := range readers {
+					if n > rd.upTo {
+						continue
+					}
+					want, wantErr := io.ReadAll(io.LimitReader(rd.wrap(body), bound+1))
+					req := &http.Request{Body: io.NopCloser(rd.wrap(body)), ContentLength: cl}
+					got, gotErr := ReadBody(req, bound)
+					if !bytes.Equal(got, want) || (got == nil) != (want == nil) || gotErr != wantErr {
+						t.Errorf("body %d B, Content-Length %d, bound %d, %s reader: got %d B (nil %v) err %v, want %d B (nil %v) err %v",
+							n, cl, bound, rd.name, len(got), got == nil, gotErr, len(want), want == nil, wantErr)
+						if failures++; failures > 10 {
+							t.FailNow()
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// bytesPerRead reports the heap bytes one ReadBody call allocates for
+// a request declaring declared bytes that carries body, averaged over
+// a few calls.
+func bytesPerRead(t *testing.T, body []byte, declared, bound int64) uint64 {
+	t.Helper()
+	br := bytes.NewReader(body)
+	req := &http.Request{Body: io.NopCloser(br), ContentLength: declared}
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		br.Reset(body)
+		if got, err := ReadBody(req, bound); err != nil || len(got) != len(body) {
+			t.Fatalf("ReadBody = %d B, %v; want %d B", len(got), err, len(body))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestReadBodyDeclaredLengthBoundsAllocation: a Content-Length header
+// alone buys at most the 1 MiB first buffer. A request declaring 64 MiB
+// that sends 10 bytes must not make a hop allocate 64 MiB.
+func TestReadBodyDeclaredLengthBoundsAllocation(t *testing.T) {
+	const most = 1<<20 + 64<<10
+	if got := bytesPerRead(t, []byte("0123456789"), 64<<20, 64<<20); got > most {
+		t.Fatalf("a request declaring 64 MiB and sending 10 B allocated %d B per read, want <= %d", got, most)
+	}
+}
+
+// TestReadBodyAllocs guards the point of ReadBody: a 225 KB body that
+// declares its length is read in exactly one allocation, of its own
+// size plus the EOF byte.
+func TestReadBodyAllocs(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("the race runtime adds its own allocations")
+	}
+	body := make([]byte, 225_000)
+	br := bytes.NewReader(body)
+	req := &http.Request{Body: io.NopCloser(br), ContentLength: int64(len(body))}
+	allocs := testing.AllocsPerRun(20, func() {
+		br.Reset(body)
+		if got, err := ReadBody(req, 64<<20); err != nil || len(got) != len(body) {
+			t.Fatalf("ReadBody = %d B, %v; want %d B", len(got), err, len(body))
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a %d B body with its Content-Length took %v allocations, want 1", len(body), allocs)
+	}
+	if got, limit := bytesPerRead(t, body, int64(len(body)), 64<<20), uint64(len(body))+8<<10; got > limit {
+		t.Fatalf("reading a %d B body allocated %d B, want <= %d", len(body), got, limit)
 	}
 }

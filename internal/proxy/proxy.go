@@ -3,10 +3,9 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"sort"
@@ -106,7 +105,7 @@ func (c Config) withDefaults() Config {
 //	GET  /v1/admin/trace/{id}  one trace, replica spans stitched in
 //
 // Prediction requests hash on the request body's content (the same
-// identity serve's feature memo keys on), so a repeated matrix always
+// bytes serve's feature memo keys on), so a repeated matrix always
 // lands on the replica whose memo already holds its features; requests
 // with no body route by arch. The admin fan-outs forward the client's
 // Authorization header verbatim — the proxy holds no tokens of its
@@ -343,7 +342,7 @@ type attemptResult struct {
 }
 
 // handlePredict routes one prediction request: consistent-hash on the
-// body content (the identity the replica's feature memo keys on),
+// body content (the same bytes the replica's feature memo keys on),
 // forward to the ring owner, hedge onto the next distinct replica when
 // the owner is slow, fail over when an attempt dies.
 //
@@ -657,7 +656,7 @@ func (p *Proxy) copyResponse(w http.ResponseWriter, res proxied) {
 // readBody buffers the (bounded) request body; hedging needs a
 // replayable copy. A nil return means the response is already written.
 func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, p.cfg.MaxBodyBytes+1))
+	body, err := obs.ReadBody(r, p.cfg.MaxBodyBytes)
 	if err != nil {
 		obs.WriteJSON(w, http.StatusBadRequest, obs.ErrorBody{Error: "reading request body: " + err.Error()})
 		return nil, err
@@ -670,15 +669,21 @@ func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error)
 	return body, nil
 }
 
+// castagnoli is the CRC-32C table, which hash/crc32 computes with the
+// CPU's CRC instructions where it has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // routeKey is the consistent-hash identity of one prediction request:
-// the body's content hash — the same bytes serve keys its feature memo on —
-// with the arch as the fallback for empty bodies.
+// the CRC-32C of the body — the same bytes serve keys its feature memo
+// on — with the arch as the fallback for empty bodies. Routing needs
+// spread, not collision resistance: a crafted collision only moves a
+// body to another replica, which a client can already do by trying
+// bodies.
 func routeKey(body []byte, arch string) string {
 	if len(body) == 0 {
 		return "arch:" + arch
 	}
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:16])
+	return strconv.FormatUint(uint64(crc32.Checksum(body, castagnoli)), 16)
 }
 
 // ---------------------------------------------------------------------

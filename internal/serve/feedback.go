@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -192,7 +191,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // feedback validates one report, joins it against the pending
 // prediction, and feeds the outcome to the admin backend.
 func (s *Server) feedback(r *http.Request) (*feedbackResponse, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxFeedbackBody+1))
+	body, err := obs.ReadBody(r, maxFeedbackBody)
 	if err != nil {
 		return nil, badRequest("reading feedback body: %v", err)
 	}

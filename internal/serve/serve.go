@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -550,7 +549,7 @@ func (s *Server) limited(h func(ctx context.Context, r *http.Request) (any, erro
 
 // readBody reads the (size-bounded) request body.
 func (s *Server) readBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	body, err := obs.ReadBody(r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, badRequest("reading request body: %v", err)
 	}
