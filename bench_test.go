@@ -482,6 +482,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	ctx := context.Background()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, sp := obs.Start(ctx, "bench/disabled")
 		sp.End()

@@ -19,10 +19,11 @@
 #                  (hot swaps racing requests, checked against the
 #                  reference pipeline; shadow installs, promotes,
 #                  reloads, and the quality and drift windows they
-#                  rebuild) + the tree-learner golden and worker-cap tests at 1, 2
-#                  and 4 CPUs (the forest's shared presort and the
-#                  boosting rounds' per-class trees run inline and
-#                  fanned out; every fit must match the recorded
+#                  rebuild) + the tree-learner and CNN golden and
+#                  worker-cap tests at 1, 2 and 4 CPUs (the forest's
+#                  shared presort, the boosting rounds' per-class trees
+#                  and the CNN's per-sample minibatch passes run inline
+#                  and fanned out; every fit must match the recorded
 #                  digests) + the
 #                  race-free allocation guards (pooled parse scratch,
 #                  feature-memo hits, cascade predict, the one-allocation
@@ -30,7 +31,9 @@
 #                  FuzzReadMatrixMarket (the byte-slice MatrixMarket
 #                  reader fuzzed against the streaming reader: same
 #                  verdict, same matrix) + the obs
-#                  disabled-path overhead benchmark +
+#                  disabled-path overhead benchmark (five 1 s runs per
+#                  package: 0 allocs/op in every run, the fastest under
+#                  2 ns/op) +
 #                  four end-to-end serving smoke tests (single-model
 #                  with telemetry:
 #                  a repeated body answered from the feature memo,
@@ -98,8 +101,8 @@ go test -race -count=1 -cpu 1,2,4 -run 'TestServingPathsMatchReference|TestProxi
 echo '== registry swaps and monitors at 1, 2 and 4 CPUs (swaps racing requests, one per-arch record)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestStress|TestInstallShadow|TestPromote|TestReload|TestQuality|TestDrift' ./internal/registry
 
-echo '== tree learners at 1, 2 and 4 CPUs (shared presort and per-class boosting inline and fanned out)'
-go test -race -count=1 -cpu 1,2,4 -run 'TestTreeLearnersGolden|AcrossWorkerCaps|TestForest' ./internal/classify
+echo '== tree learners and the CNN at 1, 2 and 4 CPUs (shared presort, per-class boosting and per-sample CNN passes inline and fanned out)'
+go test -race -count=1 -cpu 1,2,4 -run 'TestTreeLearnersGolden|TestCNNGolden|AcrossWorkerCaps|TestForest' ./internal/classify
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
 go test -run Allocs -count=1 ./internal/sparse ./internal/serve ./internal/obs
@@ -109,8 +112,28 @@ go test -run Allocs -count=1 ./internal/sparse ./internal/serve ./internal/obs
 echo '== MatrixMarket readers fuzzed against each other (20 s)'
 go test -run '^$' -fuzz '^FuzzReadMatrixMarket$' -fuzztime 20s -fuzzminimizetime 1s ./internal/sparse
 
-echo '== obs disabled-path overhead (budget: < 2 ns/op, see internal/obs)'
-go test -run - -bench BenchmarkObsOverhead -benchtime 100x . ./internal/obs
+# Five 1 s runs per package: every run must report 0 allocs/op, and
+# each package's fastest run must stay under 2 ns/op.
+echo '== obs disabled-path overhead (budget: < 2 ns/op and 0 allocs/op, see internal/obs)'
+OBSBENCH=$(go test -run '^$' -bench '^BenchmarkObsOverhead$' -benchtime 1s -count 5 . ./internal/obs)
+echo "$OBSBENCH"
+echo "$OBSBENCH" | awk '
+	/^pkg: / { pkg = $2 }
+	/^BenchmarkObsOverhead/ {
+		for (i = 2; i < NF; i++) {
+			if ($(i+1) == "ns/op" && (!(pkg in best) || $i + 0 < best[pkg])) best[pkg] = $i + 0
+			if ($(i+1) == "allocs/op" && $i + 0 > 0) { print "ci: " pkg ": " $i " allocs/op on the disabled path"; bad = 1 }
+		}
+	}
+	END {
+		n = 0
+		for (p in best) {
+			n++
+			if (best[p] >= 2) { print "ci: " p ": fastest disabled-path run " best[p] " ns/op, budget < 2"; bad = 1 }
+		}
+		if (n != 2) { print "ci: the overhead benchmark ran in " n " packages, want 2"; bad = 1 }
+		exit bad
+	}' || exit 1
 
 echo '== serve smoke test (train -save, serve, request, telemetry, SIGTERM)'
 SMOKE=$(mktemp -d)

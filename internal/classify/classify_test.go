@@ -565,6 +565,22 @@ func TestGBoostFitDeterministicAcrossWorkerCaps(t *testing.T) {
 	}
 }
 
+// TestCNNFitDeterministicAcrossWorkerCaps re-fits the same network
+// with each minibatch's per-sample passes run inline (cap 1) and fanned
+// out (the default budget at GOMAXPROCS 4), and requires identical
+// weights: the gradient sums must read the slots in the same order.
+func TestCNNFitDeterministicAcrossWorkerCaps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	fit := func(cap int) string {
+		prev := obs.SetMaxWorkers(cap)
+		defer obs.SetMaxWorkers(prev)
+		return fitCNNGolden(t, 150, 32, 3)
+	}
+	if seq, par := fit(1), fit(0); seq != par {
+		t.Fatalf("CNN weights differ between worker cap 1 (%s) and the default (%s)", seq, par)
+	}
+}
+
 // BenchmarkKNNPredict measures single-vector KNN prediction: the
 // fixed-size insertion top-k versus the container/heap implementation it
 // replaced (kept inline here as the baseline).

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/obs"
 )
 
 // CNN is a small convolutional network over DensityImage encodings,
@@ -78,6 +80,27 @@ func (m *CNN) newState() *cnnState {
 
 func (m *CNN) fcIn() int { return m.c2 * cnnP2Out * cnnP2Out }
 
+// cnnSlot is one minibatch position's scratch: the sample's forward
+// activations and its backward deltas.
+type cnnSlot struct {
+	cnnState
+	dP2 []float64 // c2 x 2 x 2
+	dA2 []float64 // c2 x 5 x 5
+	dP1 []float64 // c1 x 7 x 7
+	dA1 []float64 // c1 x 14 x 14
+}
+
+func (m *CNN) newSlot() cnnSlot {
+	st := m.newState()
+	return cnnSlot{
+		cnnState: *st,
+		dP2:      make([]float64, len(st.p2)),
+		dA2:      make([]float64, len(st.a2)),
+		dP1:      make([]float64, len(st.p1)),
+		dA1:      make([]float64, len(st.a1)),
+	}
+}
+
 // Fit trains the network. Input rows must be DensityImage vectors of
 // length ImageSize*ImageSize.
 func (m *CNN) Fit(x [][]float64, y []int, classes int) error {
@@ -136,11 +159,15 @@ func (m *CNN) Fit(x [][]float64, y []int, classes int) error {
 	gFC := make([]float64, len(m.fc))
 	gBiasFC := make([]float64, len(m.biasFC))
 
-	st := m.newState()
-	dP2 := make([]float64, m.fcIn())
-	dA2 := make([]float64, len(st.a2))
-	dP1 := make([]float64, len(st.p1))
-	dA1 := make([]float64, len(st.a1))
+	// A minibatch runs in two phases. The weights are fixed within it,
+	// so each sample's forward pass and backward deltas depend on that
+	// sample alone: they fill one slot per batch position in parallel.
+	// The gradient sums then read the slots in perm order, so every sum
+	// adds in the same order at any worker count.
+	slots := make([]cnnSlot, min(m.Batch, len(x)))
+	for k := range slots {
+		slots[k] = m.newSlot()
+	}
 
 	perm := make([]int, len(x))
 	for i := range perm {
@@ -154,58 +181,34 @@ func (m *CNN) Fit(x [][]float64, y []int, classes int) error {
 			if end > len(perm) {
 				end = len(perm)
 			}
+			batch := perm[start:end]
+			obs.ParallelFor(len(batch), func(k int) {
+				s := &slots[k]
+				m.forward(x[batch[k]], &s.cnnState)
+				m.backward(s, y[batch[k]])
+			})
 			zero(gConv1)
 			zero(gBias1)
 			zero(gConv2)
 			zero(gBias2)
 			zero(gFC)
 			zero(gBiasFC)
-			for _, pi := range perm[start:end] {
-				img := x[pi]
-				m.forward(img, st)
+			for k, pi := range batch {
+				s := &slots[k]
 				// Softmax gradient at the output.
 				for c := 0; c < classes; c++ {
-					d := st.out[c]
+					d := s.out[c]
 					if c == y[pi] {
 						d -= 1
 					}
 					gBiasFC[c] += d
 					base := c * m.fcIn()
 					for j := 0; j < m.fcIn(); j++ {
-						gFC[base+j] += d * st.p2[j]
+						gFC[base+j] += d * s.p2[j]
 					}
 				}
-				// Backprop into the pooled features.
-				zero(dP2)
-				for c := 0; c < classes; c++ {
-					d := st.out[c]
-					if c == y[pi] {
-						d -= 1
-					}
-					base := c * m.fcIn()
-					for j := 0; j < m.fcIn(); j++ {
-						dP2[j] += d * m.fc[base+j]
-					}
-				}
-				// Unpool 2 and ReLU.
-				zero(dA2)
-				for j, src := range st.arg2 {
-					if st.a2[src] > 0 {
-						dA2[src] += dP2[j]
-					}
-				}
-				// Conv2 gradients and input gradient.
-				zero(dP1)
-				m.backConv2(st.p1, dA2, gConv2, gBias2, dP1)
-				// Unpool 1 and ReLU.
-				zero(dA1)
-				for j, src := range st.arg1 {
-					if st.a1[src] > 0 {
-						dA1[src] += dP1[j]
-					}
-				}
-				// Conv1 gradients.
-				m.backConv1(img, dA1, gConv1, gBias1)
+				m.backConv2Weights(s.p1, s.dA2, gConv2, gBias2)
+				m.backConv1(x[pi], s.dA1, gConv1, gBias1)
 			}
 			lr := m.LR / float64(end-start)
 			sgd(m.conv1, gConv1, vConv1, lr, momentum)
@@ -233,48 +236,65 @@ func sgd(w, g, v []float64, lr, momentum float64) {
 	}
 }
 
-// forward runs one sample through the network, filling st.
+// forward runs one sample through the network, filling st. The conv
+// loops walk fixed-width rows with the kernel's nine weights in locals;
+// every output adds its bias, then its channels in order, then each
+// channel's three kernel rows in order.
 func (m *CNN) forward(img []float64, st *cnnState) {
 	// Conv1 + ReLU.
 	for f := 0; f < m.c1; f++ {
-		w := m.conv1[f*9 : f*9+9]
+		w := (*[9]float64)(m.conv1[f*9:])
+		w0, w1, w2, w3, w4, w5, w6, w7, w8 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
 		b := m.bias1[f]
 		for i := 0; i < cnnC1Out; i++ {
+			r0 := (*[cnnIn]float64)(img[i*cnnIn:])
+			r1 := (*[cnnIn]float64)(img[(i+1)*cnnIn:])
+			r2 := (*[cnnIn]float64)(img[(i+2)*cnnIn:])
+			o := (*[cnnC1Out]float64)(st.a1[(f*cnnC1Out+i)*cnnC1Out:])
 			for j := 0; j < cnnC1Out; j++ {
 				s := b
-				for ki := 0; ki < 3; ki++ {
-					row := (i + ki) * cnnIn
-					wr := ki * 3
-					s += w[wr]*img[row+j] + w[wr+1]*img[row+j+1] + w[wr+2]*img[row+j+2]
-				}
+				s += w0*r0[j] + w1*r0[j+1] + w2*r0[j+2]
+				s += w3*r1[j] + w4*r1[j+1] + w5*r1[j+2]
+				s += w6*r2[j] + w7*r2[j+1] + w8*r2[j+2]
 				if s < 0 {
 					s = 0
 				}
-				st.a1[(f*cnnC1Out+i)*cnnC1Out+j] = s
+				o[j] = s
 			}
 		}
 	}
 	maxPool(st.a1, st.p1, st.arg1, m.c1, cnnC1Out, cnnP1Out)
 
-	// Conv2 + ReLU over c1 channels.
+	// Conv2 + ReLU over c1 channels, accumulated channel by channel into
+	// the filter's output plane.
+	const plane1, plane2 = cnnP1Out * cnnP1Out, cnnC2Out * cnnC2Out
 	for f := 0; f < m.c2; f++ {
+		out := st.a2[f*plane2 : (f+1)*plane2]
 		b := m.bias2[f]
-		for i := 0; i < cnnC2Out; i++ {
-			for j := 0; j < cnnC2Out; j++ {
-				s := b
-				for ch := 0; ch < m.c1; ch++ {
-					w := m.conv2[(f*m.c1+ch)*9:]
-					base := ch * cnnP1Out * cnnP1Out
-					for ki := 0; ki < 3; ki++ {
-						row := base + (i+ki)*cnnP1Out
-						wr := ki * 3
-						s += w[wr]*st.p1[row+j] + w[wr+1]*st.p1[row+j+1] + w[wr+2]*st.p1[row+j+2]
-					}
+		for k := range out {
+			out[k] = b
+		}
+		for ch := 0; ch < m.c1; ch++ {
+			w := (*[9]float64)(m.conv2[(f*m.c1+ch)*9:])
+			w0, w1, w2, w3, w4, w5, w6, w7, w8 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
+			in := st.p1[ch*plane1 : (ch+1)*plane1]
+			for i := 0; i < cnnC2Out; i++ {
+				r0 := (*[cnnP1Out]float64)(in[i*cnnP1Out:])
+				r1 := (*[cnnP1Out]float64)(in[(i+1)*cnnP1Out:])
+				r2 := (*[cnnP1Out]float64)(in[(i+2)*cnnP1Out:])
+				o := (*[cnnC2Out]float64)(out[i*cnnC2Out:])
+				for j := 0; j < cnnC2Out; j++ {
+					s := o[j]
+					s += w0*r0[j] + w1*r0[j+1] + w2*r0[j+2]
+					s += w3*r1[j] + w4*r1[j+1] + w5*r1[j+2]
+					s += w6*r2[j] + w7*r2[j+1] + w8*r2[j+2]
+					o[j] = s
 				}
-				if s < 0 {
-					s = 0
-				}
-				st.a2[(f*cnnC2Out+i)*cnnC2Out+j] = s
+			}
+		}
+		for k, v := range out {
+			if v < 0 {
+				out[k] = 0
 			}
 		}
 	}
@@ -304,33 +324,103 @@ func (m *CNN) forward(img []float64, st *cnnState) {
 }
 
 // maxPool performs 2x2 max pooling per channel, recording argmax source
-// indices for the backward pass.
+// indices for the backward pass. Each output row steps two columns at a
+// time through its two input rows; an odd input side leaves its last
+// row and column unread. The row-length conditions always hold
+// (inSide >= 2*outSide) and let the compiler drop the bounds checks.
 func maxPool(in, out []float64, arg []int, channels, inSide, outSide int) {
 	for ch := 0; ch < channels; ch++ {
 		for i := 0; i < outSide; i++ {
-			for j := 0; j < outSide; j++ {
+			top := (ch*inSide + 2*i) * inSide
+			r0, r1 := in[top:top+inSide], in[top+inSide:top+2*inSide]
+			o := (ch*outSide + i) * outSide
+			orow, arow := out[o:o+outSide], arg[o:o+outSide]
+			for j := 0; j < len(orow) && len(r0) > 1 && len(r1) > 1; j++ {
 				best := math.Inf(-1)
 				bestIdx := 0
-				for di := 0; di < 2; di++ {
-					for dj := 0; dj < 2; dj++ {
-						idx := (ch*inSide+(2*i+di))*inSide + (2*j + dj)
-						if in[idx] > best {
-							best = in[idx]
-							bestIdx = idx
-						}
-					}
+				c := top + 2*j
+				if r0[0] > best {
+					best, bestIdx = r0[0], c
 				}
-				o := (ch*outSide+i)*outSide + j
-				out[o] = best
-				arg[o] = bestIdx
+				if r0[1] > best {
+					best, bestIdx = r0[1], c+1
+				}
+				if r1[0] > best {
+					best, bestIdx = r1[0], c+inSide
+				}
+				if r1[1] > best {
+					best, bestIdx = r1[1], c+inSide+1
+				}
+				orow[j], arow[j] = best, bestIdx
+				r0, r1 = r0[2:], r1[2:]
 			}
 		}
 	}
 }
 
-// backConv2 accumulates conv2 weight/bias gradients from upstream dA2
-// and propagates the gradient into dP1.
-func (m *CNN) backConv2(p1, dA2, gW, gB, dP1 []float64) {
+// backward fills a slot's deltas from its forward pass for label y:
+// the gradients at the pooled features, at conv2's ReLU output, at the
+// first pooled map and at conv1's ReLU output.
+func (m *CNN) backward(s *cnnSlot, y int) {
+	// Backprop into the pooled features.
+	zero(s.dP2)
+	for c := 0; c < m.classes; c++ {
+		d := s.out[c]
+		if c == y {
+			d -= 1
+		}
+		base := c * m.fcIn()
+		for j := 0; j < m.fcIn(); j++ {
+			s.dP2[j] += d * m.fc[base+j]
+		}
+	}
+	// Unpool 2 and ReLU.
+	zero(s.dA2)
+	for j, src := range s.arg2 {
+		if s.a2[src] > 0 {
+			s.dA2[src] += s.dP2[j]
+		}
+	}
+	// Conv2's input gradient.
+	zero(s.dP1)
+	m.backConv2Input(s.dA2, s.dP1)
+	// Unpool 1 and ReLU.
+	zero(s.dA1)
+	for j, src := range s.arg1 {
+		if s.a1[src] > 0 {
+			s.dA1[src] += s.dP1[j]
+		}
+	}
+}
+
+// backConv2Input propagates conv2's upstream gradient dA2 into dP1.
+func (m *CNN) backConv2Input(dA2, dP1 []float64) {
+	for f := 0; f < m.c2; f++ {
+		for i := 0; i < cnnC2Out; i++ {
+			for j := 0; j < cnnC2Out; j++ {
+				d := dA2[(f*cnnC2Out+i)*cnnC2Out+j]
+				if d == 0 {
+					continue
+				}
+				for ch := 0; ch < m.c1; ch++ {
+					wBase := (f*m.c1 + ch) * 9
+					pBase := ch * cnnP1Out * cnnP1Out
+					for ki := 0; ki < 3; ki++ {
+						row := pBase + (i+ki)*cnnP1Out
+						wr := wBase + ki*3
+						dP1[row+j] += d * m.conv2[wr]
+						dP1[row+j+1] += d * m.conv2[wr+1]
+						dP1[row+j+2] += d * m.conv2[wr+2]
+					}
+				}
+			}
+		}
+	}
+}
+
+// backConv2Weights accumulates conv2 weight/bias gradients from
+// upstream dA2 and the pooled conv1 output p1.
+func (m *CNN) backConv2Weights(p1, dA2, gW, gB []float64) {
 	for f := 0; f < m.c2; f++ {
 		for i := 0; i < cnnC2Out; i++ {
 			for j := 0; j < cnnC2Out; j++ {
@@ -348,9 +438,6 @@ func (m *CNN) backConv2(p1, dA2, gW, gB, dP1 []float64) {
 						gW[wr] += d * p1[row+j]
 						gW[wr+1] += d * p1[row+j+1]
 						gW[wr+2] += d * p1[row+j+2]
-						dP1[row+j] += d * m.conv2[wr]
-						dP1[row+j+1] += d * m.conv2[wr+1]
-						dP1[row+j+2] += d * m.conv2[wr+2]
 					}
 				}
 			}

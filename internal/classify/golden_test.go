@@ -116,3 +116,98 @@ func TestTreeLearnersGolden(t *testing.T) {
 		}
 	}
 }
+
+// cnnGoldenTask is a fixed 3-class image problem shaped like
+// DensityImage output: mostly zero pixels in [0, 1], one class a
+// diagonal band, one a heavy top row block, one scattered blocks, each
+// with noise. The zeros leave dead ReLU units, so the backward pass's
+// zero-delta skips are exercised.
+func cnnGoldenTask(n int) (x [][]float64, y []int) {
+	rng := rand.New(rand.NewSource(61))
+	x = make([][]float64, n)
+	y = make([]int, n)
+	for k := range x {
+		img := make([]float64, ImageSize*ImageSize)
+		c := rng.Intn(3)
+		switch c {
+		case 0:
+			for i := 0; i < ImageSize; i++ {
+				img[i*ImageSize+i] = 0.6 + 0.4*rng.Float64()
+				if i+1 < ImageSize {
+					img[i*ImageSize+i+1] = 0.3 * rng.Float64()
+				}
+			}
+		case 1:
+			for i := 0; i < 3; i++ {
+				for j := 0; j < ImageSize; j++ {
+					img[i*ImageSize+j] = rng.Float64()
+				}
+			}
+		default:
+			for b := 0; b < 4; b++ {
+				bi, bj := rng.Intn(ImageSize-2), rng.Intn(ImageSize-2)
+				for i := bi; i < bi+3; i++ {
+					for j := bj; j < bj+3; j++ {
+						img[i*ImageSize+j] = 0.5 + 0.5*rng.Float64()
+					}
+				}
+			}
+		}
+		for i := 0; i < 12; i++ {
+			img[rng.Intn(len(img))] = rng.Float64()
+		}
+		x[k], y[k] = img, c
+	}
+	return x, y
+}
+
+// cnnDigest hashes the fitted weights' bits in a fixed order: conv1,
+// bias1, conv2, bias2, fc, biasFC.
+func cnnDigest(m *CNN) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, w := range [][]float64{m.conv1, m.bias1, m.conv2, m.bias2, m.fc, m.biasFC} {
+		for _, v := range w {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// cnnGoldenFits are the fixed fits TestCNNGolden pins: 150 images in
+// minibatches of 32 (a partial last batch of 22) and 20 images in one
+// batch of at most 32 (Batch > n).
+var cnnGoldenFits = []struct {
+	name     string
+	n, batch int
+	epochs   int
+	want     string
+}{
+	{"partial-last-batch", 150, 32, 3, "f48aa5c3c8a862043d6eefd907bf7409fe13918ce8f58a650d94fa7e7d692035"},
+	{"batch-over-n", 20, 32, 5, "56f3571528dc44fdedec98ef6c74a187e4092bf346578ce44fc322e339b0ef8c"},
+}
+
+func fitCNNGolden(t *testing.T, n, batch, epochs int) string {
+	t.Helper()
+	x, y := cnnGoldenTask(n)
+	m := NewCNN(5)
+	m.Batch, m.Epochs = batch, epochs
+	if err := m.Fit(x, y, 3); err != nil {
+		t.Fatal(err)
+	}
+	return cnnDigest(m)
+}
+
+// TestCNNGolden pins the fitted CNN weights bit for bit: any change to
+// the order in which the forward pass, the backward pass or the
+// minibatch gradient sums add shows up as a digest change. Like
+// GBoost's, the digests were recorded on amd64, since the softmax calls
+// math.Exp.
+func TestCNNGolden(t *testing.T) {
+	for _, tc := range cnnGoldenFits {
+		if got := fitCNNGolden(t, tc.n, tc.batch, tc.epochs); got != tc.want {
+			t.Errorf("%s digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -367,14 +367,14 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx, root := p.traces.StartRequest(obs.WithTraceID(r.Context(), trace), r, r.URL.Path)
 	r = r.WithContext(ctx)
 
-	body, err := p.readBody(w, r)
-	if err != nil {
-		p.traces.FinishRequest(root, r, http.StatusBadRequest)
+	body, status := p.readBody(w, r)
+	if status != http.StatusOK {
+		p.traces.FinishRequest(root, r, status)
 		return // readBody already answered
 	}
 	key := routeKey(body, r.URL.Query().Get("arch"))
 	res, info, ferr := p.forward(r, body, key, true)
-	status := res.status
+	status = res.status
 	if ferr != nil {
 		p.errors.Inc()
 		status = http.StatusBadGateway
@@ -428,8 +428,8 @@ func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.requests.Inc()
-	body, err := p.readBody(w, r)
-	if err != nil {
+	body, status := p.readBody(w, r)
+	if status != http.StatusOK {
 		return
 	}
 	var ref struct {
@@ -654,19 +654,20 @@ func (p *Proxy) copyResponse(w http.ResponseWriter, res proxied) {
 }
 
 // readBody buffers the (bounded) request body; hedging needs a
-// replayable copy. A nil return means the response is already written.
-func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// replayable copy. Any status but 200 is the error answer readBody
+// already wrote.
+func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int) {
 	body, err := obs.ReadBody(r, p.cfg.MaxBodyBytes)
 	if err != nil {
 		obs.WriteJSON(w, http.StatusBadRequest, obs.ErrorBody{Error: "reading request body: " + err.Error()})
-		return nil, err
+		return nil, http.StatusBadRequest
 	}
 	if int64(len(body)) > p.cfg.MaxBodyBytes {
-		err := fmt.Errorf("request body exceeds %d bytes", p.cfg.MaxBodyBytes)
-		obs.WriteJSON(w, http.StatusRequestEntityTooLarge, obs.ErrorBody{Error: err.Error()})
-		return nil, err
+		obs.WriteJSON(w, http.StatusRequestEntityTooLarge,
+			obs.ErrorBody{Error: fmt.Sprintf("request body exceeds %d bytes", p.cfg.MaxBodyBytes)})
+		return nil, http.StatusRequestEntityTooLarge
 	}
-	return body, nil
+	return body, http.StatusOK
 }
 
 // castagnoli is the CRC-32C table, which hash/crc32 computes with the

@@ -1,13 +1,17 @@
 package proxy
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/obs"
@@ -183,6 +187,41 @@ func TestProxyTraceRequestedKeep(t *testing.T) {
 	}
 	if len(keeps) != 1 || keeps[0] != "1" {
 		t.Fatalf("replicas saw keep headers %v, want the client's [1]", keeps)
+	}
+}
+
+// TestProxyTraceRecordsBodyReadStatus: a prediction whose body the
+// proxy cannot read answers the client itself, and its retained trace
+// records the status the client got: 400 for a body cut short, 413 for
+// one over the bound.
+func TestProxyTraceRecordsBodyReadStatus(t *testing.T) {
+	defer obs.Default.Reset()
+	const limit = 64
+	_, p := testFleet(t, 2, Config{HedgeAfter: time.Second, TraceSample: -1, MaxBodyBytes: limit})
+	h := p.Handler()
+	for _, tc := range []struct {
+		id   string
+		body io.Reader
+		want int
+	}{
+		{"cut-body", io.MultiReader(strings.NewReader("%%MatrixMa"), iotest.ErrReader(errors.New("connection reset"))), http.StatusBadRequest},
+		{"big-body", bytes.NewReader(bytes.Repeat([]byte("x"), limit+1)), http.StatusRequestEntityTooLarge},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict/matrix", tc.body)
+		req.Header.Set("X-Request-ID", tc.id)
+		req.Header.Set(obs.TraceKeepHeader, "1")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Fatalf("%s: answered %d, want %d", tc.id, rec.Code, tc.want)
+		}
+		e := p.traces.Get(tc.id)
+		if e == nil {
+			t.Fatalf("%s: requested trace not retained", tc.id)
+		}
+		if e.Status != tc.want {
+			t.Errorf("%s: trace records status %d, the client got %d", tc.id, e.Status, tc.want)
+		}
 	}
 }
 
