@@ -470,25 +470,6 @@ func BenchmarkFeatureExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead proves the observability layer is free when no
-// sink is registered: a full obs.Start/End span pair on the disabled
-// path must stay under 2 ns/op with zero allocations (ci.sh runs this
-// benchmark on every check). The same guard exists next to the
-// implementation in internal/obs; this copy keeps the repo-root
-// `go test -bench BenchmarkObsOverhead` invocation meaningful.
-func BenchmarkObsOverhead(b *testing.B) {
-	if obs.Enabled() {
-		b.Fatal("observability unexpectedly enabled")
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, sp := obs.Start(ctx, "bench/disabled")
-		sp.End()
-	}
-}
-
 // BenchmarkKernelModel measures the analytical GPU cost model.
 func BenchmarkKernelModel(b *testing.B) {
 	m := benchMatrix(b)

@@ -88,18 +88,7 @@ func argmax(v []float64) int {
 	return best
 }
 
-// majority returns the most frequent class among labels, lowest class on
-// ties; counts must have length classes.
-func majority(y []int, counts []int) int {
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, l := range y {
-		counts[l]++
-	}
-	return argmax1(counts)
-}
-
+// argmax1 is argmax over integer counts (first on ties).
 func argmax1(v []int) int {
 	best := 0
 	for i := 1; i < len(v); i++ {

@@ -287,9 +287,6 @@ func TestDensityImageProperties(t *testing.T) {
 			}
 		}
 	}
-	if n := len(DensityImages([]*sparse.CSR{tr.ToCSR(), tr.ToCSR()})); n != 2 {
-		t.Error("DensityImages batch wrong")
-	}
 }
 
 func TestCNNLearnsImageTask(t *testing.T) {

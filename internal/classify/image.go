@@ -41,12 +41,3 @@ func DensityImage(m *sparse.CSR) []float64 {
 	}
 	return img
 }
-
-// DensityImages encodes a batch of matrices.
-func DensityImages(ms []*sparse.CSR) [][]float64 {
-	out := make([][]float64, len(ms))
-	for i, m := range ms {
-		out[i] = DensityImage(m)
-	}
-	return out
-}

@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/features"
 	"repro/internal/semisup"
@@ -95,17 +94,6 @@ func (s *Selector) Select(m *sparse.CSR) sparse.Format {
 	return sparse.KernelFormats()[idx]
 }
 
-// SelectVector recommends a format from a raw Table 1 feature vector,
-// validating its dimension — the entry point for callers (such as the
-// prediction service) that receive feature vectors instead of matrices.
-func (s *Selector) SelectVector(x []float64) (sparse.Format, error) {
-	idx, err := s.model.PredictChecked(x)
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
-	}
-	return sparse.KernelFormats()[idx], nil
-}
-
 // Model exposes the underlying semi-supervised model, e.g. for
 // embedding in a serve artifact.
 func (s *Selector) Model() *semisup.Model { return s.model }
@@ -174,22 +162,6 @@ func (s *Selector) Explain(m *sparse.CSR) Explanation {
 		ClusterSize: s.model.ClusterSize(c),
 		Features:    v,
 	}
-}
-
-// Save serialises the selector with encoding/gob, so a trained model
-// ships with an application and is later ported to new hardware with
-// Port alone.
-func (s *Selector) Save(w io.Writer) error {
-	return s.model.Save(w)
-}
-
-// LoadSelector deserialises a selector written by Save.
-func LoadSelector(r io.Reader) (*Selector, error) {
-	m, err := semisup.Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading selector: %w", err)
-	}
-	return &Selector{model: m}, nil
 }
 
 // Purity reports per-cluster purity on a labelled sample, the paper's

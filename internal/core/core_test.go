@@ -62,8 +62,8 @@ func TestSelectorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tr.ToCSR()
-	if _, err := TrainSelector([]*sparse.CSR{m}, []sparse.Format{sparse.FormatDIA}, Options{}); err == nil {
-		t.Error("DIA label accepted")
+	if _, err := TrainSelector([]*sparse.CSR{m}, []sparse.Format{sparse.FormatSELL}, Options{}); err == nil {
+		t.Error("SELL label accepted")
 	}
 	if _, err := TrainSelector([]*sparse.CSR{m}, nil, Options{}); err == nil {
 		t.Error("label mismatch accepted")
@@ -191,7 +191,7 @@ func TestSelectorPurity(t *testing.T) {
 	if total != len(ms) {
 		t.Errorf("purity counts %d != %d matrices", total, len(ms))
 	}
-	if _, _, err := sel.Purity(ms[:1], []sparse.Format{sparse.FormatDIA}); err == nil {
+	if _, _, err := sel.Purity(ms[:1], []sparse.Format{sparse.FormatSELL}); err == nil {
 		t.Error("bad purity label accepted")
 	}
 }

@@ -1,38 +1,16 @@
 package dataset
 
-import (
-	"fmt"
-	"math/rand"
+import "math/rand"
 
-	"repro/internal/sparse"
-)
-
-// Augment derives variants of a matrix by windowed row and column
-// permutations, the augmentation strategy the paper borrows from the
+// drawPerms draws one variant's row and column permutations, in that
+// order. Augmentation derives variants of a base matrix by windowed row
+// and column permutations, the strategy the paper borrows from the
 // CNN-based prior work (Zhao et al., Pichel et al.). Permutations are
 // windowed rather than global so the variants keep the coarse structure
 // (bandedness, blocks) that determines their best format, while the fine
 // layout — and therefore the exact feature values such as csr_max and
-// the scatter — changes.
-//
-// It returns n new matrices; the input is not modified.
-func Augment(rng *rand.Rand, m *sparse.CSR, n int) ([]*sparse.CSR, error) {
-	rows, cols := m.Dims()
-	out := make([]*sparse.CSR, 0, n)
-	for v := 0; v < n; v++ {
-		rp, cp := drawPerms(rng, rows, cols)
-		p, err := m.Permute(rp, cp)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: augmenting variant %d: %w", v, err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// drawPerms draws one variant's row and column permutations, in that
-// order. It is the only rng use of augmentation, so Generate can draw on
-// one goroutine and permute on others.
+// the scatter — changes. drawPerms is the only rng use of augmentation,
+// so Generate can draw on one goroutine and permute on others.
 func drawPerms(rng *rand.Rand, rows, cols int) (rowPerm, colPerm []int) {
 	rowPerm = windowedPerm(rng, rows, 1+rows/8)
 	colPerm = windowedPerm(rng, cols, 1+cols/8)

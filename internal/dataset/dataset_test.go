@@ -109,20 +109,42 @@ func TestGenerateAugmentationNaming(t *testing.T) {
 	if variants != bases {
 		t.Errorf("AugmentPerBase=1: want variants == bases, got %d vs %d", variants, bases)
 	}
+	// Each variant permutes its base: same dims and nnz, a different
+	// layout.
+	byName := map[string]*sparse.CSR{}
+	for _, it := range items {
+		byName[it.Name] = it.Matrix
+	}
+	for _, it := range items {
+		i := strings.LastIndex(it.Name, "_p")
+		if i < 0 {
+			continue
+		}
+		base := byName[it.Name[:i]]
+		if base == nil {
+			t.Fatalf("variant %s has no base", it.Name)
+		}
+		r0, c0 := base.Dims()
+		r, c := it.Matrix.Dims()
+		if r != r0 || c != c0 || it.Matrix.NNZ() != base.NNZ() {
+			t.Errorf("variant %s changed shape or nnz", it.Name)
+		}
+		if sparse.Equal(base, it.Matrix) {
+			t.Errorf("variant %s is identical to its base", it.Name)
+		}
+	}
 }
 
 func TestAugmentPreservesNNZAndDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := FamilyBanded.Generate(rng, 0.2)
-	vs, err := Augment(rng, m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 3 {
-		t.Fatalf("got %d variants, want 3", len(vs))
-	}
 	r0, c0 := m.Dims()
-	for i, v := range vs {
+	for i := 0; i < 3; i++ {
+		rp, cp := drawPerms(rng, r0, c0)
+		v, err := m.Permute(rp, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r, c := v.Dims()
 		if r != r0 || c != c0 || v.NNZ() != m.NNZ() {
 			t.Errorf("variant %d changed shape or nnz", i)

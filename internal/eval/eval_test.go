@@ -340,66 +340,6 @@ func TestCombosNaming(t *testing.T) {
 	}
 }
 
-func TestFamilyReport(t *testing.T) {
-	env := getEnv(t)
-	d := env.Corpus.PerArch["Turing"]
-	// An oracle prediction vector gives 100% accuracy per family.
-	stats, err := FamilyReport(d, d.Labels, sparse.NumKernelFormats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) < 5 {
-		t.Fatalf("only %d families reported", len(stats))
-	}
-	total := 0
-	for _, s := range stats {
-		total += s.Count
-		if s.Accuracy != 1 {
-			t.Errorf("%s: oracle accuracy %.3f", s.Family, s.Accuracy)
-		}
-		distSum := 0
-		for _, v := range s.TrueDist {
-			distSum += v
-		}
-		if distSum != s.Count {
-			t.Errorf("%s: distribution sums to %d, count %d", s.Family, distSum, s.Count)
-		}
-	}
-	if total != d.Len() {
-		t.Errorf("family counts sum to %d, want %d", total, d.Len())
-	}
-	// A constant-CSR predictor scores each family at its CSR share.
-	pred := make([]int, d.Len())
-	for i := range pred {
-		pred[i] = 1
-	}
-	stats, err = FamilyReport(d, pred, sparse.NumKernelFormats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range stats {
-		want := float64(s.TrueDist[1]) / float64(s.Count)
-		if diff := s.Accuracy - want; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("%s: constant-CSR accuracy %.3f, want CSR share %.3f", s.Family, s.Accuracy, want)
-		}
-	}
-	var buf bytes.Buffer
-	if err := RenderFamilyReport(&buf, stats); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "mesh") {
-		t.Error("render missing a family")
-	}
-	// Validation.
-	if _, err := FamilyReport(d, pred[:3], sparse.NumKernelFormats); err == nil {
-		t.Error("short prediction vector accepted")
-	}
-	pred[0] = 99
-	if _, err := FamilyReport(d, pred, sparse.NumKernelFormats); err == nil {
-		t.Error("out-of-range prediction accepted")
-	}
-}
-
 // renderComputedTables renders tables 3-8 into one buffer — everything
 // the scheduler parallelises. Table 9 is excluded on purpose: its rows
 // are wall-clock training timings, never byte-stable across runs.

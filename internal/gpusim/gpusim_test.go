@@ -1,10 +1,8 @@
 package gpusim
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -238,8 +236,8 @@ func TestConversionCostTable8(t *testing.T) {
 			t.Errorf("ConversionCost(%v) = %v, want %v", f, got, w)
 		}
 	}
-	if ConversionCost(sparse.FormatDIA) != 0 {
-		t.Error("DIA has no conversion cost entry")
+	if ConversionCost(sparse.FormatSELL) != 0 {
+		t.Error("SELL has no conversion cost entry")
 	}
 }
 
@@ -410,70 +408,31 @@ func TestAmortizedSelection(t *testing.T) {
 	}
 }
 
-func TestLoadArchJSON(t *testing.T) {
-	doc := `{
-	  "Name": "Ampere", "Model": "A100",
-	  "SMs": 108, "L1PerSMKiB": 192, "L2KiB": 40960,
-	  "MemoryGB": 40, "MemoryType": "HBM2e", "BandwidthGBs": 1555,
-	  "ClockGHz": 1.41
-	}`
-	a, err := LoadArch(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Name != "Ampere" || a.SMs != 108 {
-		t.Errorf("decoded %+v", a)
-	}
-	// Defaults filled in and usable for prediction.
-	if a.GatherPenalty < 1 || a.COOEfficiency <= 0 {
-		t.Errorf("defaults missing: %+v", a)
-	}
-	m := mustCSR(t, 100, 100, func(tr *sparse.Triplet) {
-		for i := 0; i < 100; i++ {
-			add(t, tr, i, i)
-		}
-	})
-	p := NewProfile(m)
-	for _, f := range sparse.KernelFormats() {
-		if _, err := a.KernelTime(p, f); err != nil {
-			t.Errorf("loaded arch cannot model %v: %v", f, err)
-		}
-	}
-	// Round trip through SaveArch.
-	var buf bytes.Buffer
-	if err := SaveArch(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadArch(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b != a {
-		t.Error("SaveArch/LoadArch round trip changed the architecture")
-	}
-}
-
-func TestLoadArchRejectsBadDocuments(t *testing.T) {
-	cases := map[string]string{
-		"not json":       `{`,
-		"unknown field":  `{"Name":"X","SMs":1,"L2KiB":1,"MemoryGB":1,"BandwidthGBs":1,"ClockGHz":1,"Bogus":2}`,
-		"no name":        `{"SMs":1,"L2KiB":1,"MemoryGB":1,"BandwidthGBs":1,"ClockGHz":1}`,
-		"zero SMs":       `{"Name":"X","L2KiB":1,"MemoryGB":1,"BandwidthGBs":1,"ClockGHz":1}`,
-		"bad gather":     `{"Name":"X","SMs":1,"L2KiB":1,"MemoryGB":1,"BandwidthGBs":1,"ClockGHz":1,"GatherPenalty":0.5}`,
-		"bad imbalance":  `{"Name":"X","SMs":1,"L2KiB":1,"MemoryGB":1,"BandwidthGBs":1,"ClockGHz":1,"ImbalanceWeight":2}`,
-		"negative clock": `{"Name":"X","SMs":1,"L2KiB":1,"MemoryGB":1,"BandwidthGBs":1,"ClockGHz":-1}`,
-	}
-	for name, doc := range cases {
-		if _, err := LoadArch(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
+// TestBuiltinArchsValidate checks every built-in architecture for
+// physical plausibility.
 func TestBuiltinArchsValidate(t *testing.T) {
+	checks := []struct {
+		name string
+		ok   func(a Arch) bool
+	}{
+		{"Name set", func(a Arch) bool { return a.Name != "" }},
+		{"SMs > 0", func(a Arch) bool { return a.SMs > 0 }},
+		{"L2KiB > 0", func(a Arch) bool { return a.L2KiB > 0 }},
+		{"MemoryGB > 0", func(a Arch) bool { return a.MemoryGB > 0 }},
+		{"BandwidthGBs > 0", func(a Arch) bool { return a.BandwidthGBs > 0 }},
+		{"ClockGHz > 0", func(a Arch) bool { return a.ClockGHz > 0 }},
+		{"GatherPenalty >= 1", func(a Arch) bool { return a.GatherPenalty >= 1 }},
+		{"kernel efficiencies > 0", func(a Arch) bool {
+			return a.COOEfficiency > 0 && a.ELLEfficiency > 0 && a.HYBEfficiency > 0
+		}},
+		{"ImbalanceWeight in [0, 1]", func(a Arch) bool { return a.ImbalanceWeight >= 0 && a.ImbalanceWeight <= 1 }},
+		{"overheads >= 0", func(a Arch) bool { return a.HYBOverhead >= 0 && a.MaxKernelSeconds >= 0 }},
+	}
 	for _, a := range Archs() {
-		if err := a.Validate(); err != nil {
-			t.Errorf("%s: %v", a.Name, err)
+		for _, c := range checks {
+			if !c.ok(a) {
+				t.Errorf("%s: %s fails: %+v", a.Name, c.name, a)
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernels shared
 // by the preprocessing (PCA) and learning (logistic regression, SVM, CNN)
-// packages: row-major dense matrices, basic BLAS-1/2/3 style operations
+// packages: row-major dense matrices, basic BLAS-1/2 style operations
 // and a Jacobi eigensolver for symmetric matrices.
 //
 // The package is deliberately minimal: it implements exactly what the
@@ -55,40 +55,6 @@ func (d *Dense) Row(i int) []float64 { return d.Data[i*d.Cols : (i+1)*d.Cols] }
 func (d *Dense) Clone() *Dense {
 	c := NewDense(d.Rows, d.Cols)
 	copy(c.Data, d.Data)
-	return c
-}
-
-// T returns the transpose as a new matrix.
-func (d *Dense) T() *Dense {
-	t := NewDense(d.Cols, d.Rows)
-	for i := 0; i < d.Rows; i++ {
-		for j := 0; j < d.Cols; j++ {
-			t.Data[j*d.Rows+i] = d.Data[i*d.Cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns a*b. It panics on inner-dimension mismatch, which is a
-// programming error rather than a data error.
-func Mul(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewDense(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
 	return c
 }
 

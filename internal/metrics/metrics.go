@@ -1,5 +1,5 @@
 // Package metrics implements the evaluation measures of the paper's
-// Section 5: accuracy, F1 (weighted and macro), the multiclass Matthews
+// Section 5: accuracy, support-weighted F1, the multiclass Matthews
 // correlation coefficient that the paper argues is the right metric for
 // this highly unbalanced problem, and the SpMV-specific measures — the
 // geometric-mean speedup against the ground-truth oracle (GT), against
@@ -85,18 +85,6 @@ func (c *Confusion) perClass() (tp, fp, fn []int) {
 		}
 	}
 	return tp, fp, fn
-}
-
-// F1Macro returns the unweighted mean of per-class F1 scores. Classes
-// absent from both truth and prediction contribute zero, the
-// scikit-learn convention.
-func (c *Confusion) F1Macro() float64 {
-	tp, fp, fn := c.perClass()
-	sum := 0.0
-	for i := range tp {
-		sum += f1(tp[i], fp[i], fn[i])
-	}
-	return sum / float64(len(tp))
 }
 
 // F1Weighted returns per-class F1 weighted by class support. The paper's
@@ -249,50 +237,4 @@ func MaxSlowdown(times [][]float64) (ratio float64, row int) {
 		}
 	}
 	return ratio, row
-}
-
-// ClassStats holds one class's precision, recall, F1 and support.
-type ClassStats struct {
-	Class     int
-	Precision float64
-	Recall    float64
-	F1        float64
-	Support   int
-}
-
-// ClassReport returns per-class statistics, the breakdown behind the
-// paper's observation that transfer mispredictions concentrate in the
-// small COO and HYB classes.
-func (c *Confusion) ClassReport() []ClassStats {
-	tp, fp, fn := c.perClass()
-	out := make([]ClassStats, len(tp))
-	for i := range out {
-		s := ClassStats{Class: i, Support: tp[i] + fn[i], F1: f1(tp[i], fp[i], fn[i])}
-		if tp[i]+fp[i] > 0 {
-			s.Precision = float64(tp[i]) / float64(tp[i]+fp[i])
-		}
-		if tp[i]+fn[i] > 0 {
-			s.Recall = float64(tp[i]) / float64(tp[i]+fn[i])
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// String renders the confusion matrix with row/column totals.
-func (c *Confusion) String() string {
-	var b []byte
-	b = append(b, "true\\pred"...)
-	for p := range c.Counts {
-		b = append(b, fmt.Sprintf("%8d", p)...)
-	}
-	b = append(b, '\n')
-	for t, row := range c.Counts {
-		b = append(b, fmt.Sprintf("%9d", t)...)
-		for _, v := range row {
-			b = append(b, fmt.Sprintf("%8d", v)...)
-		}
-		b = append(b, '\n')
-	}
-	return string(b)
 }

@@ -44,7 +44,7 @@ func TestPerfectPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Accuracy() != 1 || c.F1Macro() != 1 || c.F1Weighted() != 1 {
+	if c.Accuracy() != 1 || c.F1Weighted() != 1 {
 		t.Error("perfect prediction should score 1 everywhere")
 	}
 	if math.Abs(c.MCC()-1) > 1e-12 {
@@ -70,11 +70,10 @@ func TestMCCDegenerateMajorityPredictor(t *testing.T) {
 	if c.MCC() != 0 {
 		t.Errorf("MCC = %v, want 0 for a constant predictor", c.MCC())
 	}
-	// Weighted F1 stays high while macro F1 is dragged down by the
-	// missed minority class.
-	if c.F1Weighted() <= c.F1Macro() {
-		t.Errorf("weighted F1 %v <= macro F1 %v on unbalanced data",
-			c.F1Weighted(), c.F1Macro())
+	// Weighted F1 stays high: the missed minority class scores F1 0 but
+	// carries only a tenth of the support. Class 0 has tp=90, fp=10.
+	if got, want := c.F1Weighted(), 0.9*180.0/190; math.Abs(got-want) > 1e-12 {
+		t.Errorf("weighted F1 = %v, want %v", got, want)
 	}
 }
 
@@ -100,9 +99,6 @@ func TestF1HandComputed(t *testing.T) {
 	c, err := NewConfusion(truth, pred, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := c.F1Macro(); math.Abs(got-(0.8+2.0/3)/2) > 1e-12 {
-		t.Errorf("macro F1 = %v", got)
 	}
 	if got := c.F1Weighted(); math.Abs(got-(0.8*2+2.0/3*2)/4) > 1e-12 {
 		t.Errorf("weighted F1 = %v", got)
@@ -198,7 +194,7 @@ func TestQuickMCCBounds(t *testing.T) {
 		if m < -1-1e-12 || m > 1+1e-12 || math.IsNaN(m) {
 			return false
 		}
-		for _, v := range []float64{c.Accuracy(), c.F1Macro(), c.F1Weighted()} {
+		for _, v := range []float64{c.Accuracy(), c.F1Weighted()} {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
 			}
@@ -234,33 +230,6 @@ func TestQuickSpeedupGTAtMostOne(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestClassReport(t *testing.T) {
-	truth := []int{0, 0, 0, 1, 1, 2}
-	pred := []int{0, 0, 1, 1, 1, 0}
-	c, err := NewConfusion(truth, pred, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := c.ClassReport()
-	if len(r) != 3 {
-		t.Fatalf("%d classes", len(r))
-	}
-	// Class 0: tp=2, fp=1, fn=1 -> precision 2/3, recall 2/3.
-	if math.Abs(r[0].Precision-2.0/3) > 1e-12 || math.Abs(r[0].Recall-2.0/3) > 1e-12 {
-		t.Errorf("class 0: %+v", r[0])
-	}
-	// Class 2: never predicted -> precision 0, recall 0, support 1.
-	if r[2].Precision != 0 || r[2].Recall != 0 || r[2].Support != 1 {
-		t.Errorf("class 2: %+v", r[2])
-	}
-	if r[1].Support != 2 {
-		t.Errorf("class 1 support %d", r[1].Support)
-	}
-	if c.String() == "" {
-		t.Error("empty confusion render")
 	}
 }
 

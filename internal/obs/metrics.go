@@ -249,9 +249,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.exemplars[i].Store(&exemplar{traceID: traceID, value: v})
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Snapshot copies the histogram state. Min and Max are zero when the
 // histogram is empty (keeping the snapshot JSON-serialisable: the
 // encoding/json package rejects infinities).

@@ -1,8 +1,8 @@
 // Package obs is the observability layer of the repository: a
 // goroutine-safe metrics registry (counters, gauges, fixed-bucket
-// histograms with snapshot and merge), hierarchical span tracing that
-// captures wall time, heap-allocation deltas and goroutine counts, a
-// pluggable span sink (text tree or streaming JSON lines), an
+// histograms with snapshots), hierarchical span tracing that captures
+// wall time, heap-allocation deltas and goroutine counts, a span sink
+// that collects the trees (rendered as text by WriteTree), an
 // expvar/pprof debug endpoint, and a machine-readable JSON run-report.
 //
 // The package is stdlib-only and sits below every other internal
@@ -211,12 +211,6 @@ func startSpan(ctx context.Context, name string) *Span {
 	}
 	s.allocB0, s.allocO0 = heapAllocs()
 	s.ctx = context.WithValue(ctx, spanCtxKey{}, s)
-	return s
-}
-
-// FromContext returns the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return s
 }
 

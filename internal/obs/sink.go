@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -42,40 +41,6 @@ func (c *Collector) Roots() []*SpanData {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]*SpanData(nil), c.roots...)
-}
-
-// JSONLSink streams every completed span as one JSON line (children
-// elided — each child was already streamed on its own line). Suitable
-// for tailing a long run or shipping spans to a log pipeline.
-type JSONLSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewJSONLSink returns a sink writing JSON lines to w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
-
-// SpanEnded writes the span as a single JSON line.
-func (j *JSONLSink) SpanEnded(sd *SpanData) {
-	flat := *sd
-	flat.Children = nil
-	line, err := json.Marshal(&flat)
-	if err != nil {
-		return
-	}
-	j.mu.Lock()
-	_, _ = j.w.Write(append(line, '\n'))
-	j.mu.Unlock()
-}
-
-// TeeSink fans one span stream out to several sinks.
-type TeeSink []Sink
-
-// SpanEnded forwards to every sink.
-func (t TeeSink) SpanEnded(sd *SpanData) {
-	for _, s := range t {
-		s.SpanEnded(sd)
-	}
 }
 
 // WriteTree renders span trees as an indented text outline with wall

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"strings"
 	"sync"
 )
@@ -90,18 +89,6 @@ func (v *vecCore) seriesFor(values []string) string {
 	v.cache[ck] = key
 	v.mu.Unlock()
 	return key
-}
-
-// Series lists the registered series keys of the vector, sorted.
-func (v *vecCore) Series() []string {
-	v.mu.RLock()
-	out := make([]string, 0, len(v.cache))
-	for _, key := range v.cache {
-		out = append(out, key)
-	}
-	v.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // CounterVec is a family of counters sharing one name, keyed by label

@@ -95,6 +95,40 @@ func (c Chain) OutDim() int {
 	return c[len(c)-1].OutDim()
 }
 
+// Validate rejects a decoded chain that could panic or change width in
+// Transform: an empty stage, a scaler whose Max and Min differ in
+// length, a PCA whose components do not match its mean, a stage of no
+// input width, or a stage whose input width is not the previous stage's
+// output width. A valid chain maps InDim-wide vectors to OutDim-wide
+// ones; every chain FitPipeline returns is valid.
+func (c Chain) Validate() error {
+	for i, t := range c {
+		misshapen := false
+		switch s := t.(type) {
+		case nil:
+			return fmt.Errorf("preprocess: stage %d is empty", i)
+		case *MinMaxScaler:
+			misshapen = len(s.Max) != len(s.Min)
+		case *PCA:
+			// Rows <= len(Data) keeps Rows*Cols from overflowing.
+			m := s.Components
+			misshapen = m == nil || m.Cols != len(s.Mean) ||
+				m.Rows < 0 || m.Rows > len(m.Data) || len(m.Data) != m.Rows*m.Cols
+		}
+		if misshapen {
+			return fmt.Errorf("preprocess: stage %d (%T) is misshapen", i, t)
+		}
+		if t.InDim() <= 0 {
+			return fmt.Errorf("preprocess: stage %d (%T) takes no input", i, t)
+		}
+		if i > 0 && t.InDim() != c[i-1].OutDim() {
+			return fmt.Errorf("preprocess: stage %d (%T) takes %d features but stage %d emits %d",
+				i, t, t.InDim(), i-1, c[i-1].OutDim())
+		}
+	}
+	return nil
+}
+
 // SkewTransform applies log1p to features whose training distribution is
 // heavy-tailed ("sparse" in the paper's terms) and sqrt to moderately
 // skewed ones, leaving well-behaved features alone. The decision is made

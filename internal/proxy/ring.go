@@ -142,18 +142,6 @@ func (r *Ring) searchLocked(h uint64) int {
 	return i
 }
 
-// Members lists the current members, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.member))
-	for m := range r.member {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Size is the current member count.
 func (r *Ring) Size() int {
 	r.mu.RLock()

@@ -89,6 +89,20 @@ func Load(r io.Reader) (*Model, error) {
 	if payload.Classes < 2 {
 		return nil, fmt.Errorf("semisup: decoded model has %d classes", payload.Classes)
 	}
+	// Train always fits a pipeline, and the clusters live in its output
+	// space: a centroid of another width would panic in Predict.
+	if len(payload.Pipeline) == 0 {
+		return nil, fmt.Errorf("semisup: decoded model has no preprocessing pipeline")
+	}
+	if err := payload.Pipeline.Validate(); err != nil {
+		return nil, fmt.Errorf("semisup: decoded model: %w", err)
+	}
+	out := payload.Pipeline.OutDim()
+	for c, centroid := range payload.Centroids {
+		if len(centroid) != out {
+			return nil, fmt.Errorf("semisup: decoded centroid %d has %d dimensions, the pipeline emits %d", c, len(centroid), out)
+		}
+	}
 	return &Model{
 		cfg:         payload.Cfg,
 		pipeline:    payload.Pipeline,

@@ -169,6 +169,62 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsMisshapenModel: Train produces none of these payloads,
+// and each would decode, load and then panic in Predict on a vector as
+// wide as the model's InDim (any width when InDim is 0): the pipeline
+// dereferences a nil PCA, or emits vectors of another width than the
+// centroids.
+func TestLoadRejectsMisshapenModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	x, y := clusteredTask(rng, 200, 4, 3)
+	m, err := Train(x, y, 3, Config{NumClusters: 6, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var good modelGob
+	if err := gob.NewDecoder(&buf).Decode(&good); err != nil {
+		t.Fatal(err)
+	}
+	skew, scaler, pca := good.Pipeline[0], good.Pipeline[1], *good.Pipeline[2].(*preprocess.PCA)
+	pca.Components = nil
+	narrow := func(w int) [][]float64 {
+		out := make([][]float64, len(good.Centroids))
+		for i, c := range good.Centroids {
+			out[i] = c[:w]
+		}
+		return out
+	}
+	wide := narrow(len(good.Centroids[0]))
+	wide[0] = append(wide[0], 0)
+	for name, edit := range map[string]func(g *modelGob){
+		"no pipeline":            func(g *modelGob) { g.Pipeline = nil },
+		"pca without components": func(g *modelGob) { g.Pipeline = preprocess.Chain{skew, scaler, &pca} },
+		"skew narrower than the scaler before it": func(g *modelGob) {
+			g.Pipeline = preprocess.Chain{scaler, &preprocess.SkewTransform{Mode: []int{0, 0}}}
+			g.Centroids = narrow(2)
+		},
+		"skew of no width": func(g *modelGob) {
+			g.Pipeline = preprocess.Chain{&preprocess.SkewTransform{}}
+			g.Centroids = narrow(0)
+		},
+		"wide centroid": func(g *modelGob) { g.Centroids = wide },
+	} {
+		bad := good
+		edit(&bad)
+		var enc bytes.Buffer
+		if err := gob.NewEncoder(&enc).Encode(bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&enc); err == nil {
+			t.Errorf("%s: Load accepted it", name)
+		}
+	}
+}
+
 func TestSaveLoadAllRulesAndAlgorithms(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, y := clusteredTask(rng, 300, 4, 3)

@@ -309,8 +309,7 @@ func (m *Model) Predict(x []float64) int {
 	return m.ClusterLabel(m.ClusterOf(x))
 }
 
-// InDim returns the raw feature dimension the model was fitted on (0
-// when the preprocessing chain is empty, meaning any).
+// InDim returns the raw feature dimension the model was fitted on.
 func (m *Model) InDim() int { return m.pipeline.InDim() }
 
 // Classes returns the number of format classes the model labels.

@@ -193,8 +193,8 @@ func (a *Artifact) Validate() error {
 	return nil
 }
 
-// checkPipeline rejects a decoded pipeline with an empty or misshapen
-// stage, a classifier fitted on vectors of another width than its
+// checkPipeline rejects a decoded pipeline that preprocess.Chain.Validate
+// refuses, a classifier fitted on vectors of another width than its
 // pipeline emits, and a classifier labelling more classes than the
 // artifact maps formats. The first two would panic at predict time (a
 // scaler reading past its Max, a PCA projecting a vector of another
@@ -202,22 +202,8 @@ func (a *Artifact) Validate() error {
 // vectors of unequal length); the last would allocate a vote per class
 // on every request.
 func checkPipeline(what string, p preprocess.Chain, clf classify.Classifier, formats int) error {
-	for i, t := range p {
-		misshapen := false
-		switch s := t.(type) {
-		case nil:
-			return fmt.Errorf("serve: %s pipeline stage %d is empty", what, i)
-		case *preprocess.MinMaxScaler:
-			misshapen = len(s.Max) != len(s.Min)
-		case *preprocess.PCA:
-			// Rows <= len(Data) keeps Rows*Cols from overflowing.
-			c := s.Components
-			misshapen = c == nil || c.Cols != len(s.Mean) ||
-				c.Rows < 0 || c.Rows > len(c.Data) || len(c.Data) != c.Rows*c.Cols
-		}
-		if misshapen {
-			return fmt.Errorf("serve: %s pipeline stage %d (%T) is misshapen", what, i, t)
-		}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("serve: %s pipeline: %w", what, err)
 	}
 	if in, out := classify.InputDim(clf), p.OutDim(); in != out {
 		return fmt.Errorf("serve: %s takes %d features but its pipeline emits %d", what, in, out)

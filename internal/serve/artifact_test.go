@@ -151,11 +151,10 @@ func TestTrainClassifierArtifactRejectsUnknown(t *testing.T) {
 	}
 }
 
-// TestArtifactPredictValidatesDimensions feeds wrong-length vectors —
-// the untrusted serve input — through every artifact kind, a cascade
-// artifact included (its cheap stage must not answer a vector it can
-// only gather from by position), and through /v1/predict/features.
-func TestArtifactPredictValidatesDimensions(t *testing.T) {
+// kindArtifacts trains one artifact of each shape a replica serves: a
+// semi-supervised model, a KNN classifier and a cascade.
+func kindArtifacts(t testing.TB) map[string]*Artifact {
+	t.Helper()
 	ms, best := labelledCorpus(t, "Turing")
 	sel, err := core.TrainSelector(ms, best, core.Options{NumClusters: 8, Seed: 2})
 	if err != nil {
@@ -168,8 +167,16 @@ func TestArtifactPredictValidatesDimensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	casc, _ := cascadeArtifact(t, 0.6)
+	return map[string]*Artifact{"semisup": semi, "classifier": clf, "cascade": casc}
+}
+
+// TestArtifactPredictValidatesDimensions feeds wrong-length vectors —
+// the untrusted serve input — through every artifact kind, a cascade
+// artifact included (its cheap stage must not answer a vector it can
+// only gather from by position), and through /v1/predict/features.
+func TestArtifactPredictValidatesDimensions(t *testing.T) {
 	bads := [][]float64{nil, {1, 2, 3}, make([]float64, features.CheapCount), make([]float64, features.Count+4)}
-	for name, art := range map[string]*Artifact{"semisup": semi, "classifier": clf, "cascade": casc} {
+	for name, art := range kindArtifacts(t) {
 		if got := art.InDim(); got != features.Count {
 			t.Errorf("%s InDim = %d, want %d", name, got, features.Count)
 		}
@@ -189,6 +196,32 @@ func TestArtifactPredictValidatesDimensions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLoadArtifact mutates saved artifacts: whatever Load accepts must
+// answer a full-width feature vector without panicking (an error is
+// fine), so no artifact file can crash a replica at its first request.
+func FuzzLoadArtifact(f *testing.F) {
+	arts := kindArtifacts(f)
+	for _, kind := range []string{"semisup", "classifier", "cascade"} {
+		art := arts[kind]
+		var buf bytes.Buffer
+		if err := art.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	ones := make([]float64, features.Count)
+	for i := range ones {
+		ones[i] = 1
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		art, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_, _ = art.Predict(ones)
+	})
 }
 
 // TestLoadRejectsForeignStreams covers magic, truncation, version and

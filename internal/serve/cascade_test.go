@@ -20,7 +20,7 @@ import (
 // cascadeArtifact trains a semisup artifact over the shared corpus and
 // distils a cheap-first stage onto it. The modest agreement target
 // keeps calibration attainable on the small synthetic corpus.
-func cascadeArtifact(t *testing.T, target float64) (*Artifact, []*sparse.CSR) {
+func cascadeArtifact(t testing.TB, target float64) (*Artifact, []*sparse.CSR) {
 	t.Helper()
 	ms, best := labelledCorpus(t, "Turing")
 	sel, err := core.TrainSelector(ms, best, core.Options{NumClusters: 10, Seed: 7})

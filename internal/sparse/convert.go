@@ -3,7 +3,7 @@ package sparse
 import "fmt"
 
 // Convert converts a CSR matrix to the requested format. CSR returns the
-// input unchanged. ELL and DIA conversions may fail with ErrTooLarge; the
+// input unchanged. ELL conversion may fail with ErrTooLarge; the
 // benchmark driver treats that like CUSP's conversion exception and drops
 // the matrix, as the paper does.
 func Convert(a *CSR, f Format) (Matrix, error) {
@@ -16,14 +16,8 @@ func Convert(a *CSR, f Format) (Matrix, error) {
 		return NewELLFromCSR(a, 0)
 	case FormatHYB:
 		return NewHYBFromCSR(a)
-	case FormatDIA:
-		return NewDIAFromCSR(a, 0)
 	case FormatSELL:
 		return NewSELLFromCSR(a, 0)
-	case FormatCSC:
-		return NewCSCFromCSR(a), nil
-	case FormatJDS:
-		return NewJDSFromCSR(a), nil
 	default:
 		return nil, fmt.Errorf("sparse: convert to unknown format %v", f)
 	}
@@ -83,13 +77,7 @@ func ToCSR(m Matrix) (*CSR, error) {
 		return t.ToCSR(), nil
 	case *HYB:
 		return t.ToCSR(), nil
-	case *DIA:
-		return t.ToCSR(), nil
 	case *SELL:
-		return t.ToCSR(), nil
-	case *CSC:
-		return t.ToCSR(), nil
-	case *JDS:
 		return t.ToCSR(), nil
 	default:
 		return nil, fmt.Errorf("sparse: cannot convert %T to CSR", m)

@@ -64,15 +64,6 @@ func (m *COO) NNZ() int { return len(m.vals) }
 // Format returns FormatCOO.
 func (m *COO) Format() Format { return FormatCOO }
 
-// RowIdx exposes the row index array; callers must not modify it.
-func (m *COO) RowIdx() []int32 { return m.rowIdx }
-
-// ColIdx exposes the column index array; callers must not modify it.
-func (m *COO) ColIdx() []int32 { return m.colIdx }
-
-// Values exposes the value array; callers must not modify it.
-func (m *COO) Values() []float64 { return m.vals }
-
 // SpMV computes y = A*x by streaming the sorted entries, the CPU analogue
 // of CUSP's segmented-reduction COO kernel.
 func (m *COO) SpMV(y, x []float64) error {

@@ -170,36 +170,6 @@ func (m *CSR) partitionByNNZ(n int) []int {
 	return bounds
 }
 
-// Transpose returns the transpose as a new CSR matrix (equivalently, the
-// CSC view of the original). It is used by the permutation augmentation.
-func (m *CSR) Transpose() *CSR {
-	t := &CSR{
-		rows:   m.cols,
-		cols:   m.rows,
-		rowPtr: make([]int32, m.cols+1),
-		colIdx: make([]int32, len(m.colIdx)),
-		vals:   make([]float64, len(m.vals)),
-	}
-	for _, c := range m.colIdx {
-		t.rowPtr[c+1]++
-	}
-	for i := 0; i < m.cols; i++ {
-		t.rowPtr[i+1] += t.rowPtr[i]
-	}
-	next := make([]int32, m.cols)
-	copy(next, t.rowPtr[:m.cols])
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			c := m.colIdx[k]
-			p := next[c]
-			next[c]++
-			t.colIdx[p] = int32(i)
-			t.vals[p] = m.vals[k]
-		}
-	}
-	return t
-}
-
 // Permute returns P_r * A * P_c' where rowPerm and colPerm map old indices
 // to new: new row rowPerm[i] receives old row i. Either permutation may be
 // nil to leave that side unchanged. It returns an error if a permutation

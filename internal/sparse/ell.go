@@ -79,13 +79,6 @@ func (m *ELL) NNZ() int { return m.nnz }
 // Format returns FormatELL.
 func (m *ELL) Format() Format { return FormatELL }
 
-// Width returns the slab width (maximum nonzeros in any row).
-func (m *ELL) Width() int { return m.width }
-
-// SlabSize returns rows*width, the total number of stored slots including
-// padding; this is the paper's ell_size feature.
-func (m *ELL) SlabSize() int { return m.rows * m.width }
-
 // SpMV computes y = A*x walking the slab column-major so that the access
 // pattern mirrors the coalesced GPU kernel.
 func (m *ELL) SpMV(y, x []float64) error {

@@ -111,9 +111,6 @@ func (m *HYB) NNZ() int { return m.nnz }
 // Format returns FormatHYB.
 func (m *HYB) Format() Format { return FormatHYB }
 
-// ELLWidth returns the width of the ELL part.
-func (m *HYB) ELLWidth() int { return m.ell.width }
-
 // ELLNNZ returns the number of true entries stored in the ELL part
 // (the paper's hyb_ell_frac numerator).
 func (m *HYB) ELLNNZ() int { return m.ell.nnz }
@@ -126,10 +123,6 @@ func (m *HYB) COONNZ() int {
 	}
 	return m.coo.NNZ()
 }
-
-// SlabSize returns the total ELL slot count including padding (the
-// paper's hyb_ell_size feature).
-func (m *HYB) SlabSize() int { return m.ell.SlabSize() }
 
 // SpMV computes y = A*x: the ELL part writes y, then the COO tail
 // accumulates into it.

@@ -34,10 +34,7 @@ type kernelInstr struct {
 // kernelInstrs is indexed by Format; instruments are resolved once at
 // init so the enabled path never touches the registry's map lock.
 var kernelInstrs = func() []kernelInstr {
-	formats := []Format{
-		FormatCOO, FormatCSR, FormatELL, FormatHYB,
-		FormatDIA, FormatSELL, FormatCSC, FormatJDS,
-	}
+	formats := []Format{FormatCOO, FormatCSR, FormatELL, FormatHYB, FormatSELL}
 	ki := make([]kernelInstr, len(formats))
 	for _, f := range formats {
 		name := "spmv/" + f.String()

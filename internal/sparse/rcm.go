@@ -1,6 +1,9 @@
 package sparse
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // RCM computes a reverse Cuthill-McKee ordering of a square matrix,
 // returning a permutation p where p[old] = new. Applying it to both rows
@@ -17,7 +20,7 @@ import "sort"
 func RCM(m *CSR) ([]int, error) {
 	rows, cols := m.Dims()
 	if rows != cols {
-		return nil, errNonSquare(rows, cols)
+		return nil, fmt.Errorf("sparse: RCM requires a square matrix, got %dx%d", rows, cols)
 	}
 	n := rows
 	adj := symmetricAdjacency(m)
@@ -77,40 +80,6 @@ func RCM(m *CSR) ([]int, error) {
 		perm[v] = n - 1 - pos
 	}
 	return perm, nil
-}
-
-func errNonSquare(rows, cols int) error {
-	return &nonSquareError{rows: rows, cols: cols}
-}
-
-// nonSquareError reports an RCM request on a rectangular matrix.
-type nonSquareError struct{ rows, cols int }
-
-func (e *nonSquareError) Error() string {
-	return "sparse: RCM requires a square matrix, got " +
-		itoa(e.rows) + "x" + itoa(e.cols)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // symmetricAdjacency builds the undirected adjacency lists of the

@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // SELL is the sliced ELLPACK format (Kreutzer et al., SIAM J. Sci.
 // Comput. 2014, discussed in the paper's related work): rows are
@@ -161,11 +157,3 @@ func (m *SELL) ToCSR() *CSR {
 }
 
 var _ Matrix = (*SELL)(nil)
-
-func init() {
-	// Guard against the format enum and the conversion switch drifting
-	// apart; Convert must know every format.
-	if _, err := ParseFormat("SELL"); err != nil {
-		panic(fmt.Sprintf("sparse: SELL not registered in ParseFormat: %v", err))
-	}
-}

@@ -1,7 +1,8 @@
 // Package sparse implements the sparse matrix storage formats and SpMV
 // kernels evaluated by Dhandhania et al. (ICPP Workshops 2021): COO, CSR,
-// ELL, HYB and DIA, together with conversions between them, MatrixMarket
-// I/O, and serial as well as parallel matrix-vector multiplication.
+// ELL and HYB, plus sliced ELL (SELL) for the five-format extension
+// benchmark, together with conversions from CSR, MatrixMarket I/O, and
+// serial as well as parallel matrix-vector multiplication.
 //
 // All formats store float64 values with zero-based int32 indices (matching
 // the 32-bit index arrays used by CUSP on the GPU). A matrix is built
@@ -20,25 +21,17 @@ import (
 // Format enumerates the sparse storage formats known to this library.
 type Format int
 
-// The storage formats evaluated in the paper. DIA is implemented because
-// several Table 1 features (diagonals, dia_size, dia_frac) describe the
-// DIA structure even though the paper's GPU benchmark uses only the first
-// four formats.
+// The four storage formats the paper benchmarks, plus SELL. The Table 1
+// DIA features (diagonals, dia_size, dia_frac) are computed straight
+// from CSR by package features, so no DIA format is stored.
 const (
 	FormatCOO Format = iota
 	FormatCSR
 	FormatELL
 	FormatHYB
-	FormatDIA
 	// FormatSELL is sliced ELLPACK, an extension format beyond the
 	// paper's benchmark set (see the SELL type).
 	FormatSELL
-	// FormatCSC is compressed sparse column, a library-completeness
-	// format (see the CSC type).
-	FormatCSC
-	// FormatJDS is jagged diagonal storage, an extension format (see the
-	// JDS type).
-	FormatJDS
 )
 
 // NumKernelFormats is the number of formats benchmarked for format
@@ -62,41 +55,10 @@ func (f Format) String() string {
 		return "ELL"
 	case FormatHYB:
 		return "HYB"
-	case FormatDIA:
-		return "DIA"
 	case FormatSELL:
 		return "SELL"
-	case FormatCSC:
-		return "CSC"
-	case FormatJDS:
-		return "JDS"
 	default:
 		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// ParseFormat converts a format name such as "CSR" (case-sensitive) to a
-// Format value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "COO":
-		return FormatCOO, nil
-	case "CSR":
-		return FormatCSR, nil
-	case "ELL":
-		return FormatELL, nil
-	case "HYB":
-		return FormatHYB, nil
-	case "DIA":
-		return FormatDIA, nil
-	case "SELL":
-		return FormatSELL, nil
-	case "CSC":
-		return FormatCSC, nil
-	case "JDS":
-		return FormatJDS, nil
-	default:
-		return 0, fmt.Errorf("sparse: unknown format %q", s)
 	}
 }
 
@@ -120,8 +82,8 @@ var (
 	ErrDimension = errors.New("sparse: dimension mismatch")
 	// ErrIndexRange reports an out-of-range row or column index.
 	ErrIndexRange = errors.New("sparse: index out of range")
-	// ErrTooLarge reports that a format's dense-ish structure (ELL, DIA)
-	// would exceed the configured size limit; CUSP raises the analogous
+	// ErrTooLarge reports that ELL's padded slab would exceed the
+	// configured size limit; CUSP raises the analogous
 	// format_conversion_exception, and the paper drops such matrices.
 	ErrTooLarge = errors.New("sparse: format structure exceeds size limit")
 )

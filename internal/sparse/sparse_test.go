@@ -75,24 +75,12 @@ func almostEqual(a, b []float64, tol float64) bool {
 func TestFormatString(t *testing.T) {
 	cases := map[Format]string{
 		FormatCOO: "COO", FormatCSR: "CSR", FormatELL: "ELL",
-		FormatHYB: "HYB", FormatDIA: "DIA", Format(99): "Format(99)",
+		FormatHYB: "HYB", FormatSELL: "SELL", Format(99): "Format(99)",
 	}
 	for f, want := range cases {
 		if got := f.String(); got != want {
 			t.Errorf("Format(%d).String() = %q, want %q", int(f), got, want)
 		}
-	}
-}
-
-func TestParseFormat(t *testing.T) {
-	for _, f := range []Format{FormatCOO, FormatCSR, FormatELL, FormatHYB, FormatDIA} {
-		got, err := ParseFormat(f.String())
-		if err != nil || got != f {
-			t.Errorf("ParseFormat(%q) = %v, %v; want %v", f.String(), got, err, f)
-		}
-	}
-	if _, err := ParseFormat("BOGUS"); err == nil {
-		t.Error("ParseFormat(BOGUS) succeeded, want error")
 	}
 }
 
@@ -103,8 +91,8 @@ func TestKernelFormats(t *testing.T) {
 	}
 	seen := map[Format]bool{}
 	for _, f := range fs {
-		if f == FormatDIA {
-			t.Error("DIA must not be a kernel format")
+		if f == FormatSELL {
+			t.Error("SELL must not be a kernel format")
 		}
 		if seen[f] {
 			t.Errorf("duplicate kernel format %v", f)
@@ -215,16 +203,8 @@ func TestSpMVAllFormatsAgainstDense(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		want := refSpMV(d, x)
-		for _, f := range []Format{FormatCOO, FormatCSR, FormatELL, FormatHYB, FormatDIA} {
-			var m Matrix
-			var err error
-			if f == FormatDIA {
-				// Random matrices touch many diagonals; lift the slab
-				// limit since this test is about kernel correctness.
-				m, err = NewDIAFromCSR(a, 1<<20)
-			} else {
-				m, err = Convert(a, f)
-			}
+		for _, f := range []Format{FormatCOO, FormatCSR, FormatELL, FormatHYB, FormatSELL} {
+			m, err := Convert(a, f)
 			if err != nil {
 				t.Fatalf("%dx%d Convert(%v): %v", sh.r, sh.c, f, err)
 			}
@@ -242,7 +222,7 @@ func TestSpMVAllFormatsAgainstDense(t *testing.T) {
 func TestSpMVDimensionErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomCSR(t, rng, 8, 9, 0.3)
-	for _, f := range []Format{FormatCOO, FormatCSR, FormatELL, FormatHYB, FormatDIA} {
+	for _, f := range []Format{FormatCOO, FormatCSR, FormatELL, FormatHYB, FormatSELL} {
 		m, err := Convert(a, f)
 		if err != nil {
 			t.Fatalf("Convert(%v): %v", f, err)
@@ -289,7 +269,7 @@ func TestConversionRoundTrip(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
 		a := randomCSR(t, rng, rows, cols, 0.25)
-		for _, f := range []Format{FormatCOO, FormatELL, FormatHYB, FormatDIA} {
+		for _, f := range []Format{FormatCOO, FormatELL, FormatHYB, FormatSELL} {
 			m, err := Convert(a, f)
 			if err != nil {
 				t.Fatalf("Convert(%v): %v", f, err)
@@ -326,40 +306,6 @@ func TestELLTooLarge(t *testing.T) {
 	}
 }
 
-func TestDIATooLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	// Random scatter touches many diagonals.
-	tr := NewTriplet(300, 300)
-	for n := 0; n < 300; n++ {
-		_ = tr.Add(rng.Intn(300), rng.Intn(300), 1)
-	}
-	a := tr.ToCSR()
-	if _, err := NewDIAFromCSR(a, 2); err == nil {
-		t.Fatal("expected ErrTooLarge for scattered DIA conversion")
-	}
-}
-
-func TestDIADiagonalCount(t *testing.T) {
-	tr := NewTriplet(10, 10)
-	for i := 0; i < 10; i++ {
-		_ = tr.Add(i, i, 2)
-		if i+1 < 10 {
-			_ = tr.Add(i, i+1, -1)
-			_ = tr.Add(i+1, i, -1)
-		}
-	}
-	d, err := NewDIAFromCSR(tr.ToCSR(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumDiagonals() != 3 {
-		t.Errorf("tridiagonal matrix has %d DIA diagonals, want 3", d.NumDiagonals())
-	}
-	if d.SlabSize() != 30 {
-		t.Errorf("SlabSize = %d, want 30", d.SlabSize())
-	}
-}
-
 func TestHybWidthFromHistogram(t *testing.T) {
 	// 10 rows: 9 rows with 2 nnz, 1 row with 100 nnz. The width should be
 	// 2: 10 rows have >=2 entries (>= 10/3), only 1 has >=3.
@@ -390,30 +336,6 @@ func TestHYBPartition(t *testing.T) {
 	}
 	if h.ELLNNZ()+h.COONNZ() != a.NNZ() {
 		t.Errorf("ELL %d + COO %d != total %d", h.ELLNNZ(), h.COONNZ(), a.NNZ())
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randomCSR(t, rng, 15, 27, 0.2)
-	tt := a.Transpose()
-	r, c := tt.Dims()
-	if r != 27 || c != 15 {
-		t.Fatalf("transpose dims %dx%d, want 27x15", r, c)
-	}
-	if err := tt.Validate(); err != nil {
-		t.Fatalf("transpose invalid: %v", err)
-	}
-	for i := 0; i < 15; i++ {
-		for j := 0; j < 27; j++ {
-			if a.At(i, j) != tt.At(j, i) {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-	// Double transpose is identity.
-	if !Equal(a, tt.Transpose()) {
-		t.Error("double transpose != original")
 	}
 }
 
@@ -667,140 +589,5 @@ func TestSELLViaConvert(t *testing.T) {
 	}
 	if m.NNZ() != a.NNZ() {
 		t.Errorf("NNZ %d != %d", m.NNZ(), a.NNZ())
-	}
-}
-
-func TestCSCAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, sh := range []struct{ r, c int }{{1, 1}, {7, 5}, {40, 60}, {60, 40}} {
-		a := randomCSR(t, rng, sh.r, sh.c, 0.2)
-		m := NewCSCFromCSR(a)
-		d := dense(t, a)
-		x := make([]float64, sh.c)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := refSpMV(d, x)
-		y := make([]float64, sh.r)
-		if err := m.SpMV(y, x); err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(y, want, 1e-12) {
-			t.Errorf("%dx%d: CSC SpMV wrong", sh.r, sh.c)
-		}
-		if !Equal(a, m) {
-			t.Errorf("%dx%d: CSC round trip lost entries", sh.r, sh.c)
-		}
-		// SpMVT must equal the transpose's SpMV.
-		xt := make([]float64, sh.r)
-		for i := range xt {
-			xt[i] = rng.NormFloat64()
-		}
-		yt := make([]float64, sh.c)
-		if err := m.SpMVT(yt, xt); err != nil {
-			t.Fatal(err)
-		}
-		wantT := make([]float64, sh.c)
-		if err := a.Transpose().SpMV(wantT, xt); err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(yt, wantT, 1e-12) {
-			t.Errorf("%dx%d: CSC SpMVT wrong", sh.r, sh.c)
-		}
-		if sh.c != 1 {
-			if err := m.SpMVT(make([]float64, 1), xt); err == nil {
-				t.Error("SpMVT accepted short y")
-			}
-		}
-	}
-}
-
-func TestCSCColumnAccess(t *testing.T) {
-	tr := NewTriplet(4, 3)
-	_ = tr.Add(0, 1, 5)
-	_ = tr.Add(2, 1, 7)
-	_ = tr.Add(3, 0, 2)
-	m := NewCSCFromCSR(tr.ToCSR())
-	if m.ColNNZ(0) != 1 || m.ColNNZ(1) != 2 || m.ColNNZ(2) != 0 {
-		t.Errorf("column counts wrong: %d %d %d", m.ColNNZ(0), m.ColNNZ(1), m.ColNNZ(2))
-	}
-	if m.Format() != FormatCSC {
-		t.Error("Format wrong")
-	}
-	if got, _ := ParseFormat("CSC"); got != FormatCSC {
-		t.Error("ParseFormat(CSC) wrong")
-	}
-	via, err := Convert(tr.ToCSR(), FormatCSC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(via, tr.ToCSR()) {
-		t.Error("Convert(CSC) lost entries")
-	}
-}
-
-func TestJDSAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for _, sh := range []struct{ r, c int }{{1, 1}, {9, 6}, {50, 50}, {30, 80}} {
-		a := randomCSR(t, rng, sh.r, sh.c, 0.2)
-		m := NewJDSFromCSR(a)
-		d := dense(t, a)
-		x := make([]float64, sh.c)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := refSpMV(d, x)
-		y := make([]float64, sh.r)
-		if err := m.SpMV(y, x); err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(y, want, 1e-12) {
-			t.Errorf("%dx%d: JDS SpMV wrong", sh.r, sh.c)
-		}
-		if !Equal(a, m) {
-			t.Errorf("%dx%d: JDS round trip lost entries", sh.r, sh.c)
-		}
-	}
-}
-
-func TestJDSNoPaddingAndDiagonals(t *testing.T) {
-	// Row lengths 3, 1, 2: three jagged diagonals of sizes 3, 2, 1;
-	// storage exactly nnz with no padding.
-	tr := NewTriplet(3, 4)
-	_ = tr.Add(0, 0, 1)
-	_ = tr.Add(0, 1, 2)
-	_ = tr.Add(0, 3, 3)
-	_ = tr.Add(1, 2, 4)
-	_ = tr.Add(2, 0, 5)
-	_ = tr.Add(2, 2, 6)
-	m := NewJDSFromCSR(tr.ToCSR())
-	if m.NNZ() != 6 {
-		t.Errorf("NNZ = %d", m.NNZ())
-	}
-	if m.NumDiagonals() != 3 {
-		t.Errorf("NumDiagonals = %d, want 3", m.NumDiagonals())
-	}
-	if m.Format() != FormatJDS {
-		t.Error("Format wrong")
-	}
-	via, err := Convert(tr.ToCSR(), FormatJDS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(via, tr.ToCSR()) {
-		t.Error("Convert(JDS) lost entries")
-	}
-}
-
-func TestJDSEmptyRows(t *testing.T) {
-	tr := NewTriplet(5, 5)
-	_ = tr.Add(2, 2, 7)
-	m := NewJDSFromCSR(tr.ToCSR())
-	y := make([]float64, 5)
-	if err := m.SpMV(y, []float64{1, 1, 1, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if y[2] != 7 {
-		t.Errorf("y = %v", y)
 	}
 }

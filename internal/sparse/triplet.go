@@ -36,12 +36,6 @@ func (t *Triplet) Reset(rows, cols int) {
 	t.r, t.c, t.v = t.r[:0], t.c[:0], t.v[:0]
 }
 
-// Dims returns the logical dimensions of the matrix under construction.
-func (t *Triplet) Dims() (rows, cols int) { return t.rows, t.cols }
-
-// Len returns the number of accumulated entries, counting duplicates.
-func (t *Triplet) Len() int { return len(t.v) }
-
 // Add appends one entry. Entries may repeat; they are summed in ToCSR.
 func (t *Triplet) Add(row, col int, v float64) error {
 	if row < 0 || row >= t.rows || col < 0 || col >= t.cols {
