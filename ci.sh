@@ -6,12 +6,14 @@
 #   (no argument)  vet + build + race-enabled tests (among them the
 #                  byte-slice MatrixMarket reader's bit-identity check
 #                  against the streaming reader on exported matrices) +
-#                  the corpus generation and permutation tests at 1, 2
-#                  and 4 CPUs
+#                  the corpus generation, permutation and feature
+#                  golden tests at 1, 2 and 4 CPUs
 #                  (the sequential and the pipelined generator must
-#                  build the same golden corpus) + the serving parity,
-#                  batch, cascade and feature-memo tests at 1, 2 and 4
-#                  CPUs (batch items run inline and fanned out), with
+#                  build the same golden corpus, and ExtractAll's
+#                  per-worker scratches the same feature vectors) + the
+#                  serving parity, batch, cascade and feature-memo
+#                  tests at 1, 2 and 4 CPUs (batch items run inline and
+#                  fanned out), with
 #                  the proxied parity test (the same bodies through the
 #                  proxy to two replicas, sized and chunked, across a
 #                  forced hedge and a forced failover) + the
@@ -92,8 +94,8 @@ go build ./...
 echo '== go test -race ./...'
 go test -race ./...
 
-echo '== corpus generation at 1, 2 and 4 CPUs (sequential and pipelined paths)'
-go test -race -count=1 -cpu 1,2,4 -run 'TestGenerate|TestPermute|TestCorpus' ./internal/dataset ./internal/sparse
+echo '== corpus generation and feature extraction at 1, 2 and 4 CPUs (sequential and pipelined paths, per-worker scratches)'
+go test -race -count=1 -cpu 1,2,4 -run 'TestGenerate|TestPermute|TestCorpus|TestFeatures' ./internal/dataset ./internal/sparse
 
 echo '== serving paths at 1, 2 and 4 CPUs (direct and proxied; batch items inline and fanned out)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestServingPathsMatchReference|TestProxiedPathsMatchReference|TestBatch|TestCascade|TestFeatMemo' ./internal/serve

@@ -11,6 +11,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -94,15 +95,24 @@ func cmdBench(args []string) error {
 }
 
 // benchHost identifies the host a record was measured on; the gates'
-// CPU conditions read the same count.
+// CPU conditions read the same count. GOGC and GOMEMLIMIT are read as
+// perfbench reads them, naming the runtime's default when unset.
 type benchHost struct {
 	CPUs       int    `json:"cpus"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOGC       string `json:"gogc"`
+	GOMEMLIMIT string `json:"gomemlimit"`
 	GoVersion  string `json:"go_version"`
 }
 
 func thisHost() benchHost {
-	return benchHost{CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	return benchHost{
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GOGC:       cmp.Or(os.Getenv("GOGC"), "100 (default)"),
+		GOMEMLIMIT: cmp.Or(os.Getenv("GOMEMLIMIT"), "off (default)"),
+		GoVersion:  runtime.Version(),
+	}
 }
 
 // writeBenchRecord writes rec to path as indented JSON. With section

@@ -238,3 +238,18 @@ func TestCmdBenchRejectsUnknownSuite(t *testing.T) {
 		}
 	}
 }
+
+// TestThisHostRecordsGCSettings checks the fingerprint reads GOGC and
+// GOMEMLIMIT as perfbench does: the value when set, else the default.
+func TestThisHostRecordsGCSettings(t *testing.T) {
+	t.Setenv("GOGC", "")
+	t.Setenv("GOMEMLIMIT", "")
+	if h := thisHost(); h.GOGC != "100 (default)" || h.GOMEMLIMIT != "off (default)" {
+		t.Errorf("unset: gogc %q gomemlimit %q", h.GOGC, h.GOMEMLIMIT)
+	}
+	t.Setenv("GOGC", "50")
+	t.Setenv("GOMEMLIMIT", "1GiB")
+	if h := thisHost(); h.GOGC != "50" || h.GOMEMLIMIT != "1GiB" {
+		t.Errorf("set: gogc %q gomemlimit %q", h.GOGC, h.GOMEMLIMIT)
+	}
+}

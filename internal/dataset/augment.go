@@ -8,9 +8,10 @@ import "math/rand"
 // CNN-based prior work (Zhao et al., Pichel et al.). Permutations are
 // windowed rather than global so the variants keep the coarse structure
 // (bandedness, blocks) that determines their best format, while the fine
-// layout — and therefore the exact feature values such as csr_max and
-// the scatter — changes. drawPerms is the only rng use of augmentation,
-// so Generate can draw on one goroutine and permute on others.
+// layout — and therefore the exact feature values such as the diagonal
+// count and the scatter — changes. drawPerms is the only rng use of
+// augmentation, so Generate can draw on one goroutine and permute on
+// others.
 func drawPerms(rng *rand.Rand, rows, cols int) (rowPerm, colPerm []int) {
 	rowPerm = windowedPerm(rng, rows, 1+rows/8)
 	colPerm = windowedPerm(rng, cols, 1+cols/8)

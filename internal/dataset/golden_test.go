@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/features"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -39,6 +40,14 @@ func appendInt32s(buf []byte, xs []int32) []byte {
 	return buf
 }
 
+// seed1Base40Config is the default corpus cut to 40 bases: four of each
+// generator family.
+func seed1Base40Config() Config {
+	cfg := DefaultConfig()
+	cfg.BaseCount = 40
+	return cfg
+}
+
 // ellRetryConfig is small and has a tight ELL limit, so bases fail the
 // ELL check: some are redrawn and some are dropped after every retry.
 func ellRetryConfig() Config {
@@ -54,15 +63,13 @@ func ellRetryConfig() Config {
 // assembly's sort (an unstable sort orders duplicate entries, and their
 // sum rounds in that order) or the permutation variants fails here.
 func TestCorpusGolden(t *testing.T) {
-	seed1 := DefaultConfig()
-	seed1.BaseCount = 40
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
 		items int
 		want  string
 	}{
-		{"default-seed1-base40", seed1, 120, "48a488be112ffb120c4b2ba3b9aa87716e115a10f250a99df53ce21ee8c96cf1"},
+		{"default-seed1-base40", seed1Base40Config(), 120, "48a488be112ffb120c4b2ba3b9aa87716e115a10f250a99df53ce21ee8c96cf1"},
 		{"ell-retry", ellRetryConfig(), 50, "79b28f7bf68db1285c326abbb057b19b577cc8855b759757b4f0eedfcd9247f0"},
 	} {
 		items, err := Generate(tc.cfg)
@@ -138,4 +145,96 @@ func TestGenerateWorkerInvariant(t *testing.T) {
 			t.Fatalf("seed %d: digest %s sequential, %s with %d workers", cfg.Seed, a, b, obs.MaxWorkers())
 		}
 	}
+}
+
+// TestFeaturesGolden pins the Table 1 feature vectors of both golden
+// corpora bit for bit, as SHA-256 digests over math.Float64bits: the
+// full vectors from features.ExtractAll (per-worker scratches) and the
+// cheap vectors from ExtractCheap. Each item's Scratch.Extract, through
+// one scratch reused from the last item to the first so every buffer
+// shrinks and is re-zeroed, must equal ExtractAll's vector. The digests
+// were recorded before Extract was fused into one row sweep.
+func TestFeaturesGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		cfg         Config
+		full, cheap string
+	}{
+		{"default-seed1-base40", seed1Base40Config(),
+			"11ce1f908ec52b0e91e90535fdcb9db6f652cdb73f630499c2d75fc30a51b976",
+			"dba3e7bc2a0564096539942bfb412ae19eaac41cd762f7dcd69ae26adf962f51"},
+		{"ell-retry", ellRetryConfig(),
+			"91f6e4c384d1e5654cee6840d0612d60ba9a8ef4d7dfd8dc8ab84901fb7175de",
+			"cef885911c506f1a8799ee6b52e274d993c3c95a48b27b73bd38c22ada705a08"},
+	} {
+		items, err := Generate(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ms := matrices(items)
+		all := features.ExtractAll(ms)
+		var s features.Scratch
+		for i := len(ms) - 1; i >= 0; i-- {
+			got := s.Extract(ms[i])
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(all[i][j]) {
+					t.Fatalf("%s: %s: Scratch.Extract %s = %v, ExtractAll has %v",
+						tc.name, items[i].Name, features.Names[j], got[j], all[i][j])
+				}
+			}
+		}
+		full, cheap := sha256.New(), sha256.New()
+		var buf []byte
+		for i, m := range ms {
+			buf = appendFloat64Bits(buf[:0], all[i][:])
+			full.Write(buf)
+			c := s.ExtractCheap(m)
+			buf = appendFloat64Bits(buf[:0], c[:])
+			cheap.Write(buf)
+		}
+		if got := hex.EncodeToString(full.Sum(nil)); got != tc.full {
+			t.Errorf("%s: Extract digest %s, want %s", tc.name, got, tc.full)
+		}
+		if got := hex.EncodeToString(cheap.Sum(nil)); got != tc.cheap {
+			t.Errorf("%s: ExtractCheap digest %s, want %s", tc.name, got, tc.cheap)
+		}
+	}
+}
+
+func matrices(items []Item) []*sparse.CSR {
+	ms := make([]*sparse.CSR, len(items))
+	for i, it := range items {
+		ms[i] = it.Matrix
+	}
+	return ms
+}
+
+func appendFloat64Bits(buf []byte, xs []float64) []byte {
+	for _, x := range xs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	}
+	return buf
+}
+
+// extractSink keeps BenchmarkExtractCorpus's calls from being removed.
+var extractSink features.Vector
+
+// BenchmarkExtractCorpus times one Scratch.Extract pass over the
+// seed-1, 40-base corpus (120 matrices, all ten generator families), the
+// per-matrix work under dataset.Build and the paper's selection pass.
+func BenchmarkExtractCorpus(b *testing.B) {
+	items, err := Generate(seed1Base40Config())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms := matrices(items)
+	var s features.Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range ms {
+			extractSink = s.Extract(m)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(ms)), "us/matrix")
 }

@@ -1,8 +1,11 @@
 // Package features computes the 21 statistical sparse-matrix features of
 // Table 1 in the paper, the inputs to every classifier and clustering
-// model in this repository. All features are computed in a single O(nnz)
-// pass over a CSR matrix (O(rows) once the row histogram is known, except
-// the diagonal features which need the column indices), and they are
+// model in this repository. Extract reads a CSR matrix in two passes: a
+// sweep over the row pointers for the row-length statistics (the mean
+// nnz/rows is known up front, so the squared deviations add in the same
+// sweep), then a diagonal pass over the column indices that counts the
+// occupied diagonals without a branch per nonzero and fills the
+// row-length histogram the HYB features read. The features are
 // architecture-invariant, so they are computed once per matrix.
 package features
 
@@ -54,10 +57,6 @@ const (
 	EllFrac
 	EllSize
 )
-
-// warpSize is the number of threads per GPU warp assumed by the csr_max
-// feature (rows processed by one warp in the scalar CSR kernel).
-const warpSize = 32
 
 // CheapCount is the number of cheap features: the O(rows) subset that
 // needs neither the column indices (DIA pass) nor the row-length
@@ -112,45 +111,24 @@ var (
 )
 
 // Scratch holds the reusable working buffers of the feature pass: the
-// row-length vector, the row-length histogram and the diagonal-occupancy
-// bitmap. A zero Scratch is ready to use; reusing one across matrices
-// (as ExtractAll does per worker) drops the three per-call allocations
-// that otherwise dominate extraction on small matrices.
+// row-length histogram and the diagonal-occupancy map. A zero Scratch is
+// ready to use; reusing one across matrices (as ExtractAll does per
+// worker) drops the two per-call allocations that otherwise dominate
+// extraction on small matrices.
 type Scratch struct {
-	rowLens []int
-	hist    []int
-	occ     []bool
+	hist []int
+	occ  []uint8
 }
 
-// ints returns s.rowLens resized to n (contents undefined).
-func (s *Scratch) ints(n int) []int {
-	if cap(s.rowLens) < n {
-		s.rowLens = make([]int, n)
+// zeroed returns *buf resized to n and all zero, growing it when short.
+func zeroed[T int | uint8](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+		return *buf
 	}
-	s.rowLens = s.rowLens[:n]
-	return s.rowLens
-}
-
-// zeroHist returns a zeroed histogram of length n.
-func (s *Scratch) zeroHist(n int) []int {
-	if cap(s.hist) < n {
-		s.hist = make([]int, n)
-		return s.hist
-	}
-	s.hist = s.hist[:n]
-	clear(s.hist)
-	return s.hist
-}
-
-// zeroOcc returns an all-false occupancy bitmap of length n.
-func (s *Scratch) zeroOcc(n int) []bool {
-	if cap(s.occ) < n {
-		s.occ = make([]bool, n)
-		return s.occ
-	}
-	s.occ = s.occ[:n]
-	clear(s.occ)
-	return s.occ
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // Extract computes the feature vector for a matrix.
@@ -173,6 +151,7 @@ func (s *Scratch) Extract(m *sparse.CSR) Vector {
 	var f Vector
 	rows, cols := m.Dims()
 	nnz := m.NNZ()
+	rowPtr, colIdx := m.RowPtr(), m.ColIdx()
 
 	f[NRows] = float64(rows)
 	f[NCols] = float64(cols)
@@ -180,54 +159,26 @@ func (s *Scratch) Extract(m *sparse.CSR) Vector {
 	if rows > 0 && cols > 0 {
 		f[NNZFrac] = float64(nnz) / (float64(rows) * float64(cols))
 	}
-
-	// Row statistics. minRow starts at 0, not MaxInt64, when there are no
-	// rows to scan: every feature of a degenerate matrix must stay finite
-	// and zero-safe (they flow into drift windows and the scaler).
-	minRow, maxRow := 0, 0
-	if rows > 0 {
-		minRow = math.MaxInt64
-	}
-	rowLens := s.ints(rows)
-	maxWarp := 0 // csr_max: max total rows-worth of work in one warp, measured
-	// as the maximum row length within any aligned warp of rows: the scalar
-	// CSR kernel's warp finishes only when its longest row does.
-	for i := 0; i < rows; i++ {
-		n := m.RowNNZ(i)
-		rowLens[i] = n
-		if n < minRow {
-			minRow = n
-		}
-		if n > maxRow {
-			maxRow = n
-		}
-	}
-	for base := 0; base < rows; base += warpSize {
-		w := 0
-		for i := base; i < base+warpSize && i < rows; i++ {
-			if rowLens[i] > w {
-				w = rowLens[i]
-			}
-		}
-		if w > maxWarp {
-			maxWarp = w
-		}
-	}
 	var mu float64
 	if rows > 0 {
 		mu = float64(nnz) / float64(rows)
 	}
-	f[NNZMu] = mu
-	f[NNZMin] = float64(minRow)
-	f[NNZMax] = float64(maxRow)
-	f[MaxMu] = float64(maxRow) - mu
-	f[MuMin] = mu - float64(minRow)
-	f[CSRMax] = float64(maxWarp)
 
-	// Standard deviation and the one-sided RMS deviations.
+	// Row sweep: extremes, the squared deviations from the mean, and the
+	// one-sided ones below and above it, each sum adding in row order.
+	// minRow starts at 0, not MaxInt64, when there are no rows to scan:
+	// every feature of a degenerate matrix must stay finite and zero-safe
+	// (they flow into drift windows and the scaler).
+	minRow, maxRow := 0, 0
+	if rows > 0 {
+		minRow = math.MaxInt64
+	}
 	var sq, lowSq, highSq float64
 	var nLow, nHigh int
-	for _, n := range rowLens {
+	for i := range rows {
+		n := int(rowPtr[i+1] - rowPtr[i])
+		minRow = min(minRow, n)
+		maxRow = max(maxRow, n)
 		d := float64(n) - mu
 		sq += d * d
 		if d < 0 {
@@ -238,6 +189,15 @@ func (s *Scratch) Extract(m *sparse.CSR) Vector {
 			nHigh++
 		}
 	}
+	f[NNZMu] = mu
+	f[NNZMin] = float64(minRow)
+	f[NNZMax] = float64(maxRow)
+	f[MaxMu] = float64(maxRow) - mu
+	f[MuMin] = mu - float64(minRow)
+	// csr_max: the scalar CSR kernel's warp of 32 rows finishes only when
+	// its longest row does, and the longest of those over all warps is
+	// the longest row.
+	f[CSRMax] = float64(maxRow)
 	if rows > 0 {
 		f[NNZSig] = math.Sqrt(sq / float64(rows))
 	}
@@ -254,48 +214,40 @@ func (s *Scratch) Extract(m *sparse.CSR) Vector {
 		f[EllFrac] = float64(nnz) / f[EllSize]
 	}
 
-	// HYB structure: slab width per CUSP's heuristic.
-	hist := s.zeroHist(maxRow + 1)
-	for _, n := range rowLens {
-		hist[n]++
-	}
-	hybW := sparse.HybWidthFromHistogram(hist, rows)
-	ellPart := 0
-	for _, n := range rowLens {
-		if n < hybW {
-			ellPart += n
-		} else {
-			ellPart += hybW
-		}
-	}
-	f[HybEllSize] = slab(rows, hybW)
-	f[HybCoo] = float64(nnz - ellPart)
-	if f[HybEllSize] > 0 {
-		f[HybEllFrac] = float64(ellPart) / f[HybEllSize]
-	}
-
-	// DIA structure. A 0×0 matrix has no diagonals at all; clamp the
-	// occupancy size so the bitmap never goes negative.
-	nocc := rows + cols - 1
-	if nocc < 0 {
-		nocc = 0
-	}
-	occ := s.zeroOcc(nocc)
+	// Diagonal pass. Entry (i, c) lies on diagonal c - i + rows - 1, so
+	// o is row i's window onto the occupancy map, indexed by column, and
+	// a diagonal counts the first time an entry sets it. A 0×0 matrix has
+	// no diagonals at all; clamp the map size so it never goes negative.
+	hist := zeroed(&s.hist, maxRow+1)
+	occ := zeroed(&s.occ, max(rows+cols-1, 0))
 	ndiag := 0
-	rowPtr, colIdx := m.RowPtr(), m.ColIdx()
-	for i := 0; i < rows; i++ {
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			d := int(colIdx[k]) - i + rows - 1
-			if !occ[d] {
-				occ[d] = true
-				ndiag++
-			}
+	for i := range rows {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		hist[hi-lo]++
+		o := occ[rows-1-i:]
+		for _, c := range colIdx[lo:hi] {
+			ndiag += int(o[c] ^ 1)
+			o[c] = 1
 		}
 	}
 	f[Diagonals] = float64(ndiag)
 	f[DiaSize] = slab(ndiag, rows)
 	if f[DiaSize] > 0 {
 		f[DiaFrac] = float64(nnz) / f[DiaSize]
+	}
+
+	// HYB structure: slab width per CUSP's heuristic. The ELL part holds
+	// min(n, hybW) entries of each n-entry row, counted per row length:
+	// an integer sum is the same in any order.
+	hybW := sparse.HybWidthFromHistogram(hist, rows)
+	ellPart := 0
+	for n, count := range hist {
+		ellPart += count * min(n, hybW)
+	}
+	f[HybEllSize] = slab(rows, hybW)
+	f[HybCoo] = float64(nnz - ellPart)
+	if f[HybEllSize] > 0 {
+		f[HybEllFrac] = float64(ellPart) / f[HybEllSize]
 	}
 
 	return f
@@ -364,7 +316,7 @@ func (s *Scratch) ExtractCheap(m *sparse.CSR) CheapVector {
 // ExtractAll computes feature vectors for a slice of matrices, fanning
 // the matrices out over contiguous per-worker chunks. Each worker reuses
 // one Scratch across its chunk, so a corpus-sized extraction performs a
-// handful of buffer allocations instead of three per matrix. The output
+// handful of buffer allocations instead of two per matrix. The output
 // is positional and extraction is pure, so the result is identical to a
 // sequential loop.
 func ExtractAll(ms []*sparse.CSR) []Vector {

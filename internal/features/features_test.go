@@ -291,7 +291,7 @@ func TestExtractAllMatchesSequential(t *testing.T) {
 }
 
 // BenchmarkExtractScratch compares the allocating and scratch-reusing
-// extraction paths on a small matrix, where the three per-call buffer
+// extraction paths on a small matrix, where the two per-call buffer
 // allocations dominate.
 func BenchmarkExtractScratch(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -116,6 +117,40 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 			t.Errorf("ParsePrometheus accepted %q", bad)
 		}
 	}
+}
+
+// FuzzParsePrometheus parses arbitrary expositions: nothing panics, and
+// the same input parses to the same samples, types and error twice.
+func FuzzParsePrometheus(f *testing.F) {
+	f.Add(promGolden)
+	for _, seed := range []string{
+		"metric_without_value\n",
+		`unterminated{a="b 3` + "\n",
+		`esc{a="x\"y\\z\n",b="",} NaN` + "\n",
+		"# TYPE x counter\nx -Inf\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		a, errA := ParsePrometheus(strings.NewReader(text))
+		b, errB := ParsePrometheus(strings.NewReader(text))
+		if (errA == nil) != (errB == nil) || errA != nil && errA.Error() != errB.Error() {
+			t.Fatalf("errors differ: %v, then %v", errA, errB)
+		}
+		if errA != nil {
+			return
+		}
+		if !maps.Equal(a.Types, b.Types) || len(a.Samples) != len(b.Samples) {
+			t.Fatalf("parses differ: %+v, then %+v", a, b)
+		}
+		for i, s := range a.Samples {
+			r := b.Samples[i]
+			if s.Name != r.Name || !maps.Equal(s.Labels, r.Labels) ||
+				math.Float64bits(s.Value) != math.Float64bits(r.Value) {
+				t.Fatalf("sample %d: %+v, then %+v", i, s, r)
+			}
+		}
+	})
 }
 
 func TestPromHandlerServesAndRefreshes(t *testing.T) {

@@ -427,7 +427,33 @@ func Load(r io.Reader) (*Artifact, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
+	if err := a.probe(); err != nil {
+		return nil, err
+	}
 	return &a, nil
+}
+
+// probe predicts once on a vector of ones, through the cascade's cheap
+// stage when there is one and through the full model. A decoded
+// artifact can pass Validate and still panic at predict time; the probe
+// makes that panic a Load error, so a reload or shadow install rejects
+// the artifact instead of live requests failing on it. An error answer
+// is no fault here: requests get the same error.
+func (a *Artifact) probe() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("serve: artifact panics on a probe prediction: %v", r)
+		}
+	}()
+	ones := make([]float64, features.Count)
+	for i := range ones {
+		ones[i] = 1
+	}
+	if a.Cascade != nil {
+		_, _, _ = a.Cascade.decide(ones[:features.CheapCount])
+	}
+	_, _ = a.predictFull(ones)
+	return nil
 }
 
 // SaveFile writes the artifact to path (atomically via a temp file in

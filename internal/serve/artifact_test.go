@@ -224,6 +224,39 @@ func FuzzLoadArtifact(f *testing.F) {
 	})
 }
 
+// panicTransform passes preprocess.Chain.Validate (a positive width,
+// the same in and out) and panics in Transform: a stage that decodes
+// and validates, then fails every prediction.
+type panicTransform struct{ Dim int }
+
+func (p *panicTransform) Transform([]float64) []float64 { panic("panicTransform.Transform") }
+func (p *panicTransform) InDim() int                    { return p.Dim }
+func (p *panicTransform) OutDim() int                   { return p.Dim }
+
+func init() { gob.Register(&panicTransform{}) }
+
+// TestLoadRejectsArtifactThatPanics saves artifacts whose full pipeline
+// or cascade pipeline starts with a panicking stage. Validate accepts
+// both, so Load's probe prediction has to reject them.
+func TestLoadRejectsArtifactThatPanics(t *testing.T) {
+	arts := kindArtifacts(t)
+	full := *arts["classifier"]
+	full.Pipeline = append(preprocess.Chain{&panicTransform{Dim: features.Count}}, full.Pipeline...)
+	casc := *arts["cascade"]
+	stage := *casc.Cascade
+	stage.Pipeline = append(preprocess.Chain{&panicTransform{Dim: features.CheapCount}}, stage.Pipeline...)
+	casc.Cascade = &stage
+	for name, art := range map[string]*Artifact{"classifier": &full, "cascade": &casc} {
+		var buf bytes.Buffer
+		if err := art.Save(&buf); err != nil {
+			t.Fatalf("%s: Save: %v", name, err)
+		}
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "panics on a probe") {
+			t.Errorf("%s: Load error = %v, want the probe's panic", name, err)
+		}
+	}
+}
+
 // TestLoadRejectsForeignStreams covers magic, truncation, version and
 // consistency checks.
 func TestLoadRejectsForeignStreams(t *testing.T) {
