@@ -32,7 +32,11 @@
 #                  sized body read) + 20 s of
 #                  FuzzReadMatrixMarket (the byte-slice MatrixMarket
 #                  reader fuzzed against the streaming reader: same
-#                  verdict, same matrix) + internal/obs's
+#                  verdict, same matrix), 10 s of FuzzSplitMatrixMarket
+#                  (the batch splitter against the readers' banner
+#                  test) and 10 s of FuzzReadCaptureFile (arbitrary
+#                  capture files read without a crash, written records
+#                  read back unchanged) + internal/obs's
 #                  disabled-path overhead benchmark (five 1 s runs:
 #                  0 allocs/op in every run, the fastest under
 #                  2 ns/op) +
@@ -113,6 +117,10 @@ go test -run Allocs -count=1 ./internal/sparse ./internal/serve ./internal/obs
 # hold the fuzzer at 0 execs/s for most of the run.
 echo '== MatrixMarket readers fuzzed against each other (20 s)'
 go test -run '^$' -fuzz '^FuzzReadMatrixMarket$' -fuzztime 20s -fuzzminimizetime 1s ./internal/sparse
+echo '== batch splitter fuzzed against the MatrixMarket banner test (10 s)'
+go test -run '^$' -fuzz '^FuzzSplitMatrixMarket$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+echo '== capture-file reader fuzzed (10 s)'
+go test -run '^$' -fuzz '^FuzzReadCaptureFile$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs
 
 # Five 1 s runs of internal/obs's benchmark: every run must report
 # 0 allocs/op, and the fastest run must stay under 2 ns/op.

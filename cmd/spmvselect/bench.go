@@ -728,9 +728,7 @@ func benchServe() (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Batches use the text form (concatenated MatrixMarket files), so
-	// the server splits on banner lines instead of JSON-decoding
-	// megabytes of escaped matrix text.
+	// A batch body is the concatenated MatrixMarket files.
 	var batches [][]byte
 	for lo := 0; lo < len(bodies); lo += serveBatchSize {
 		batches = append(batches, bytes.Join(bodies[lo:min(lo+serveBatchSize, len(bodies))], nil))
@@ -1024,8 +1022,8 @@ func benchReplay() (any, error) {
 	for _, r := range recs {
 		predictions += len(r.rec.Predictions)
 	}
-	seq, seqDetails := replayPass(base, recs, 1, 0, nil, time.Minute)
-	conc, concDetails := replayPass(base, recs, replayConcurrency, 0, nil, time.Minute)
+	seq, seqDetails := replayPass(base, recs, 1, time.Minute)
+	conc, concDetails := replayPass(base, recs, replayConcurrency, time.Minute)
 	for _, d := range append(seqDetails, concDetails...) {
 		fmt.Fprintf(os.Stderr, "bench: %s\n", d)
 	}
@@ -1230,7 +1228,7 @@ func benchTracing() (any, error) {
 	// Both servers recompute every request (feature memo off), so the
 	// span pipeline wraps real parse/extract/predict work; they differ
 	// only in tracing.
-	_, off, stop, err := serveArtifact(art, serve.Config{FeatMemoSize: -1, TraceCapacity: -1, SlowRequest: -1, TraceSample: -1})
+	_, off, stop, err := serveArtifact(art, serve.Config{FeatMemoSize: -1, TraceCapacity: -1})
 	if err != nil {
 		return nil, err
 	}

@@ -137,17 +137,15 @@ func usage() {
   spmvselect serve (-model FILE | -models arch=path,...) [-shadow arch=path,...] [-default-arch A]
              [-admin-token T] [-addr :8080] [-portfile PATH] [-max-concurrent N] [-max-batch N]
              [-feat-memo N] [-timeout D] [-obs ADDR] [-access-log PATH] [-access-log-sample N]
-             [-slo-target X] [-record DIR] [-record-max-mb N]
-             [-trace N] [-trace-slow D] [-trace-sample N] [-debug-dir DIR] [-burn-threshold X]
-  spmvselect request -addr HOST:PORT (-mtx FILE | -batch "f1,f2,..." | -features "v1,v2,..." | -get PATH | -post PATH [-json BODY]) [-arch A] [-token T] [-request-id ID] [-timeout D] [-retries N] [-keep-trace] [-v]
+             [-record DIR] [-record-max-mb N] [-trace N]
+  spmvselect request -addr HOST:PORT (-mtx FILE | -batch "f1,f2,..." | -features "v1,v2,..." | -get PATH | -post PATH [-json BODY]) [-arch A] [-token T] [-request-id ID] [-timeout D] [-keep-trace] [-v]
   spmvselect promote -addr HOST:PORT -token T [-arch A]
-  spmvselect proxy -fleet "H:P,H:P,..." [-addr :8080] [-portfile PATH] [-vnodes N] [-timeout D]
-             [-hedge-after D] [-health-interval D] [-max-backoff D]
-             [-admin-token T] [-trace N] [-trace-slow D] [-trace-sample N]
+  spmvselect proxy -fleet "H:P,H:P,..." [-addr :8080] [-portfile PATH] [-timeout D]
+             [-hedge-after D] [-health-interval D] [-admin-token T] [-trace-sample N]
   spmvselect rollout -fleet "H:P,..." -artifact FILE -token T [-arch A] [-threshold X] [-min-scored N]
              [-drive DIR] [-timeout D] [-poll D] [-q]
   spmvselect monitor -addr HOST:PORT [-token T] [-interval D] [-once]
-  spmvselect replay -dir DIR -addr HOST:PORT [-concurrency N] [-rate R] [-arch-skew "a=w,..."] [-out PATH]
+  spmvselect replay -dir DIR -addr HOST:PORT [-concurrency N] [-out PATH] [-timeout D]
   spmvselect cpubench -dir DIR [-trials N] [-clusters K] [-quick] [-obs ADDR] [-report PATH]
   spmvselect report [-in PATH] [-text]
   spmvselect trace -addr HOST:PORT [-id TRACE] [-token T] [-json] [-timeout D]

@@ -45,14 +45,10 @@ func cmdProxy(args []string) error {
 	fleet := fs.String("fleet", "", "comma-separated serve replicas, e.g. \"127.0.0.1:9001,127.0.0.1:9002\" (required)")
 	addr := fs.String("addr", ":8080", "listen address (:0 picks a free port)")
 	portFile := fs.String("portfile", "", "write the bound address to this file once listening")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = 64)")
 	timeout := fs.Duration("timeout", 30*time.Second, "end-to-end budget per client request, hedges and retries included")
 	hedgeAfter := fs.Duration("hedge-after", 250*time.Millisecond, "race a second replica when the ring owner is slower than this")
 	healthInterval := fs.Duration("health-interval", time.Second, "spacing of the /readyz probes")
-	maxBackoff := fs.Duration("max-backoff", 15*time.Second, "cap on the readmit-probe backoff for ejected replicas")
 	adminToken := fs.String("admin-token", "", "bearer token required by the proxy's own /v1/admin/trace endpoints (unset disables them)")
-	traceCap := fs.Int("trace", 0, "tail-sampled trace store capacity in entries (0 = 128, negative disables tracing)")
-	traceSlow := fs.Duration("trace-slow", 0, "latency above which a proxied request is kept as slow (0 = 250ms, negative disables)")
 	traceSample := fs.Int("trace-sample", 0, "keep 1-in-N otherwise-uninteresting traces (0 = 100, negative disables sampling)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,14 +60,10 @@ func cmdProxy(args []string) error {
 
 	p, err := proxy.New(proxy.Config{
 		Replicas:       replicas,
-		Vnodes:         *vnodes,
 		Timeout:        *timeout,
 		HedgeAfter:     *hedgeAfter,
 		HealthInterval: *healthInterval,
-		MaxBackoff:     *maxBackoff,
 		AdminToken:     *adminToken,
-		TraceCapacity:  *traceCap,
-		SlowRequest:    *traceSlow,
 		TraceSample:    *traceSample,
 	})
 	if err != nil {

@@ -3,10 +3,10 @@ package main
 // The traffic replay harness: `serve -record DIR` captures every
 // prediction request (body plus routing metadata plus the answer) to
 // rotating capture files; `replay` plays a capture directory back
-// against a live server under controlled concurrency and rate, diffs
-// the replayed predictions against the recorded ones, and reports
-// latency quantiles — regression testing with production traffic
-// instead of synthetic corpora. `bench replay` is the self-contained
+// against a live server at a chosen concurrency, diffs the replayed
+// predictions against the recorded ones, and reports latency
+// quantiles — regression testing with production traffic instead of
+// synthetic corpora. `bench replay` is the self-contained
 // form: it records a known request mix (including /v1/feedback
 // outcome reports driven by simulator-measured kernel times), replays
 // it sequentially and concurrently, and gates on reproduced
@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,52 +48,6 @@ func loadCapture(dir string) ([]replayRecord, error) {
 	return out, err
 }
 
-// skewEntry is one arch=weight pair from -arch-skew.
-type skewEntry struct {
-	arch   string
-	weight float64
-}
-
-// parseSkew splits "turing=3,pascal=1" into weighted entries.
-func parseSkew(spec string) ([]skewEntry, error) {
-	var out []skewEntry
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		arch, w, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("-arch-skew: %q is not an arch=weight pair", part)
-		}
-		weight, err := strconv.ParseFloat(strings.TrimSpace(w), 64)
-		if err != nil || weight <= 0 {
-			return nil, fmt.Errorf("-arch-skew: weight %q is not a positive number", w)
-		}
-		out = append(out, skewEntry{serve.NormalizeArch(arch), weight})
-	}
-	return out, nil
-}
-
-// pickSkew deterministically assigns record i an arch by weighted
-// choice, so two replays of the same capture route identically without
-// any shared random state across workers.
-func pickSkew(skew []skewEntry, i int) string {
-	var total float64
-	for _, s := range skew {
-		total += s.weight
-	}
-	// Knuth multiplicative hash of the index onto [0, total).
-	v := float64((uint32(i)*2654435761)%10000) / 10000 * total
-	for _, s := range skew {
-		if v < s.weight {
-			return s.arch
-		}
-		v -= s.weight
-	}
-	return skew[len(skew)-1].arch
-}
-
 // replayStats summarises one replay pass.
 type replayStats struct {
 	Records    int              `json:"records"`
@@ -106,22 +59,14 @@ type replayStats struct {
 }
 
 // replayPass sends every record against base with the requested
-// concurrency and rate, diffing predictions unless skew rerouting made
-// the comparison meaningless. Mismatch details are capped at ten — the
-// count is the signal, the samples are for debugging.
-func replayPass(base string, recs []replayRecord, concurrency int, rate float64, skew []skewEntry, timeout time.Duration) (replayStats, []string) {
+// concurrency, each to the arch it was recorded for, and diffs the
+// predictions. Mismatch details are capped at ten — the count is the
+// signal, the samples are for debugging.
+func replayPass(base string, recs []replayRecord, concurrency int, timeout time.Duration) (replayStats, []string) {
 	if concurrency < 1 {
 		concurrency = 1
 	}
 	client := &http.Client{Timeout: timeout}
-	diff := len(skew) == 0
-
-	var ticks <-chan time.Time
-	if rate > 0 {
-		ticker := time.NewTicker(time.Duration(float64(time.Second) / rate))
-		defer ticker.Stop()
-		ticks = ticker.C
-	}
 
 	var failures, mismatches atomic.Int64
 	var mu sync.Mutex
@@ -136,17 +81,10 @@ func replayPass(base string, recs []replayRecord, concurrency int, rate float64,
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if ticks != nil {
-					<-ticks
-				}
 				r := recs[i]
-				arch := r.rec.Arch
-				if len(skew) > 0 {
-					arch = pickSkew(skew, i)
-				}
 				target := base + r.rec.Endpoint
-				if arch != "" {
-					target += "?arch=" + url.QueryEscape(arch)
+				if r.rec.Arch != "" {
+					target += "?arch=" + url.QueryEscape(r.rec.Arch)
 				}
 				t0 := time.Now()
 				got, err := sendReplay(client, target, r.rec.ContentType, r.body)
@@ -163,7 +101,7 @@ func replayPass(base string, recs []replayRecord, concurrency int, rate float64,
 					mu.Unlock()
 					continue
 				}
-				if want := strings.Join(r.rec.Predictions, ","); diff && got != want {
+				if want := strings.Join(r.rec.Predictions, ","); got != want {
 					mismatches.Add(1)
 					mu.Lock()
 					if len(details) < 10 {
@@ -231,8 +169,6 @@ func cmdReplay(args []string) error {
 	dir := fs.String("dir", "", "capture directory written by serve -record (required)")
 	addr := fs.String("addr", "", "server address host:port (required)")
 	concurrency := fs.Int("concurrency", 1, "parallel replay workers")
-	rate := fs.Float64("rate", 0, "request rate limit in req/s across all workers (0 = as fast as possible)")
-	archSkew := fs.String("arch-skew", "", `reroute requests across arches by weight, e.g. "turing=3,pascal=1" (disables prediction diffing)`)
 	out := fs.String("out", "", "also write the replay stats as JSON here")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
 	if err := fs.Parse(args); err != nil {
@@ -241,10 +177,6 @@ func cmdReplay(args []string) error {
 	if *dir == "" || *addr == "" {
 		return fmt.Errorf("replay: -dir and -addr are required")
 	}
-	skew, err := parseSkew(*archSkew)
-	if err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
 	recs, err := loadCapture(*dir)
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
@@ -252,7 +184,7 @@ func cmdReplay(args []string) error {
 	fmt.Fprintf(os.Stderr, "replay: %d records from %s against %s (concurrency %d)...\n",
 		len(recs), *dir, *addr, *concurrency)
 
-	stats, details := replayPass("http://"+*addr, recs, *concurrency, *rate, skew, *timeout)
+	stats, details := replayPass("http://"+*addr, recs, *concurrency, *timeout)
 	for _, d := range details {
 		fmt.Fprintf(os.Stderr, "replay: %s\n", d)
 	}
@@ -271,7 +203,7 @@ func cmdReplay(args []string) error {
 	if stats.Failures > 0 {
 		return fmt.Errorf("replay: %d of %d requests failed", stats.Failures, stats.Records)
 	}
-	if len(skew) == 0 && stats.Mismatches > 0 {
+	if stats.Mismatches > 0 {
 		return fmt.Errorf("replay: %d of %d predictions differ from the recording", stats.Mismatches, stats.Records)
 	}
 	return nil

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
@@ -192,13 +191,8 @@ func cmdServe(args []string) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout, queueing included")
 	obsAddr := fs.String("obs", "", "serve expvar+pprof (with the serve/* metrics) on this address too")
 	accessLog := fs.String("access-log", "", `write one JSON access-log line per request here ("-" for stderr)`)
-	logSample := fs.Int("access-log-sample", 0, "log only 1-in-N requests (errors, feedback and slow requests are always logged; 0/1 = log everything)")
-	sloTarget := fs.Float64("slo-target", 0, "availability objective for the SLO windows and burn rates (default 0.999)")
+	logSample := fs.Int("access-log-sample", 0, "log only 1-in-N requests (errors, feedback and requests over 250ms are always logged; 0/1 = log everything)")
 	traceCap := fs.Int("trace", 0, "tail-sampled trace store capacity in entries (0 = 128, negative disables tracing)")
-	traceSlow := fs.Duration("trace-slow", 0, "latency above which a request is kept as slow by the trace store and always access-logged (0 = 250ms, negative disables the static threshold)")
-	traceSample := fs.Int("trace-sample", 0, "keep 1-in-N otherwise-uninteresting traces (0 = 100, negative disables sampling)")
-	debugDir := fs.String("debug-dir", "", "write burn-triggered debug captures (CPU profile + trace snapshot) into this directory")
-	burnThreshold := fs.Float64("burn-threshold", 0, "sustained 5m SLO burn rate that triggers a debug capture into -debug-dir (0 disables)")
 	recordDir := fs.String("record", "", "capture every prediction request (body + routing metadata) to rotating files in this directory, for `spmvselect replay`")
 	recordMaxMB := fs.Int("record-max-mb", 64, "capture file rotation threshold in MiB")
 	if err := fs.Parse(args); err != nil {
@@ -278,13 +272,8 @@ func cmdServe(args []string) error {
 		AdminToken:      *adminToken,
 		AccessLog:       logger,
 		AccessLogSample: *logSample,
-		SLOObjective:    *sloTarget,
 		Capture:         capture,
 		TraceCapacity:   *traceCap,
-		SlowRequest:     *traceSlow,
-		TraceSample:     *traceSample,
-		DebugDir:        *debugDir,
-		BurnThreshold:   *burnThreshold,
 	})
 	if err != nil {
 		return err
@@ -354,8 +343,7 @@ func cmdRequest(args []string) error {
 	requestID := fs.String("request-id", "", "send this X-Request-ID so the call is findable in the server's access log")
 	keepTrace := fs.Bool("keep-trace", false, "send X-Trace-Keep so every hop retains this request's trace for `spmvselect trace`")
 	verbose := fs.Bool("v", false, "print the response's X-Request-ID and X-Model-Hash to stderr")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-attempt request timeout")
-	retries := fs.Int("retries", 0, "retry transport failures and 502/503/504 up to N times with jittered exponential backoff")
+	timeout := fs.Duration("timeout", 30*time.Second, "request timeout")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -387,9 +375,8 @@ func cmdRequest(args []string) error {
 			path += "?arch=" + *arch
 		}
 	case *batch != "":
-		// Batches go up in the text form — concatenated MatrixMarket
-		// files — which the server splits on banner lines without JSON
-		// decoding the matrix payloads.
+		// A batch body is the concatenated MatrixMarket files, which
+		// the server splits on their banner lines.
 		var buf strings.Builder
 		for _, name := range strings.Split(*batch, ",") {
 			data, err := os.ReadFile(strings.TrimSpace(name))
@@ -424,7 +411,7 @@ func cmdRequest(args []string) error {
 			contentType, body = "application/json", strings.NewReader(*jsonBody)
 		}
 	}
-	return doRequestFull(method, *addr, path, contentType, *token, *requestID, body, *timeout, *retries,
+	return doRequestFull(method, *addr, path, contentType, *token, *requestID, body, *timeout,
 		reqExtras{keepTrace: *keepTrace, verbose: *verbose})
 }
 
@@ -444,83 +431,58 @@ type reqExtras struct {
 // doRequest performs one HTTP exchange against a serve instance,
 // copying the response body to stdout and failing on non-200.
 func doRequest(method, addr, path, contentType, token string, body io.Reader, timeout time.Duration) error {
-	return doRequestFull(method, addr, path, contentType, token, "", body, timeout, 0, reqExtras{})
+	return doRequestFull(method, addr, path, contentType, token, "", body, timeout, reqExtras{})
 }
 
-// doRequestFull is the full smoke-test exchange with a retry budget
-// against transient failures: transport errors (a draining or
-// restarting replica) and 502/503/504 answers (the proxy or a replica
-// shedding load). The body is buffered up front so every attempt
-// replays identical bytes, and only the final attempt's response
-// reaches stdout. Backoff is exponential from 100ms with ±50% jitter
-// so concurrent CLI loops do not reconverge on the same instant.
-func doRequestFull(method, addr, path, contentType, token, requestID string, body io.Reader, timeout time.Duration, retries int, extra reqExtras) error {
-	var payload []byte
+// doRequestFull is doRequest with the smoke-test extras: an
+// X-Request-ID to send, trace retention and response-identity echo.
+// The body is read up front so the request goes out with a
+// Content-Length, as a sized body.
+func doRequestFull(method, addr, path, contentType, token, requestID string, body io.Reader, timeout time.Duration, extra reqExtras) error {
+	var reqBody io.Reader
 	if body != nil {
-		var err error
-		if payload, err = io.ReadAll(body); err != nil {
+		payload, err := io.ReadAll(body)
+		if err != nil {
 			return err
 		}
+		reqBody = bytes.NewReader(payload)
 	}
-	client := &http.Client{Timeout: timeout}
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			base := 100 * time.Millisecond * (1 << (attempt - 1))
-			jitter := time.Duration(rand.Int63n(int64(base))) - base/2
-			time.Sleep(base + jitter)
-		}
-		var reqBody io.Reader
-		if payload != nil {
-			reqBody = bytes.NewReader(payload)
-		}
-		req, err := http.NewRequest(method, "http://"+addr+path, reqBody)
-		if err != nil {
-			return err
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
-		}
-		if requestID != "" {
-			req.Header.Set("X-Request-ID", requestID)
-		}
-		if extra.keepTrace {
-			req.Header.Set(obs.TraceKeepHeader, "1")
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		respBody, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		retryable := resp.StatusCode == http.StatusBadGateway ||
-			resp.StatusCode == http.StatusServiceUnavailable ||
-			resp.StatusCode == http.StatusGatewayTimeout
-		if retryable && attempt < retries {
-			lastErr = fmt.Errorf("request: server answered %s", resp.Status)
-			continue
-		}
-		if extra.verbose {
-			fmt.Fprintf(os.Stderr, "request: X-Request-ID: %s\n", resp.Header.Get("X-Request-ID"))
-			fmt.Fprintf(os.Stderr, "request: X-Model-Hash: %s\n", resp.Header.Get("X-Model-Hash"))
-		}
-		if _, err := os.Stdout.Write(respBody); err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("request: server answered %s", resp.Status)
-		}
-		return nil
+	req, err := http.NewRequest(method, "http://"+addr+path, reqBody)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("request: all %d attempts failed: %w", retries+1, lastErr)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	if requestID != "" {
+		req.Header.Set("X-Request-ID", requestID)
+	}
+	if extra.keepTrace {
+		req.Header.Set(obs.TraceKeepHeader, "1")
+	}
+	resp, err := (&http.Client{Timeout: timeout}).Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	respBody, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if extra.verbose {
+		fmt.Fprintf(os.Stderr, "request: X-Request-ID: %s\n", resp.Header.Get("X-Request-ID"))
+		fmt.Fprintf(os.Stderr, "request: X-Model-Hash: %s\n", resp.Header.Get("X-Model-Hash"))
+	}
+	if _, err := os.Stdout.Write(respBody); err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("request: server answered %s", resp.Status)
+	}
+	return nil
 }
 
 // cmdPromote flips an arch's shadow candidate to live through the

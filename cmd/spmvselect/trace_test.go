@@ -62,7 +62,7 @@ func TestCmdTraceFetchesReservedCharacterIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := serve.NewServer(serve.NewSemisupArtifact(sel.Model(), "Turing"),
-		serve.Config{AdminToken: "tok", TraceSample: -1})
+		serve.Config{AdminToken: "tok"})
 	if err != nil {
 		t.Fatal(err)
 	}

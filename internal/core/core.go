@@ -25,21 +25,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// Options configures TrainSelector. The zero value selects the paper's
-// best configuration (K-Means + majority vote, 100 clusters, full
-// preprocessing).
+// Options configures TrainSelector. The selector always runs the
+// paper's best configuration: K-Means, majority-vote cluster labels
+// over every benchmarked label, and full preprocessing.
 type Options struct {
-	// Algorithm is the clustering algorithm ("kmeans", "meanshift",
-	// "birch"); empty selects K-Means.
-	Algorithm string
-	// Rule is the cluster labelling rule ("vote", "lr", "rf"); empty
-	// selects majority vote.
-	Rule string
-	// NumClusters is K for K-Means/Birch (default 100).
+	// NumClusters is K for K-Means (default 100).
 	NumClusters int
-	// BenchmarkFraction in (0, 1] reveals only part of the labels to the
-	// labelling rule (default 1).
-	BenchmarkFraction float64
 	// Seed makes training reproducible.
 	Seed int64
 }
@@ -65,13 +56,7 @@ func TrainSelector(matrices []*sparse.CSR, best []sparse.Format, opt Options) (*
 		y[i] = idx
 	}
 	x := features.Matrix(features.ExtractAll(matrices))
-	cfg := semisup.Config{
-		Algorithm:         semisup.Algorithm(opt.Algorithm),
-		Rule:              semisup.Rule(opt.Rule),
-		NumClusters:       opt.NumClusters,
-		BenchmarkFraction: opt.BenchmarkFraction,
-		Seed:              opt.Seed,
-	}
+	cfg := semisup.Config{NumClusters: opt.NumClusters, Seed: opt.Seed}
 	m, err := semisup.Train(x, y, sparse.NumKernelFormats, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: training selector: %w", err)

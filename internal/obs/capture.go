@@ -195,9 +195,19 @@ func ReadCaptureFile(path string, fn func(rec []byte) error) error {
 		if n == 0 || n > maxCaptureRecord {
 			return fmt.Errorf("obs: %s: implausible record length %d at offset %d (corrupt file?)", path, n, offset)
 		}
+		// Allocate only what the file holds: a corrupt prefix near the
+		// end of a small file must not cost a 64 MiB buffer. The size is
+		// read per record because a live capture keeps growing.
+		fi, err := f.Stat()
+		if err != nil {
+			return fmt.Errorf("obs: %s: %w", path, err)
+		}
+		if left := fi.Size() - offset - 4; int64(n) > left {
+			return fmt.Errorf("obs: %s: truncated record at offset %d (%d of %d bytes)", path, offset, max(left, 0), n)
+		}
 		rec := make([]byte, n)
-		if _, err := io.ReadFull(f, rec); err != nil {
-			return fmt.Errorf("obs: %s: truncated record at offset %d (%d of %d bytes)", path, offset, len(rec), n)
+		if got, err := io.ReadFull(f, rec); err != nil {
+			return fmt.Errorf("obs: %s: truncated record at offset %d (%d of %d bytes)", path, offset, got, n)
 		}
 		if err := fn(rec); err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,29 @@ func TestCaptureTruncatedTail(t *testing.T) {
 	}
 	if len(got) != 1 || string(got[0]) != "whole" {
 		t.Errorf("intact records before the tear = %q, want [whole]", got)
+	}
+}
+
+// TestCaptureLengthBeyondFile: a prefix claiming ~64 MiB in a 5-byte
+// file is reported without allocating the claimed length, and the
+// error names the one byte that is there.
+func TestCaptureLengthBeyondFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "short.cap")
+	if err := os.WriteFile(path, []byte{0x03, 0xff, 0xff, 0xff, 'x'}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := ReadCaptureFile(path, func([]byte) error {
+		t.Fatal("a record reached fn")
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "(1 of 67108863 bytes)") {
+		t.Errorf("err = %v, want a truncated record naming 1 of 67108863 bytes", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("reading a 5-byte file allocated %d bytes", alloc)
 	}
 }
 

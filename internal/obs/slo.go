@@ -9,16 +9,19 @@ import (
 // answer "what happened since the process started"; an operator paging
 // on an SLO needs "what happened in the last minute/five minutes/hour".
 // SLOWindows keeps a fixed-size ring of per-slot histogram deltas
-// (default: 10-second slots covering one hour) and derives, for each
+// (10-second slots covering one hour) and derives, for each
 // reporting window, the latency quantiles, the availability and the
 // error-budget burn rate — how many times faster than sustainable the
 // budget is being spent (1.0 = exactly on target, >1 = burning).
 
-// Default SLO geometry: 10s slots, one hour of history (+1 slot so the
-// newest partial slot never evicts a slot still inside the window).
+// The SLO geometry and target: 10s slots, one hour of history (+1 slot
+// so the newest partial slot never evicts a slot still inside the
+// window), latency buckets DurationBuckets, and a 99.9% availability
+// objective that every burn rate is measured against.
 const (
-	defaultSLOSlot  = 10 * time.Second
-	defaultSLOSlots = 361
+	sloSlotDuration = 10 * time.Second
+	sloSlots        = 361
+	sloObjective    = 0.999
 )
 
 // sloWindowSpecs are the reported trailing windows.
@@ -31,40 +34,11 @@ var sloWindowSpecs = []struct {
 	{"1h", time.Hour},
 }
 
-// SLOConfig tunes an SLOWindows tracker. The zero value selects
-// defaults.
+// SLOConfig configures an SLOWindows tracker. The zero value reads the
+// wall clock.
 type SLOConfig struct {
-	// Objective is the availability target (fraction of requests that
-	// must succeed). Default 0.999.
-	Objective float64
-	// SlotDuration and Slots fix the ring geometry; the covered history
-	// is SlotDuration*(Slots-1). Defaults: 10s and 361 (one hour).
-	SlotDuration time.Duration
-	Slots        int
-	// Bounds are the latency bucket upper bounds (seconds). Default
-	// DurationBuckets.
-	Bounds []float64
 	// Now overrides the clock, for tests. Default time.Now.
 	Now func() time.Time
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.999
-	}
-	if c.SlotDuration <= 0 {
-		c.SlotDuration = defaultSLOSlot
-	}
-	if c.Slots <= 1 {
-		c.Slots = defaultSLOSlots
-	}
-	if c.Bounds == nil {
-		c.Bounds = DurationBuckets
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
 }
 
 // sloSlot is one time slot's worth of observations.
@@ -77,24 +51,26 @@ type sloSlot struct {
 
 // SLOWindows is a goroutine-safe rolling-window latency/availability
 // tracker. Observe is cheap (one mutex, a bucket search and a handful
-// of adds); reports walk at most Slots slots.
+// of adds); reports walk at most sloSlots slots.
 type SLOWindows struct {
-	cfg SLOConfig
+	now func() time.Time
 
 	mu       sync.Mutex
 	ring     []sloSlot
 	head     int       // index of the slot covering headTime
-	headTime time.Time // start of the head slot (truncated to SlotDuration)
+	headTime time.Time // start of the head slot (truncated to sloSlotDuration)
 }
 
 // NewSLOWindows returns a tracker with the given configuration.
 func NewSLOWindows(cfg SLOConfig) *SLOWindows {
-	cfg = cfg.withDefaults()
-	s := &SLOWindows{cfg: cfg, ring: make([]sloSlot, cfg.Slots)}
-	for i := range s.ring {
-		s.ring[i].counts = make([]int64, len(cfg.Bounds)+1)
+	if cfg.Now == nil {
+		cfg.Now = time.Now
 	}
-	s.headTime = cfg.Now().Truncate(cfg.SlotDuration)
+	s := &SLOWindows{now: cfg.Now, ring: make([]sloSlot, sloSlots)}
+	for i := range s.ring {
+		s.ring[i].counts = make([]int64, len(DurationBuckets)+1)
+	}
+	s.headTime = cfg.Now().Truncate(sloSlotDuration)
 	return s
 }
 
@@ -103,21 +79,21 @@ func NewSLOWindows(cfg SLOConfig) *SLOWindows {
 // clears everything in one pass instead of spinning per slot.
 func (s *SLOWindows) advanceLocked(now time.Time) {
 	gap := now.Sub(s.headTime)
-	if gap < s.cfg.SlotDuration {
+	if gap < sloSlotDuration {
 		return
 	}
-	steps := int(gap / s.cfg.SlotDuration)
+	steps := int(gap / sloSlotDuration)
 	if steps >= len(s.ring) {
 		for i := range s.ring {
 			s.clearSlot(i)
 		}
-		s.headTime = now.Truncate(s.cfg.SlotDuration)
+		s.headTime = now.Truncate(sloSlotDuration)
 		return
 	}
 	for i := 0; i < steps; i++ {
 		s.head = (s.head + 1) % len(s.ring)
 		s.clearSlot(s.head)
-		s.headTime = s.headTime.Add(s.cfg.SlotDuration)
+		s.headTime = s.headTime.Add(sloSlotDuration)
 	}
 }
 
@@ -133,9 +109,9 @@ func (s *SLOWindows) clearSlot(i int) {
 // counts against availability (5xx answers, sheds).
 func (s *SLOWindows) Observe(latencySeconds float64, isError bool) {
 	s.mu.Lock()
-	s.advanceLocked(s.cfg.Now())
+	s.advanceLocked(s.now())
 	sl := &s.ring[s.head]
-	i := searchBounds(s.cfg.Bounds, latencySeconds)
+	i := searchBounds(DurationBuckets, latencySeconds)
 	sl.counts[i]++
 	sl.total++
 	sl.sum += latencySeconds
@@ -193,17 +169,17 @@ type SLOReport struct {
 func (s *SLOWindows) Report() SLOReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceLocked(s.cfg.Now())
+	s.advanceLocked(s.now())
 
-	rep := SLOReport{Objective: s.cfg.Objective}
+	rep := SLOReport{Objective: sloObjective}
 	for _, spec := range sloWindowSpecs {
-		slots := int(spec.d / s.cfg.SlotDuration)
-		if slots > len(s.ring)-1 {
-			slots = len(s.ring) - 1
-		}
+		slots := int(spec.d / sloSlotDuration) // at most sloSlots-1
 		agg := HistogramSnapshot{
-			Bounds: s.cfg.Bounds,
-			Counts: make([]int64, len(s.cfg.Bounds)+1),
+			Bounds: DurationBuckets,
+			Counts: make([]int64, len(DurationBuckets)+1),
+			// Quantile attributes overflow mass to Max, which a slot
+			// ring does not track; the largest finite bound stands in.
+			Max: DurationBuckets[len(DurationBuckets)-1],
 		}
 		var errors int64
 		// The head slot is still filling; include it plus the previous
@@ -216,11 +192,6 @@ func (s *SLOWindows) Report() SLOReport {
 			agg.Count += sl.total
 			agg.Sum += sl.sum
 			errors += sl.errors
-		}
-		// Quantile attributes overflow mass to Max, which a slot ring
-		// does not track; the largest finite bound stands in for it.
-		if n := len(agg.Bounds); n > 0 {
-			agg.Max = agg.Bounds[n-1]
 		}
 		wr := SLOWindowReport{
 			Window:       spec.name,
@@ -236,7 +207,7 @@ func (s *SLOWindows) Report() SLOReport {
 		if agg.Count > 0 {
 			errRate := float64(errors) / float64(agg.Count)
 			wr.Availability = 1 - errRate
-			wr.BurnRate = errRate / (1 - s.cfg.Objective)
+			wr.BurnRate = errRate / (1 - sloObjective)
 		}
 		rep.Windows = append(rep.Windows, wr)
 	}

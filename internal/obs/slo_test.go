@@ -14,14 +14,16 @@ func (c *sloClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 func newSLOClock() *sloClock                { return &sloClock{now: time.Unix(1_000_000, 0)} }
 
 func testSLO(clk *sloClock) *SLOWindows {
-	return NewSLOWindows(SLOConfig{
-		Objective:    0.99,
-		SlotDuration: time.Second,
-		Slots:        301, // 5m of history at 1s slots
-		Bounds:       []float64{0.01, 0.1, 1},
-		Now:          clk.Now,
-	})
+	return NewSLOWindows(SLOConfig{Now: clk.Now})
 }
+
+// Three latencies that sit exactly on DurationBuckets bounds (about
+// 8ms, 66ms and 524ms), so window quantiles read them back exactly.
+var (
+	sloFast = DurationBuckets[13]
+	sloMid  = DurationBuckets[16]
+	sloSlow = DurationBuckets[19]
+)
 
 func windowByName(t *testing.T, rep SLOReport, name string) SLOWindowReport {
 	t.Helper()
@@ -38,10 +40,10 @@ func TestSLOAvailabilityAndBurn(t *testing.T) {
 	clk := newSLOClock()
 	s := testSLO(clk)
 	for i := 0; i < 90; i++ {
-		s.Observe(0.005, false)
+		s.Observe(sloFast, false)
 	}
 	for i := 0; i < 10; i++ {
-		s.Observe(0.005, true)
+		s.Observe(sloFast, true)
 	}
 	w := windowByName(t, s.Report(), "1m")
 	if w.Requests != 100 || w.Errors != 10 {
@@ -50,9 +52,9 @@ func TestSLOAvailabilityAndBurn(t *testing.T) {
 	if math.Abs(w.Availability-0.9) > 1e-12 {
 		t.Errorf("availability = %v, want 0.9", w.Availability)
 	}
-	// Error rate 0.1 against a 0.99 objective burns the budget 10x.
-	if math.Abs(w.BurnRate-10) > 1e-9 {
-		t.Errorf("burn rate = %v, want 10", w.BurnRate)
+	// Error rate 0.1 against the 0.999 objective burns the budget 100x.
+	if math.Abs(w.BurnRate-100) > 1e-9 {
+		t.Errorf("burn rate = %v, want 100", w.BurnRate)
 	}
 }
 
@@ -60,25 +62,25 @@ func TestSLOQuantilesFromBuckets(t *testing.T) {
 	clk := newSLOClock()
 	s := testSLO(clk)
 	for i := 0; i < 60; i++ {
-		s.Observe(0.005, false) // <= 0.01
+		s.Observe(sloFast, false)
 	}
 	for i := 0; i < 35; i++ {
-		s.Observe(0.05, false) // <= 0.1
+		s.Observe(sloMid, false)
 	}
 	for i := 0; i < 5; i++ {
-		s.Observe(0.5, false) // <= 1
+		s.Observe(sloSlow, false)
 	}
 	w := windowByName(t, s.Report(), "1m")
-	if w.P50 != 0.01 {
-		t.Errorf("p50 = %v, want 0.01", w.P50)
+	if w.P50 != sloFast {
+		t.Errorf("p50 = %v, want %v", w.P50, sloFast)
 	}
-	if w.P95 != 0.1 {
-		t.Errorf("p95 = %v, want 0.1", w.P95)
+	if w.P95 != sloMid {
+		t.Errorf("p95 = %v, want %v", w.P95, sloMid)
 	}
-	if w.P99 != 1 {
-		t.Errorf("p99 = %v, want 1", w.P99)
+	if w.P99 != sloSlow {
+		t.Errorf("p99 = %v, want %v", w.P99, sloSlow)
 	}
-	if math.Abs(w.MeanSeconds-(60*0.005+35*0.05+5*0.5)/100) > 1e-12 {
+	if math.Abs(w.MeanSeconds-(60*sloFast+35*sloMid+5*sloSlow)/100) > 1e-12 {
 		t.Errorf("mean = %v", w.MeanSeconds)
 	}
 }
@@ -89,9 +91,9 @@ func TestSLOWindowsAge(t *testing.T) {
 	clk := newSLOClock()
 	s := testSLO(clk)
 	for i := 0; i < 50; i++ {
-		s.Observe(0.005, true)
+		s.Observe(sloFast, true)
 	}
-	clk.advance(2 * time.Minute)
+	clk.advance(12 * sloSlotDuration) // two minutes
 	rep := s.Report()
 	w1 := windowByName(t, rep, "1m")
 	if w1.Requests != 0 {
@@ -112,9 +114,9 @@ func TestSLOGapClears(t *testing.T) {
 	clk := newSLOClock()
 	s := testSLO(clk)
 	for i := 0; i < 50; i++ {
-		s.Observe(0.005, true)
+		s.Observe(sloFast, true)
 	}
-	clk.advance(time.Hour) // far beyond the 301-slot ring
+	clk.advance(2 * sloSlots * sloSlotDuration) // twice the ring
 	rep := s.Report()
 	for _, w := range rep.Windows {
 		if w.Requests != 0 || w.Errors != 0 {
@@ -122,7 +124,7 @@ func TestSLOGapClears(t *testing.T) {
 		}
 	}
 	// The tracker still works after the reset.
-	s.Observe(0.005, false)
+	s.Observe(sloFast, false)
 	if w := windowByName(t, s.Report(), "1m"); w.Requests != 1 {
 		t.Errorf("post-gap observe lost: %d", w.Requests)
 	}
@@ -132,36 +134,36 @@ func TestSLOExportGauges(t *testing.T) {
 	clk := newSLOClock()
 	s := testSLO(clk)
 	for i := 0; i < 99; i++ {
-		s.Observe(0.005, false)
+		s.Observe(sloFast, false)
 	}
-	s.Observe(0.005, true)
+	s.Observe(sloFast, true)
 	r := NewRegistry()
 	s.Export(r)
 	snap := r.Snapshot()
 	if got := snap.Gauges[`slo/availability{window="1m"}`]; math.Abs(got-0.99) > 1e-12 {
 		t.Errorf(`slo/availability{window="1m"} = %v, want 0.99`, got)
 	}
-	if got := snap.Gauges[`slo/burn_rate{window="1m"}`]; math.Abs(got-1) > 1e-9 {
-		t.Errorf("burn gauge = %v, want 1", got)
+	if got := snap.Gauges[`slo/burn_rate{window="1m"}`]; math.Abs(got-10) > 1e-9 {
+		t.Errorf("burn gauge = %v, want 10", got)
 	}
-	if got := snap.Gauges[`slo/latency/seconds{window="1m",quantile="p99"}`]; got != 0.01 {
-		t.Errorf("p99 gauge = %v, want 0.01", got)
+	if got := snap.Gauges[`slo/latency/seconds{window="1m",quantile="p99"}`]; got != sloFast {
+		t.Errorf("p99 gauge = %v, want %v", got, sloFast)
 	}
 	if got := snap.Gauges[`slo/requests{window="1h"}`]; got != 100 {
 		t.Errorf("1h requests gauge = %v, want 100", got)
 	}
 }
 
+// TestSLODefaults: the zero config reads the wall clock and reports
+// the 1m/5m/1h windows against the 0.999 objective.
 func TestSLODefaults(t *testing.T) {
-	cfg := SLOConfig{}.withDefaults()
-	if cfg.Objective != 0.999 || cfg.SlotDuration != defaultSLOSlot || cfg.Slots != defaultSLOSlots {
-		t.Errorf("defaults = %+v", cfg)
+	s := NewSLOWindows(SLOConfig{})
+	s.Observe(sloFast, false)
+	rep := s.Report()
+	if rep.Objective != 0.999 || len(rep.Windows) != 3 {
+		t.Fatalf("report = %+v, want objective 0.999 and three windows", rep)
 	}
-	if cfg.Now == nil || cfg.Bounds == nil {
-		t.Error("defaults left Now/Bounds nil")
-	}
-	// An out-of-range objective falls back rather than dividing by zero.
-	if got := (SLOConfig{Objective: 1.5}).withDefaults().Objective; got != 0.999 {
-		t.Errorf("objective sanitising: %v", got)
+	if w := windowByName(t, rep, "1h"); w.Requests != 1 || w.Seconds != 3600 {
+		t.Errorf("1h window = %+v", w)
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // TraceStore is a bounded, tail-sampling ring of completed request span
 // trees. Every request offers its root span; the store keeps the full
-// tree when the request is interesting after the fact — slow (above a
-// static threshold or a dynamic SLO-window p99), errored, or force-kept
+// tree when the request is interesting after the fact — slow (above
+// SlowRequest or a dynamic SLO-window p99), errored, or force-kept
 // by the caller (hedged, failover, requested) — plus a
 // small deterministic sample of ordinary traffic so the store is never
 // empty. When full, eviction drops sampled-only entries first, then
@@ -27,17 +27,19 @@ type TraceStore struct {
 	evicted *Counter
 }
 
+// SlowRequest is the latency at which a request counts as slow: the
+// trace store always keeps it, and serve's access log never samples it
+// out.
+const SlowRequest = 250 * time.Millisecond
+
 // TraceConfig configures a TraceStore. The zero value is usable:
 // defaults are applied by NewTraceStore.
 type TraceConfig struct {
 	// Capacity bounds the number of retained traces (default 128;
 	// negative turns tracing off: NewTraceStore returns nil).
 	Capacity int
-	// SlowThreshold marks a request slow regardless of SLO state
-	// (default 250ms; negative disables the static threshold).
-	SlowThreshold time.Duration
 	// SampleEvery keeps one in N otherwise-uninteresting traces
-	// (default 100; 0 or negative disables random sampling). The
+	// (0 selects 100; negative disables random sampling). The
 	// sample is a deterministic offer counter, not a PRNG, so tests
 	// and replays are reproducible.
 	SampleEvery int
@@ -104,9 +106,6 @@ func NewTraceStore(cfg TraceConfig) *TraceStore {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = 128
 	}
-	if cfg.SlowThreshold == 0 {
-		cfg.SlowThreshold = 250 * time.Millisecond
-	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 100
 	}
@@ -136,7 +135,7 @@ func (ts *TraceStore) Offer(root *SpanData, status int, forced ...string) bool {
 	}
 	reasons := make([]string, 0, len(forced)+2)
 	reasons = append(reasons, forced...)
-	slow := ts.cfg.SlowThreshold > 0 && root.Duration >= ts.cfg.SlowThreshold
+	slow := root.Duration >= SlowRequest
 	if !slow && ts.cfg.DynamicSlow != nil {
 		if dyn := ts.cfg.DynamicSlow(); dyn > 0 && root.Duration >= dyn {
 			slow = true
@@ -249,19 +248,6 @@ func (ts *TraceStore) List() []TraceSummary {
 	}
 	ts.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].At.After(out[j].At) })
-	return out
-}
-
-// Snapshot returns every retained trace, oldest first — the payload the
-// burn-triggered debug capture writes next to its CPU profile.
-func (ts *TraceStore) Snapshot() []*TraceEntry {
-	if ts == nil {
-		return nil
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]*TraceEntry, len(ts.entries))
-	copy(out, ts.entries)
 	return out
 }
 

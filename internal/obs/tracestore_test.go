@@ -19,7 +19,7 @@ func mkRoot(id string, d time.Duration) *SpanData {
 }
 
 func TestTraceStoreKeepReasons(t *testing.T) {
-	ts := NewTraceStore(TraceConfig{Capacity: 8, SlowThreshold: 100 * time.Millisecond, SampleEvery: -1})
+	ts := NewTraceStore(TraceConfig{Capacity: 8, SampleEvery: -1})
 
 	if ts.Offer(nil, 200) {
 		t.Fatal("kept nil root")
@@ -30,7 +30,7 @@ func TestTraceStoreKeepReasons(t *testing.T) {
 	if ts.Offer(mkRoot("fast", time.Millisecond), 200) {
 		t.Fatal("kept fast, ok request with sampling disabled")
 	}
-	if !ts.Offer(mkRoot("slow", 150*time.Millisecond), 200) {
+	if !ts.Offer(mkRoot("slow", SlowRequest), 200) {
 		t.Fatal("dropped slow request")
 	}
 	if !ts.Offer(mkRoot("err", time.Millisecond), 500) {
@@ -58,10 +58,9 @@ func TestTraceStoreKeepReasons(t *testing.T) {
 func TestTraceStoreDynamicSlow(t *testing.T) {
 	dyn := 50 * time.Millisecond
 	ts := NewTraceStore(TraceConfig{
-		Capacity:      8,
-		SlowThreshold: time.Hour, // static threshold unreachable
-		SampleEvery:   -1,
-		DynamicSlow:   func() time.Duration { return dyn },
+		Capacity:    8,
+		SampleEvery: -1,
+		DynamicSlow: func() time.Duration { return dyn },
 	})
 	if !ts.Offer(mkRoot("p99", 60*time.Millisecond), 200) {
 		t.Fatal("dropped request above dynamic p99")
@@ -72,7 +71,7 @@ func TestTraceStoreDynamicSlow(t *testing.T) {
 }
 
 func TestTraceStoreSampling(t *testing.T) {
-	ts := NewTraceStore(TraceConfig{Capacity: 64, SlowThreshold: time.Hour, SampleEvery: 10})
+	ts := NewTraceStore(TraceConfig{Capacity: 64, SampleEvery: 10})
 	kept := 0
 	for i := 0; i < 100; i++ {
 		if ts.Offer(mkRoot(fmt.Sprintf("r%d", i), time.Millisecond), 200) {
@@ -93,11 +92,11 @@ func TestTraceStoreSampling(t *testing.T) {
 // the ring is full, randomly sampled traces are evicted before force-kept
 // ones, and slow/error traces survive longest.
 func TestTraceStoreEvictionPriority(t *testing.T) {
-	ts := NewTraceStore(TraceConfig{Capacity: 4, SlowThreshold: 100 * time.Millisecond, SampleEvery: 1})
+	ts := NewTraceStore(TraceConfig{Capacity: 4, SampleEvery: 1})
 
 	// Fill with: two sampled, one slow, one error.
 	ts.Offer(mkRoot("sampled-1", time.Millisecond), 200)
-	ts.Offer(mkRoot("slow-1", 200*time.Millisecond), 200)
+	ts.Offer(mkRoot("slow-1", 300*time.Millisecond), 200)
 	ts.Offer(mkRoot("sampled-2", time.Millisecond), 200)
 	ts.Offer(mkRoot("error-1", time.Millisecond), 503)
 	if ts.Len() != 4 {
@@ -166,7 +165,7 @@ func TestConcurrentRequestSpanIsolation(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
-	store := NewTraceStore(TraceConfig{Capacity: workers * perWorker, SlowThreshold: -1, SampleEvery: 1})
+	store := NewTraceStore(TraceConfig{Capacity: workers * perWorker, SampleEvery: 1})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {

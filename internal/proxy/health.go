@@ -18,8 +18,11 @@ import (
 // passively by the request path: a transport-level failure ejects the
 // replica immediately, before the next health tick, so routing stops
 // offering a dead shard as a hedge target. Ejected replicas are
-// re-probed on an exponential backoff and readmitted on the first
-// passing probe.
+// re-probed on an exponential backoff, capped at maxBackoff, and
+// readmitted on the first passing probe.
+
+// maxBackoff caps the readmit-probe spacing of an ejected replica.
+const maxBackoff = 15 * time.Second
 
 // replica is the proxy's view of one serve instance.
 type replica struct {
@@ -155,11 +158,11 @@ func (p *Proxy) noteProbeResult(rep *replica, ready serve.ReadyResponse, err err
 	rep.healthy = false
 	if rep.backoff == 0 {
 		rep.backoff = p.cfg.HealthInterval
-	} else if rep.backoff < p.cfg.MaxBackoff {
+	} else if rep.backoff < maxBackoff {
 		rep.backoff *= 2
 	}
-	if rep.backoff > p.cfg.MaxBackoff {
-		rep.backoff = p.cfg.MaxBackoff
+	if rep.backoff > maxBackoff {
+		rep.backoff = maxBackoff
 	}
 	rep.nextProbe = time.Now().Add(rep.backoff)
 	rep.mu.Unlock()

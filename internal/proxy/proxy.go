@@ -23,9 +23,6 @@ import (
 type Config struct {
 	// Replicas are the serve instances behind the proxy (host:port).
 	Replicas []string
-	// Vnodes is the consistent-hash virtual-node count per replica
-	// (default 64).
-	Vnodes int
 	// Timeout bounds one client request end to end, every hedge and
 	// retry included (default 30s).
 	Timeout time.Duration
@@ -36,9 +33,6 @@ type Config struct {
 	HedgeAfter time.Duration
 	// HealthInterval spaces the active /readyz probes (default 1s).
 	HealthInterval time.Duration
-	// MaxBackoff caps the readmit-probe backoff for ejected replicas
-	// (default 15s).
-	MaxBackoff time.Duration
 	// MaxBodyBytes bounds the request body the proxy will buffer for
 	// hedging (default 64 MiB, matching serve).
 	MaxBodyBytes int64
@@ -47,15 +41,10 @@ type Config struct {
 	// they forward the client's Authorization to the replicas, which
 	// hold their own tokens.
 	AdminToken string
-	// TraceCapacity bounds the proxy's tail-sampled trace store
-	// (default 128; negative disables proxy-side tracing, and the trace
-	// routes answer 501).
-	TraceCapacity int
-	// SlowRequest marks a proxied request slow for the trace store
-	// (default 250ms via the store; negative disables the threshold).
-	SlowRequest time.Duration
-	// TraceSample keeps one in N otherwise-uninteresting traces
-	// (default 100; negative disables sampling).
+	// TraceSample keeps one in N otherwise-uninteresting traces in the
+	// proxy's 128-entry trace store (default 100; negative disables
+	// sampling). Requests slower than obs.SlowRequest, failed, hedged
+	// or failed over are always kept.
 	TraceSample int
 	// Client overrides the forwarding HTTP client (tests); nil builds
 	// one with sane connection pooling.
@@ -63,9 +52,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = defaultVnodes
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
 	}
@@ -74,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 15 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
@@ -94,14 +77,17 @@ func (c Config) withDefaults() Config {
 //	GET  /v1/model             forwarded to the arch's ring owner
 //	POST /v1/predict/matrix    consistent-hashed on the body, hedged
 //	POST /v1/predict/features  consistent-hashed on the body, hedged
-//	POST /v1/predict/batch     consistent-hashed on the body, hedged
+//	POST /v1/predict/batch     consistent-hashed on the body (the
+//	                           concatenated MatrixMarket files), hedged
 //	POST /v1/feedback          routed to the replica that served the
 //	                           prediction (by X-Request-ID), never
 //	                           hedged — outcomes are consume-once
 //	GET  /v1/admin/slo         per-replica reports + fleet totals
 //	GET  /v1/admin/quality     per-replica reports + fleet totals
 //	GET  /v1/admin/shadow      per-replica reports + fleet agreement
-//	GET  /v1/admin/trace       retained proxy traces (own -admin-token)
+//	GET  /v1/admin/trace       retained proxy traces (own -admin-token):
+//	                           slow, failed, hedged, failed-over, asked
+//	                           for, and 1 in TraceSample of the rest
 //	GET  /v1/admin/trace/{id}  one trace, replica spans stitched in
 //
 // Prediction requests hash on the request body's content (the same
@@ -136,7 +122,7 @@ type Proxy struct {
 	order    []string // fleet in configured order, for stable listings
 	client   *http.Client
 	routes   *routeTable
-	traces   *obs.TraceStore // nil when TraceCapacity < 0
+	traces   *obs.TraceStore
 	started  time.Time
 
 	requests  *obs.Counter
@@ -172,7 +158,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg:      cfg,
-		ring:     NewRing(cfg.Vnodes),
+		ring:     NewRing(),
 		replicas: map[string]*replica{},
 		client:   client,
 		routes:   newRouteTable(pendingRoutes),
@@ -194,11 +180,9 @@ func New(cfg Config) (*Proxy, error) {
 		replicaEject:   obs.Default.CounterVec("proxy/replica/ejections", "replica"),
 	}
 	p.traces = obs.NewTraceStore(obs.TraceConfig{
-		Capacity:      cfg.TraceCapacity,
-		SlowThreshold: cfg.SlowRequest,
-		SampleEvery:   cfg.TraceSample,
-		Metrics:       obs.Default,
-		Prefix:        "proxy/trace",
+		SampleEvery: cfg.TraceSample,
+		Metrics:     obs.Default,
+		Prefix:      "proxy/trace",
 	})
 	for _, addr := range cfg.Replicas {
 		if addr == "" {

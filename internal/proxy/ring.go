@@ -18,10 +18,10 @@ import (
 	"sync"
 )
 
-// defaultVnodes is the virtual-node count per member. 64 points per
-// replica keeps the keyspace split within a few percent of even for
-// small fleets while the ring stays tiny (N*64 entries).
-const defaultVnodes = 64
+// vnodes is the virtual-node count per member. 64 points per replica
+// keeps the keyspace split within a few percent of even for small
+// fleets while the ring stays tiny (N*64 entries).
+const vnodes = 64
 
 // ringPoint is one virtual node: a position on the hash circle owned
 // by a member.
@@ -37,18 +37,13 @@ type ringPoint struct {
 // (≈ 1/N of the keyspace). Safe for concurrent Lookup/Add/Remove.
 type Ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	points []ringPoint // sorted by hash
 	member map[string]bool
 }
 
-// NewRing returns an empty ring with the given virtual-node count per
-// member (<= 0 selects the default).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
-	return &Ring{vnodes: vnodes, member: map[string]bool{}}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{member: map[string]bool{}}
 }
 
 // hashKey positions a routing key (or a member#vnode name) on the
@@ -70,7 +65,7 @@ func (r *Ring) Add(member string) {
 		return
 	}
 	r.member[member] = true
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < vnodes; v++ {
 		r.points = append(r.points, ringPoint{
 			hash:   hashKey(member + "#" + strconv.Itoa(v)),
 			member: member,

@@ -31,12 +31,12 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	members := ringMembers(7)
 	keys := ringKeys(2000)
 
-	a := NewRing(0)
+	a := NewRing()
 	for _, m := range members {
 		a.Add(m)
 	}
 	// Same members, reversed insertion order, separate ring instance.
-	b := NewRing(0)
+	b := NewRing()
 	for i := len(members) - 1; i >= 0; i-- {
 		b.Add(members[i])
 	}
@@ -74,7 +74,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 func TestRingBoundedMovementOnEject(t *testing.T) {
 	members := ringMembers(10)
 	keys := ringKeys(10000)
-	r := NewRing(0)
+	r := NewRing()
 	for _, m := range members {
 		r.Add(m)
 	}
@@ -114,7 +114,7 @@ func TestRingBoundedMovementOnEject(t *testing.T) {
 // TestRingLookupN: the fail-over list is distinct, starts with the
 // primary, and never exceeds the member count.
 func TestRingLookupN(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, m := range ringMembers(3) {
 		r.Add(m)
 	}
@@ -135,7 +135,7 @@ func TestRingLookupN(t *testing.T) {
 			seen[m] = true
 		}
 	}
-	if got := NewRing(0).LookupN("x", 2); got != nil {
+	if got := NewRing().LookupN("x", 2); got != nil {
 		t.Fatalf("LookupN on an empty ring = %v, want nil", got)
 	}
 }
@@ -150,7 +150,7 @@ func TestRingStressRouteEjectReadmit(t *testing.T) {
 	for _, m := range members {
 		valid[m] = true
 	}
-	r := NewRing(0)
+	r := NewRing()
 	for _, m := range members {
 		r.Add(m)
 	}

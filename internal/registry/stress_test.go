@@ -73,12 +73,7 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 		}
 		bodies[i] = buf.Bytes()
 	}
-	batchBody, err := json.Marshal(map[string]any{
-		"matrices": []string{string(bodies[0]), string(bodies[1]), string(bodies[2])},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batchBody := bytes.Join(bodies[:3], nil)
 	// want[hash][i] is the reference answer of the artifact named hash
 	// to bodies[i].
 	want := map[string][]serve.Prediction{}

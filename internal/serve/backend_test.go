@@ -221,7 +221,7 @@ func TestBatchEndpoint(t *testing.T) {
 	want := art.MustPredict(t, m)
 	want2 := art.MustPredict(t, ms[1])
 
-	body, _ := json.Marshal(batchRequest{Matrices: []string{string(mm), string(mm2), "%%MatrixMarket nope"}})
+	body := bytes.Join([][]byte{mm, mm2, []byte("%%MatrixMarket nope\n")}, nil)
 	rec, _ := postJSON(t, h, "/v1/predict/batch", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch: %d %s", rec.Code, rec.Body.String())
@@ -251,44 +251,20 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Errorf("single request after batch: %d %v, want memo hit", rec.Code, out)
 	}
 
-	// The text form: concatenated MatrixMarket files split on their
-	// banner lines, answered identically to the JSON form.
-	concat := append(append([]byte{}, mm...), mm2...)
-	req := httptest.NewRequest(http.MethodPost, "/v1/predict/batch", bytes.NewReader(concat))
-	req.Header.Set("Content-Type", "text/plain")
-	trec := httptest.NewRecorder()
-	h.ServeHTTP(trec, req)
-	if trec.Code != http.StatusOK {
-		t.Fatalf("text batch: %d %s", trec.Code, trec.Body.String())
-	}
-	var tresp batchResponse
-	if err := json.Unmarshal(trec.Body.Bytes(), &tresp); err != nil {
-		t.Fatal(err)
-	}
-	if tresp.Count != 2 || tresp.Errors != 0 ||
-		tresp.Results[0].Format != want.Format || tresp.Results[1].Format != want2.Format {
-		t.Fatalf("text batch response = %+v, want formats %q %q", tresp, want.Format, want2.Format)
-	}
-
-	// A text body with no banner lines cannot be split.
-	req = httptest.NewRequest(http.MethodPost, "/v1/predict/batch", strings.NewReader("not a matrix\n"))
-	req.Header.Set("Content-Type", "text/plain")
-	trec = httptest.NewRecorder()
-	h.ServeHTTP(trec, req)
-	if trec.Code != http.StatusBadRequest {
-		t.Errorf("unsplittable text batch: %d, want 400", trec.Code)
+	// A body with no banner lines cannot be split.
+	rec, _ = postJSON(t, h, "/v1/predict/batch", []byte("not a matrix\n"))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("unsplittable batch: %d, want 400", rec.Code)
 	}
 
 	// Over the per-request bound.
-	big, _ := json.Marshal(batchRequest{Matrices: []string{string(mm), string(mm), string(mm), string(mm)}})
-	rec, out = postJSON(t, h, "/v1/predict/batch", big)
+	rec, out = postJSON(t, h, "/v1/predict/batch", bytes.Repeat(mm, 4))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized batch: %d %v, want 413", rec.Code, out)
 	}
 
 	// Empty batch.
-	empty, _ := json.Marshal(batchRequest{})
-	rec, _ = postJSON(t, h, "/v1/predict/batch", empty)
+	rec, _ = postJSON(t, h, "/v1/predict/batch", nil)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("empty batch: %d, want 400", rec.Code)
 	}
@@ -472,8 +448,7 @@ func TestShadowScoresEveryRequest(t *testing.T) {
 	}
 
 	// Batch items score too.
-	body, _ := json.Marshal(batchRequest{Matrices: []string{string(mm), string(mmBytes(t, ms[1]))}})
-	rec, _ := postJSON(t, h, "/v1/predict/batch", body)
+	rec, _ := postJSON(t, h, "/v1/predict/batch", append(append([]byte{}, mm...), mmBytes(t, ms[1])...))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("shadowed batch: %d", rec.Code)
 	}

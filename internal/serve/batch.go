@@ -3,12 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/features"
 	"repro/internal/obs"
@@ -23,32 +23,28 @@ import (
 // concurrency slot (the obs pool's global worker cap bounds the actual
 // CPU fan-out), and each item goes through the same feature memo as the
 // single-matrix endpoint.
+//
+// The body is a concatenation of MatrixMarket files, split on their
+// banner lines; arch routing comes from the ?arch= query parameter.
+// Items alias the body, so the (large) matrix payloads are neither
+// copied nor decoded before parsing, which is what makes batching pay
+// even for megabyte-scale matrices.
 
-// batchRequest is the JSON body of /v1/predict/batch. The endpoint
-// also accepts a text/plain body: concatenated MatrixMarket files,
-// split on their "%%MatrixMarket" banner lines. The text form skips
-// JSON string decoding of the (large) matrix payloads entirely, which
-// is what makes batching pay even for megabyte-scale matrices; arch
-// routing then comes from the ?arch= query parameter.
-type batchRequest struct {
-	// Arch routes the whole batch; empty selects the default.
-	Arch string `json:"arch,omitempty"`
-	// Matrices are MatrixMarket texts, answered positionally.
-	Matrices []string `json:"matrices"`
-}
-
-// splitMatrixMarket splits a concatenation of MatrixMarket files on
-// their "%%MatrixMarket" banner lines (every well-formed file starts
-// with one). The returned items alias body — no copies of the matrix
-// payloads are made.
+// splitMatrixMarket splits a concatenation of MatrixMarket files at
+// every banner line (isBanner). An item runs from the start of its
+// banner line to the next one; bytes before the first banner belong to
+// no item. The returned items alias body.
 func splitMatrixMarket(body []byte) [][]byte {
-	marker := []byte("%%MatrixMarket")
 	var starts []int
 	for i := 0; i < len(body); {
-		if bytes.HasPrefix(body[i:], marker) {
+		line := body[i:]
+		j := bytes.IndexByte(line, '\n')
+		if j >= 0 {
+			line = line[:j]
+		}
+		if isBanner(line) {
 			starts = append(starts, i)
 		}
-		j := bytes.IndexByte(body[i:], '\n')
 		if j < 0 {
 			break
 		}
@@ -63,6 +59,25 @@ func splitMatrixMarket(body []byte) [][]byte {
 		parts[k] = body[s:end]
 	}
 	return parts
+}
+
+// isBanner applies the MatrixMarket readers' header test to one line:
+// its first whitespace-separated field, lowercased, is
+// "%%matrixmarket". Like the streaming reader, it splits on Unicode
+// whitespace and lowercases with bytes.ToLower, so a batch item starts
+// exactly where a file the readers accept does.
+func isBanner(line []byte) bool {
+	const banner = "%%matrixmarket"
+	field := bytes.TrimLeftFunc(line, unicode.IsSpace)
+	if !bytes.HasPrefix(field, []byte("%%")) {
+		return false // the common case: a data or comment line
+	}
+	if end := bytes.IndexFunc(field, unicode.IsSpace); end >= 0 {
+		field = field[:end]
+	}
+	// Lowercasing keeps the rune count, so only a field of the banner's
+	// length is worth a (small) lowered copy.
+	return utf8.RuneCount(field) == len(banner) && string(bytes.ToLower(field)) == banner
 }
 
 // batchItem is one positional answer. Cached means what it means on
@@ -108,39 +123,16 @@ func (s *Server) predictBatch(ctx context.Context, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	var items [][]byte
-	var reqArch string
-	ct := r.Header.Get("Content-Type")
-	if strings.HasPrefix(ct, "application/json") ||
-		(ct == "" && bytes.HasPrefix(bytes.TrimLeft(body, " \t\r\n"), []byte("{"))) {
-		var req batchRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, badRequest("parsing JSON body: %v", err)
-		}
-		reqArch = req.Arch
-		items = make([][]byte, len(req.Matrices))
-		for i, m := range req.Matrices {
-			items[i] = []byte(m)
-		}
-	} else {
-		items = splitMatrixMarket(body)
-		if len(items) == 0 {
-			return nil, badRequest("text batch: no %%%%MatrixMarket banner lines in the body")
-		}
+	items := splitMatrixMarket(body)
+	if len(items) == 0 {
+		return nil, badRequest("empty batch: no %%%%MatrixMarket banner lines in the body")
 	}
-	arch := reqArch
-	if arch == "" {
-		arch = r.URL.Query().Get("arch")
-	}
-	lm, err := s.live(arch)
+	lm, err := s.live(r.URL.Query().Get("arch"))
 	if err != nil {
 		return nil, err
 	}
 	noteModel(ctx, lm)
 	n := len(items)
-	if n == 0 {
-		return nil, badRequest("empty batch: provide at least one matrix")
-	}
 	if n > s.cfg.MaxBatchItems {
 		return nil, &httpError{status: http.StatusRequestEntityTooLarge,
 			err: badRequest("batch of %d matrices exceeds the per-request limit of %d", n, s.cfg.MaxBatchItems)}
@@ -189,7 +181,7 @@ func (s *Server) predictBatch(ctx context.Context, r *http.Request) (any, error)
 	for i := range results {
 		preds[i] = results[i].Format // "" for failed items
 	}
-	s.captureRequest(ctx, "/v1/predict/batch", lm, ct, body, preds)
+	s.captureRequest(ctx, "/v1/predict/batch", lm, r.Header.Get("Content-Type"), body, preds)
 	return batchResponse{
 		Arch:      lm.Arch,
 		ModelHash: lm.Hash,

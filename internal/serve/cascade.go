@@ -116,8 +116,6 @@ type CascadeOptions struct {
 	// threshold must reach on the held-out answered subset (default
 	// 0.95).
 	TargetAgreement float64
-	// Holdout is the calibration split fraction (default 0.25).
-	Holdout float64
 	// Seed drives the split shuffle and the forest.
 	Seed int64
 }
@@ -128,9 +126,6 @@ func (o CascadeOptions) withDefaults() CascadeOptions {
 	}
 	if o.TargetAgreement == 0 {
 		o.TargetAgreement = 0.95
-	}
-	if o.Holdout <= 0 || o.Holdout >= 1 {
-		o.Holdout = 0.25
 	}
 	return o
 }
@@ -163,7 +158,7 @@ func TrainCascade(art *Artifact, x [][]float64, opt CascadeOptions) (*Cascade, e
 	// must not have trained the stage.
 	rng := rand.New(rand.NewSource(opt.Seed))
 	perm := rng.Perm(len(x))
-	nHold := int(opt.Holdout * float64(len(x)))
+	nHold := len(x) / 4 // the calibration quarter
 	if nHold < 2 {
 		nHold = 2
 	}

@@ -143,7 +143,7 @@ func (g *parityBodies) malformed() []byte {
 }
 
 // TestServingPathsMatchReference drives randomized bodies through
-// /v1/predict/matrix, JSON batches and text batches across the server
+// /v1/predict/matrix and /v1/predict/batch across the server
 // states that change which path answers — a cold memo, memo hits on
 // full and cheap-only entries, cascade and plain artifacts, a
 // registered shadow, and hot swaps made without any cache flush — and
@@ -232,17 +232,7 @@ func TestServingPathsMatchReference(t *testing.T) {
 			}
 			return ok
 		}
-		var rec *httptest.ResponseRecorder
-		if endpoint == "batch-json" {
-			req := batchRequest{}
-			for _, body := range bodies {
-				req.Matrices = append(req.Matrices, string(body))
-			}
-			js, _ := json.Marshal(req)
-			rec = post("/v1/predict/batch", "application/json", js)
-		} else {
-			rec = post("/v1/predict/batch", "text/plain", bytes.Join(bodies, nil))
-		}
+		rec := post("/v1/predict/batch", "text/plain", bytes.Join(bodies, nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s/%s: status %d %s", phase, endpoint, rec.Code, rec.Body.String())
 		}
@@ -307,7 +297,7 @@ func TestServingPathsMatchReference(t *testing.T) {
 		{"swap-to-plain2", "hash-plain2", ""},
 		{"swap-to-cascade", "hash-cascade", ""},
 	}
-	endpoints := []string{"single", "batch-json", "batch-text"}
+	endpoints := []string{"single", "batch"}
 	coverage := map[string]int{}
 	for _, ph := range phases {
 		// Swaps go straight to the backend: no flush, no hook.

@@ -50,12 +50,10 @@ type Config struct {
 	// hash, whether memoized features answered). Nil disables access
 	// logging.
 	AccessLog *slog.Logger
-	// SLOObjective is the availability target the SLO windows report
-	// burn rates against (default 0.999).
-	SLOObjective float64
-	// AccessLogSample logs one in N requests when > 1 (errors and
-	// /v1/feedback are always logged), bounding log volume under
-	// replay/load-test traffic. 0 or 1 logs everything.
+	// AccessLogSample logs one in N requests when > 1 (errors, requests
+	// slower than obs.SlowRequest and /v1/feedback are always logged),
+	// bounding log volume under replay/load-test traffic. 0 or 1 logs
+	// everything.
 	AccessLogSample int
 	// Capture, when non-nil, records every successfully answered
 	// prediction request (metadata header + verbatim body) for
@@ -63,24 +61,10 @@ type Config struct {
 	Capture *obs.CaptureWriter
 	// TraceCapacity bounds the tail-sampled trace store behind
 	// /v1/admin/trace (default 128 retained traces; negative disables
-	// request tracing entirely, and the trace routes answer 501).
+	// request tracing entirely, and the trace routes answer 501). The
+	// store keeps every request slower than obs.SlowRequest and one in
+	// 100 of the rest.
 	TraceCapacity int
-	// SlowRequest is the latency above which a request is always traced
-	// and always access-logged regardless of sampling (default 250ms;
-	// negative disables the static threshold — the SLO-window p99 still
-	// applies to the trace store).
-	SlowRequest time.Duration
-	// TraceSample keeps one in N otherwise-uninteresting traces
-	// (default 100; negative disables random sampling).
-	TraceSample int
-	// DebugDir, when set together with BurnThreshold, receives
-	// burn-triggered debug captures: a CPU profile plus a trace-store
-	// snapshot whenever the 5m SLO burn rate stays above the threshold.
-	DebugDir string
-	// BurnThreshold is the sustained 5m burn rate that triggers a debug
-	// capture (0 disables; 1.0 = spending error budget exactly on
-	// schedule).
-	BurnThreshold float64
 }
 
 func (c Config) withDefaults() Config {
@@ -99,9 +83,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 64
 	}
-	if c.SlowRequest == 0 {
-		c.SlowRequest = 250 * time.Millisecond
-	}
 	return c
 }
 
@@ -114,7 +95,7 @@ func (c Config) withDefaults() Config {
 //	GET  /v1/model[?arch=X]    artifact metadata for one arch
 //	POST /v1/predict/matrix    MatrixMarket body -> prediction
 //	POST /v1/predict/features  {"features": [...], "arch": "..."} -> prediction
-//	POST /v1/predict/batch     {"matrices": [...], "arch": "..."} -> predictions
+//	POST /v1/predict/batch     concatenated MatrixMarket files -> predictions
 //	POST /v1/feedback          measured kernel times for a served
 //	                           prediction, keyed by X-Request-ID
 //	GET  /metrics              Prometheus text exposition (obs.Default,
@@ -129,10 +110,10 @@ func (c Config) withDefaults() Config {
 //	GET  /v1/admin/trace       retained request traces, newest first
 //	GET  /v1/admin/trace/<id>  one retained span tree (obs.ServeTraces)
 //
-// Predictions route by the request's arch (query parameter, or body
-// field on the JSON endpoints); an empty arch selects the backend's
-// default. Requests are bounded-concurrency (CPU-bound inference).
-// MatrixMarket bodies go through the feature memo, keyed by body content
+// Predictions route by the request's arch (query parameter, or the
+// body field on /v1/predict/features); an empty arch selects the
+// backend's default. Requests are bounded-concurrency (CPU-bound
+// inference). MatrixMarket bodies go through the feature memo, keyed by body content
 // hash: a repeat body skips parsing and extraction, and the live
 // artifact still predicts every request, so a hot-swap needs no
 // invalidation. Everything is instrumented in the obs.Default metrics
@@ -185,7 +166,6 @@ type Server struct {
 	accessLog *slog.Logger
 	logSeq    atomic.Int64    // access-log sampling counter
 	traces    *obs.TraceStore // nil when TraceCapacity < 0
-	burn      *burnProfiler   // nil unless DebugDir + BurnThreshold configured
 
 	requests     *obs.Counter
 	errors       *obs.Counter
@@ -246,7 +226,7 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 		capture:      cfg.Capture,
 		pending:      pending,
 		started:      time.Now(),
-		slo:          obs.NewSLOWindows(obs.SLOConfig{Objective: cfg.SLOObjective}),
+		slo:          obs.NewSLOWindows(obs.SLOConfig{}),
 		accessLog:    cfg.AccessLog,
 		requests:     obs.Default.Counter("serve/requests"),
 		errors:       obs.Default.Counter("serve/errors"),
@@ -278,36 +258,14 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 	// gauge per request instead of recomputing the window.
 	p99 := obs.Default.GaugeVec("slo/latency/seconds", "window", "quantile").With("5m", "p99")
 	s.traces = obs.NewTraceStore(obs.TraceConfig{
-		Capacity:      cfg.TraceCapacity,
-		SlowThreshold: cfg.SlowRequest,
-		SampleEvery:   cfg.TraceSample,
+		Capacity: cfg.TraceCapacity,
 		DynamicSlow: func() time.Duration {
 			return time.Duration(p99.Value() * float64(time.Second))
 		},
 		Metrics: obs.Default,
 		Prefix:  "serve/trace",
 	})
-	if cfg.DebugDir != "" && cfg.BurnThreshold > 0 {
-		s.burn = newBurnProfiler(burnConfig{
-			Dir:       cfg.DebugDir,
-			Threshold: cfg.BurnThreshold,
-			BurnRate:  s.burnRate5m,
-			Traces:    s.traces.Snapshot,
-			Log:       cfg.AccessLog,
-		})
-	}
 	return s, nil
-}
-
-// burnRate5m reads the 5-minute SLO window's current burn rate, the
-// signal the burn profiler watches.
-func (s *Server) burnRate5m() float64 {
-	for _, w := range s.slo.Report().Windows {
-		if w.Window == "5m" {
-			return w.BurnRate
-		}
-	}
-	return 0
 }
 
 // FlushCache does nothing. The server caches no answers: the feature
@@ -768,11 +726,6 @@ func (s *Server) predictFeatures(ctx context.Context, r *http.Request) (any, err
 // requests for up to 5 seconds. ready, when non-nil, receives the bound
 // address once the listener is up — how callers learn the port of ":0".
 func (s *Server) Run(ctx context.Context, addr string, ready func(bound string)) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // stops the burn loop however Run returns
-	if s.burn != nil {
-		go s.burn.loop(ctx, 10*time.Second)
-	}
 	srv := &http.Server{Handler: s.Handler(), ReadTimeout: s.cfg.Timeout, WriteTimeout: s.cfg.Timeout}
 	if err := obs.RunServer(ctx, addr, srv, ready); err != nil {
 		return fmt.Errorf("serve: %w", err)

@@ -61,8 +61,8 @@ func noteCached(ctx context.Context, cached bool) {
 // feedback closes the quality loop so its trail must stay complete
 // even under replay or load-test traffic, and a slow request that the
 // sampler happened to skip is precisely the one an operator greps for.
-// "Slow" is the trace store's static threshold, so the log and the
-// tail sampler agree on the word.
+// "Slow" is obs.SlowRequest, the trace store's static threshold, so
+// the log and the tail sampler agree on the word.
 func (s *Server) logThis(endpoint string, status int, slow bool) bool {
 	n := int64(s.cfg.AccessLogSample)
 	if n <= 1 || status >= 400 || slow || endpoint == "/v1/feedback" {
@@ -125,9 +125,8 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		if inSLO {
 			s.slo.Observe(dur.Seconds(), sw.status >= 500)
 		}
-		slow := s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest
 		traces.FinishRequest(root, r, sw.status)
-		if s.accessLog != nil && s.logThis(endpoint, sw.status, slow) {
+		if s.accessLog != nil && s.logThis(endpoint, sw.status, dur >= obs.SlowRequest) {
 			s.accessLog.LogAttrs(context.Background(), slog.LevelInfo, "request",
 				slog.String("trace_id", trace),
 				slog.String("method", r.Method),

@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -26,7 +23,7 @@ func collectNames(sd *obs.SpanData, into map[string]int) {
 // list view and the full stage-span tree by request ID.
 func TestTraceAdminEndpoints(t *testing.T) {
 	defer obs.Default.Reset()
-	srv, _, _, mm := testServer(t, Config{AdminToken: "tok", TraceSample: -1})
+	srv, _, _, mm := testServer(t, Config{AdminToken: "tok"})
 	h := srv.Handler()
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict/matrix", strings.NewReader(string(mm)))
@@ -52,7 +49,7 @@ func TestTraceAdminEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if list.Count != 1 || list.Traces[0].TraceID != "keep-me" {
-		t.Fatalf("trace list = %+v", list)
+		t.Fatalf("trace list = %+v, want only the kept request", list)
 	}
 
 	rec = adminReq(t, h, http.MethodGet, "/v1/admin/trace/keep-me", "tok")
@@ -94,10 +91,11 @@ func TestTraceAdminEndpoints(t *testing.T) {
 	}
 
 	// A repeat body is ordinary traffic: memoized features answer it and
-	// nothing force-keeps its trace. Kept on request, its tree shows the
-	// memo hit feeding the live model, with no parse.
+	// nothing force-keeps its trace; at most the 1-in-100 sampler keeps
+	// it. Kept on request, its tree shows the memo hit feeding the live
+	// model, with no parse.
 	predictWithID(t, h, "/v1/predict/matrix", "repeat", mm)
-	if e := srv.traces.Get("repeat"); e != nil {
+	if e := srv.traces.Get("repeat"); e != nil && strings.Join(e.Reasons, ",") != obs.KeepSampled {
 		t.Fatalf("memo-hit request retained unasked: %v", e.Reasons)
 	}
 	req = httptest.NewRequest(http.MethodPost, "/v1/predict/matrix", strings.NewReader(string(mm)))
@@ -128,102 +126,6 @@ func TestTraceDisabled(t *testing.T) {
 			t.Fatalf("GET %s with tracing disabled: %d, want 501", path, rec.Code)
 		}
 	}
-}
-
-// TestBurnProfilerTrigger drives the burn profiler with injected burn
-// rates and clock: a single breach does not capture, a sustained one
-// does, and the rate limit holds until the window passes.
-func TestBurnProfilerTrigger(t *testing.T) {
-	dir := t.TempDir()
-	rate := 0.0
-	now := time.Unix(1000, 0)
-	b := newBurnProfiler(burnConfig{
-		Dir:             dir,
-		Threshold:       2,
-		Consecutive:     2,
-		Window:          5 * time.Minute,
-		ProfileDuration: 10 * time.Millisecond,
-		BurnRate:        func() float64 { return rate },
-		Traces: func() []*obs.TraceEntry {
-			return []*obs.TraceEntry{{TraceID: "t1", Reasons: []string{obs.KeepError}, Status: 500}}
-		},
-		Now: func() time.Time { return now },
-	})
-
-	if b.tick() {
-		t.Fatal("captured with burn rate below threshold")
-	}
-	rate = 5
-	if b.tick() {
-		t.Fatal("captured on first over-threshold reading")
-	}
-	if !b.tick() {
-		t.Fatal("no capture after sustained breach")
-	}
-	waitForCapture(t, b, dir, 1)
-
-	// Rate-limited: still burning, inside the window.
-	now = now.Add(time.Minute)
-	if b.tick() {
-		t.Fatal("captured inside the rate-limit window")
-	}
-	// Window passed, burn still sustained: one more capture.
-	now = now.Add(5 * time.Minute)
-	if !b.tick() {
-		t.Fatal("no capture after the rate-limit window passed")
-	}
-	waitForCapture(t, b, dir, 2)
-
-	// A dip resets the streak.
-	rate = 0
-	b.tick()
-	rate = 5
-	now = now.Add(6 * time.Minute)
-	if b.tick() {
-		t.Fatal("captured without a renewed consecutive streak")
-	}
-
-	// The snapshot next to the profile carries the trace store contents.
-	snaps, _ := filepath.Glob(filepath.Join(dir, "burn-*-traces.json"))
-	data, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		BurnRate float64           `json:"burn_rate"`
-		Traces   []*obs.TraceEntry `json:"traces"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.BurnRate != 5 || len(snap.Traces) != 1 || snap.Traces[0].TraceID != "t1" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
-// waitForCapture polls until dir holds n complete capture pairs and
-// b's capture goroutine has finished: the files are complete before it
-// clears b.capturing, and a tick in between is refused as a capture in
-// flight.
-func waitForCapture(t *testing.T, b *burnProfiler, dir string, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		profs, _ := filepath.Glob(filepath.Join(dir, "burn-*-cpu.pprof"))
-		snaps, _ := filepath.Glob(filepath.Join(dir, "burn-*-traces.json"))
-		b.mu.Lock()
-		busy := b.capturing
-		b.mu.Unlock()
-		if len(profs) >= n && len(snaps) >= n && !busy {
-			// The profile file appears before profiling stops; wait for
-			// content so the test never reads a half-written file.
-			if fi, err := os.Stat(profs[len(profs)-1]); err == nil && fi.Size() > 0 {
-				return
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("capture %d never landed in %s", n, dir)
 }
 
 // TestLogThisSlowRequests: the access-log sampler must never drop a
