@@ -184,8 +184,10 @@ func TestCaptureEmptyDirAndBadRecords(t *testing.T) {
 // FuzzReadCaptureFile reads arbitrary bytes as a capture file: nothing
 // panics, and every record handed out is non-empty and at most
 // maxCaptureRecord bytes. The input's non-empty NUL-separated pieces,
-// appended by a CaptureWriter that rotates every 64 bytes, read back
-// unchanged and in order.
+// appended by a CaptureWriter that rotates every max(64, len/4) bytes,
+// read back unchanged and in order. The threshold scales with the input
+// so a large one still crosses rotation but writes a handful of files,
+// not one per record, leaving the fuzzing budget to the reader.
 func FuzzReadCaptureFile(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 3, 'a', 'b', 'c', 0, 0, 0, 1, 'd'})
@@ -214,7 +216,7 @@ func FuzzReadCaptureFile(f *testing.F) {
 				want = append(want, rec)
 			}
 		}
-		w, err := NewCaptureWriter(filepath.Join(dir, "w"), 64)
+		w, err := NewCaptureWriter(filepath.Join(dir, "w"), int64(max(64, len(data)/4)))
 		if err != nil {
 			t.Fatal(err)
 		}

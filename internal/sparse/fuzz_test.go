@@ -30,6 +30,10 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		"%%MatrixMarket matrix coordinate real general\r\n2 2 1\r\n1 2 8\r\n",
 		"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 0.49671415301123271\n",
 		"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 0x1p-2\n",
+		// WriteMatrixMarket's own shape, in order and then out of order
+		// on its last line, so mutations start from scanCanonical's input.
+		"%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 0.49671415301123271\n1 3 -0.13826430117118466\n2 2 6.4768853810069628e-05\n3 1 1.5230298564080254\n",
+		"%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 0.49671415301123271\n2 2 -0.13826430117118466\n3 1 1.5230298564080254e+20\n1 2 -0.23415337472333597\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

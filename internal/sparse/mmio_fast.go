@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
@@ -14,14 +15,18 @@ import (
 
 // The byte-level MatrixMarket fast path. ReadMatrixMarketBytes parses
 // the in-memory body directly — no bufio.Scanner, no strings.Fields, no
-// fmt.Sscan — with one byte-class scanner for the header, the size line
-// and the entries (scanToken, scanInt, scanFloat) and pooled
-// triplet/CSR scratch, producing byte-identical CSR output to the
-// streaming reader (same assembly algorithm, same float rounding, same
-// accept/reject verdicts). Inputs the byte parser cannot model
-// bit-for-bit (non-ASCII whitespace, lines past the streaming scanner's
-// token limit) fall back to ReadMatrixMarket transparently, so the two
-// entry points can never disagree.
+// fmt.Sscan. Each entry line is first offered to scanCanonical, one
+// fused scan of the exact "I J V\n" shape WriteMatrixMarket writes, with
+// value digits read eight at a time. Any other line, like the header
+// and the size line, goes to one byte-class scanner (scanToken,
+// scanInt, scanFloat) from its first byte. Triplets and CSR staging
+// come from pooled scratch, and assembleCSR copies triplets that are
+// already in row-major order instead of sorting them. The CSR output is
+// byte-identical to the streaming reader's (same assembly algorithm,
+// same float rounding, same accept/reject verdicts). Inputs the byte
+// parser cannot model bit-for-bit (non-ASCII whitespace, lines past the
+// streaming scanner's token limit) fall back to ReadMatrixMarket
+// transparently, so the two entry points can never disagree.
 
 // ParseScratch holds the reusable buffers one MatrixMarket parse needs:
 // the triplet accumulator and the CSR-assembly staging arrays. The zero
@@ -76,57 +81,84 @@ func growF64(buf *[]float64, n int) []float64 {
 // sort by row, per-row column sort, duplicate summing, explicit-zero
 // dropping. It is the single assembly used by both Triplet.ToCSR and the
 // byte fast path, so the two produce bit-identical values (the per-row
-// sort is not stable, and duplicate-sum order depends on it). Staging
-// buffers come from s; the returned CSR owns fresh memory.
+// sort is not stable, and duplicate-sum order depends on it). Triplets
+// already in strict row-major order, as WriteMatrixMarket writes them,
+// skip the sort: they hold no duplicates to sum and have only one sorted
+// order, so copying their non-zero entries gives the same CSR bit for
+// bit. Staging buffers come from s; the returned CSR owns fresh memory.
 func assembleCSR(rows, cols int, r, c []int32, v []float64, s *ParseScratch) *CSR {
 	n := len(v)
-	start := grow32(&s.start, rows+1)
-	clear(start)
-	for _, ri := range r {
-		start[ri+1]++
-	}
-	for i := 0; i < rows; i++ {
-		start[i+1] += start[i]
-	}
-	pos := grow32(&s.pos, rows)
-	copy(pos, start[:rows])
-	cScratch := grow32(&s.cs, n)
-	vScratch := growF64(&s.vs, n)
-	for k := 0; k < n; k++ {
-		p := pos[r[k]]
-		pos[r[k]]++
-		cScratch[p] = c[k]
-		vScratch[p] = v[k]
-	}
-
 	rowPtr := make([]int32, rows+1)
 	colIdx := make([]int32, 0, n)
 	vals := make([]float64, 0, n)
-	for i := 0; i < rows; i++ {
-		lo, hi := int(start[i]), int(start[i+1])
-		seg := cScratch[lo:hi]
-		vseg := vScratch[lo:hi]
-		sortRow(seg, vseg, s)
-		// Merge duplicates and drop zeros.
-		for k := 0; k < len(seg); {
-			j := k + 1
-			sum := vseg[k]
-			for j < len(seg) && seg[j] == seg[k] {
-				sum += vseg[j]
-				j++
+	if rowMajor(r, c) {
+		for k, x := range v {
+			if x != 0 {
+				rowPtr[r[k]+1]++
+				colIdx = append(colIdx, c[k])
+				vals = append(vals, x)
 			}
-			if sum != 0 {
-				colIdx = append(colIdx, seg[k])
-				vals = append(vals, sum)
-				rowPtr[i+1]++
+		}
+	} else {
+		start := grow32(&s.start, rows+1)
+		clear(start)
+		for _, ri := range r {
+			start[ri+1]++
+		}
+		for i := 0; i < rows; i++ {
+			start[i+1] += start[i]
+		}
+		pos := grow32(&s.pos, rows)
+		copy(pos, start[:rows])
+		cScratch := grow32(&s.cs, n)
+		vScratch := growF64(&s.vs, n)
+		for k := 0; k < n; k++ {
+			p := pos[r[k]]
+			pos[r[k]]++
+			cScratch[p] = c[k]
+			vScratch[p] = v[k]
+		}
+		for i := 0; i < rows; i++ {
+			lo, hi := int(start[i]), int(start[i+1])
+			seg := cScratch[lo:hi]
+			vseg := vScratch[lo:hi]
+			sortRow(seg, vseg, s)
+			// Merge duplicates and drop zeros.
+			for k := 0; k < len(seg); {
+				j := k + 1
+				sum := vseg[k]
+				for j < len(seg) && seg[j] == seg[k] {
+					sum += vseg[j]
+					j++
+				}
+				if sum != 0 {
+					colIdx = append(colIdx, seg[k])
+					vals = append(vals, sum)
+					rowPtr[i+1]++
+				}
+				k = j
 			}
-			k = j
 		}
 	}
 	for i := 0; i < rows; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
+// rowMajor reports whether the non-negative (r[k], c[k]) pairs strictly
+// increase, rows first; it stops at the first pair out of order.
+func rowMajor(r, c []int32) bool {
+	c = c[:len(r)]
+	prev := int64(-1)
+	for k, ri := range r {
+		key := int64(ri)<<32 | int64(c[k])
+		if key <= prev {
+			return false
+		}
+		prev = key
+	}
+	return true
 }
 
 // ReadMatrixMarketBytes parses an in-memory MatrixMarket coordinate
@@ -460,70 +492,7 @@ func scanFloat(data []byte, pos int) (v float64, ts, te, newPos int, st scanStat
 		return 0, 0, 0, pos, scanEOL, false
 	}
 	ts = pos
-	neg := false
-	if b := data[pos]; b == '+' || b == '-' {
-		neg = b == '-'
-		pos++
-	}
-	var mant uint64
-	is := pos
-	for pos < n {
-		c := data[pos] - '0'
-		if c > 9 {
-			break
-		}
-		mant = mant*10 + uint64(c)
-		pos++
-	}
-	digits := pos - is
-	exp := 0
-	if pos < n && data[pos] == '.' {
-		pos++
-		fs := pos
-		for pos < n {
-			c := data[pos] - '0'
-			if c > 9 {
-				break
-			}
-			mant = mant*10 + uint64(c)
-			pos++
-		}
-		exp = fs - pos
-		digits += pos - fs
-	}
-	if digits > 0 && pos < n {
-		if b := data[pos]; b == 'e' || b == 'E' {
-			p := pos + 1
-			eneg := false
-			if p < n {
-				if b := data[p]; b == '+' || b == '-' {
-					eneg = b == '-'
-					p++
-				}
-			}
-			es := p
-			ev := 0
-			for p < n {
-				c := data[p] - '0'
-				if c > 9 {
-					break
-				}
-				if ev < 10000 {
-					ev = ev*10 + int(c)
-				}
-				p++
-			}
-			if p > es {
-				// At least one exponent digit: part of the number. A
-				// bare "e"/"e+" stays unconsumed and forces slow path.
-				if eneg {
-					ev = -ev
-				}
-				exp += ev
-				pos = p
-			}
-		}
-	}
+	mant, exp, digits, neg, pos := scanNumber(data, pos)
 	numEnd := pos
 	for pos < n {
 		c := byteClass[data[pos]]
@@ -539,11 +508,103 @@ func scanFloat(data []byte, pos int) (v float64, ts, te, newPos int, st scanStat
 	if numEnd != te || digits == 0 || digits > 19 {
 		return 0, ts, te, pos, scanOK, false
 	}
+	v, ok = decimalToFloat(mant, exp, neg)
+	return v, ts, te, pos, scanOK, ok
+}
+
+// scanNumber reads the decimal number at pos,
+// [+|-]digits[.digits][(e|E)[+|-]digits], and stops at the first byte
+// past it without judging that byte. mant holds the digits modulo 2^64,
+// exactly when digits <= 19, and mant × 10^exp is the number. An
+// exponent marker with no digit after it, or after no mantissa digit,
+// is left unread.
+func scanNumber(data []byte, pos int) (mant uint64, exp, digits int, neg bool, next int) {
+	n := len(data)
+	if pos < n && (data[pos] == '+' || data[pos] == '-') {
+		neg = data[pos] == '-'
+		pos++
+	}
+	is := pos
+	mant, pos = readDigits(data, pos, 0)
+	digits = pos - is
+	if pos < n && data[pos] == '.' {
+		fs := pos + 1
+		mant, pos = readDigits(data, fs, mant)
+		exp = fs - pos
+		digits += pos - fs
+	}
+	if digits > 0 && pos < n && data[pos]|0x20 == 'e' {
+		p := pos + 1
+		eneg := false
+		if p < n && (data[p] == '+' || data[p] == '-') {
+			eneg = data[p] == '-'
+			p++
+		}
+		es, ev := p, 0
+		for ; p < n; p++ {
+			c := data[p] - '0'
+			if c > 9 {
+				break
+			}
+			if ev < 10000 {
+				ev = ev*10 + int(c)
+			}
+		}
+		if p > es {
+			if eneg {
+				ev = -ev
+			}
+			exp += ev
+			pos = p
+		}
+	}
+	return mant, exp, digits, neg, pos
+}
+
+// readDigits scans the decimal digits from data[pos] on, accumulating
+// them into mant, and returns the new mantissa and the first non-digit
+// position. It takes eight digits per step while eight are available:
+// one load, one all-digits test and three multiplies (Lemire, "Number
+// Parsing at a Gigabyte per Second", 2021). The mantissa equals the
+// one-digit-per-step loop's modulo 2^64, so exactly for up to 19 digits.
+func readDigits(data []byte, pos int, mant uint64) (uint64, int) {
+	for pos+8 <= len(data) {
+		x := binary.LittleEndian.Uint64(data[pos:])
+		// A byte outside '0'..'9' sets its top bit in one of the two
+		// terms; the lowest such byte does so before any carry or
+		// borrow can reach it.
+		if ((x+0x4646464646464646)|(x-0x3030303030303030))&0x8080808080808080 != 0 {
+			break
+		}
+		x -= 0x3030303030303030
+		x = x*10 + x>>8 // byte k: digit pair 10*d[k] + d[k+1]
+		x = ((x&0x000000FF000000FF)*(100+1000000<<32) +
+			(x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		mant = mant*100000000 + x
+		pos += 8
+	}
+	for pos < len(data) {
+		c := data[pos] - '0'
+		if c > 9 {
+			break
+		}
+		mant = mant*10 + uint64(c)
+		pos++
+	}
+	return mant, pos
+}
+
+// decimalToFloat converts ±mant × 10^exp, where mant holds every
+// significant digit (at most 19), to the correctly rounded float64:
+// exactly by one multiply or divide where mantissa and power of ten are
+// both exact (Clinger), else by Eisel–Lemire. ok=false means elParse
+// declined and the token needs strconv.
+func decimalToFloat(mant uint64, exp int, neg bool) (float64, bool) {
 	if mant == 0 {
 		if neg {
-			return math.Copysign(0, -1), ts, te, pos, scanOK, true
+			return math.Copysign(0, -1), true
 		}
-		return 0, ts, te, pos, scanOK, true
+		return 0, true
 	}
 	if mant < 1<<53 && exp >= -22 && exp <= 22 {
 		f := float64(mant)
@@ -555,10 +616,62 @@ func scanFloat(data []byte, pos int) (v float64, ts, te, newPos int, st scanStat
 		if neg {
 			f = -f
 		}
-		return f, ts, te, pos, scanOK, true
+		return f, true
 	}
-	v, ok = elParse(mant, exp, neg)
-	return v, ts, te, pos, scanOK, ok
+	return elParse(mant, exp, neg)
+}
+
+// scanCanonical reads the entry line at pos if it has the exact shape
+// WriteMatrixMarket writes: "I J V\n", or "I J\n" for pattern bodies.
+// I and J are 1-10 digits without a leading zero, the separators single
+// spaces, and V is a number scanFloat converts itself (scanNumber's
+// grammar, 1-19 digits) ended by '\n'. It returns the parsed entry and
+// the start of the next line. ok=false means the line is anything else
+// (other whitespace, signs or leading zeros on indices, comments, high
+// bytes, long mantissas, inf/nan/hex, no final '\n') or decimalToFloat
+// declined its value; the general scanner then reads the line from its
+// first byte, so verdicts and messages stay its own.
+func scanCanonical(data []byte, pos int, pattern bool) (i, j int, v float64, next int, ok bool) {
+	n := len(data)
+	i, pos = canonIndex(data, pos)
+	if i == 0 || pos >= n || data[pos] != ' ' {
+		return 0, 0, 0, 0, false
+	}
+	j, pos = canonIndex(data, pos+1)
+	if j == 0 || pos >= n {
+		return 0, 0, 0, 0, false
+	}
+	if pattern && data[pos] == '\n' {
+		return i, j, 1, pos + 1, true
+	}
+	if pattern || data[pos] != ' ' {
+		return 0, 0, 0, 0, false
+	}
+	mant, exp, digits, neg, pos := scanNumber(data, pos+1)
+	if digits == 0 || digits > 19 || pos >= n || data[pos] != '\n' {
+		return 0, 0, 0, 0, false
+	}
+	v, ok = decimalToFloat(mant, exp, neg)
+	return i, j, v, pos + 1, ok
+}
+
+// canonIndex reads a canonical index at pos: 1-10 digits, the first
+// 1-9. It returns 0 if there is none, else the index and the position
+// after its last digit (the caller checks what follows).
+func canonIndex(data []byte, pos int) (v, next int) {
+	if pos >= len(data) || data[pos]-'1' > 8 {
+		return 0, pos
+	}
+	end := min(pos+10, len(data))
+	v = int(data[pos] - '0')
+	for pos++; pos < end; pos++ {
+		c := data[pos] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + int(c)
+	}
+	return v, pos
 }
 
 // lineAt recovers the line starting at start for error messages,
@@ -674,129 +787,139 @@ func readMatrixMarketFast(data []byte, s *ParseScratch) (m *CSR, handled bool, e
 	}
 	for pos < end {
 		lineStart := pos
-		// Leading whitespace, then classify: blank, comment, or data.
-		var b byte
-		for pos < end {
-			b = data[pos]
-			if byteClass[b] != clSpace {
-				break
+		var iv, jv int
+		var v float64
+		canonical := false
+		if rows != 0 {
+			iv, jv, v, pos, canonical = scanCanonical(data, pos, pattern)
+		}
+		// A canonical line must fit the scanner cap like any other; only
+		// an exponent of millions of digits takes one past it.
+		if !canonical || pos-lineStart > maxSafeLine {
+			pos = lineStart
+			// Leading whitespace, then classify: blank, comment, or data.
+			var b byte
+			for pos < end {
+				b = data[pos]
+				if byteClass[b] != clSpace {
+					break
+				}
+				pos++
 			}
-			pos++
-		}
-		if pos == end {
-			if end-lineStart > maxSafeLine {
-				return nil, false, nil
-			}
-			break // trailing whitespace only
-		}
-		if b == '\n' {
-			if pos-lineStart > maxSafeLine {
-				return nil, false, nil
-			}
-			pos++
-			continue
-		}
-		if b >= utf8.RuneSelf {
-			return nil, false, nil
-		}
-		if b == '%' {
-			j := bytes.IndexByte(data[pos:], '\n')
-			if j < 0 {
+			if pos == end {
 				if end-lineStart > maxSafeLine {
 					return nil, false, nil
 				}
-				break
+				break // trailing whitespace only
 			}
-			if pos+j-lineStart > maxSafeLine {
+			if b == '\n' {
+				if pos-lineStart > maxSafeLine {
+					return nil, false, nil
+				}
+				pos++
+				continue
+			}
+			if b >= utf8.RuneSelf {
 				return nil, false, nil
 			}
-			pos += j + 1
-			continue
-		}
+			if b == '%' {
+				j := bytes.IndexByte(data[pos:], '\n')
+				if j < 0 {
+					if end-lineStart > maxSafeLine {
+						return nil, false, nil
+					}
+					break
+				}
+				if pos+j-lineStart > maxSafeLine {
+					return nil, false, nil
+				}
+				pos += j + 1
+				continue
+			}
 
-		if rows == 0 {
-			// The first data line is the size line: exactly three
-			// integers and nothing after them.
-			var dims [3]int
-			for k := range dims {
-				v, _, _, p, st, ok := scanInt(data, pos)
+			if rows == 0 {
+				// The first data line is the size line: exactly three
+				// integers and nothing after them.
+				var dims [3]int
+				for k := range dims {
+					v, _, _, p, st, ok := scanInt(data, pos)
+					if st == scanFallback {
+						return nil, false, nil
+					}
+					if st == scanEOL || !ok {
+						return nil, true, fmt.Errorf("sparse: bad MatrixMarket size line %q", string(lineAt(data, lineStart)))
+					}
+					dims[k], pos = v, p
+				}
+				_, eol, st := scanToken(data, pos)
 				if st == scanFallback {
 					return nil, false, nil
 				}
-				if st == scanEOL || !ok {
+				if st == scanOK {
 					return nil, true, fmt.Errorf("sparse: bad MatrixMarket size line %q", string(lineAt(data, lineStart)))
 				}
-				dims[k], pos = v, p
+				if eol-lineStart > maxSafeLine {
+					return nil, false, nil
+				}
+				rows, cols, declared = dims[0], dims[1], dims[2]
+				if rows <= 0 || cols <= 0 || declared < 0 {
+					return nil, true, fmt.Errorf("sparse: bad MatrixMarket sizes %d %d %d", rows, cols, declared)
+				}
+				pos = min(eol+1, end)
+				rr, cc, vv = s.reserve(declared, end-pos, pattern, symSign != 0)
+				continue
 			}
-			_, eol, st := scanToken(data, pos)
-			if st == scanFallback {
-				return nil, false, nil
-			}
-			if st == scanOK {
-				return nil, true, fmt.Errorf("sparse: bad MatrixMarket size line %q", string(lineAt(data, lineStart)))
-			}
-			if eol-lineStart > maxSafeLine {
-				return nil, false, nil
-			}
-			rows, cols, declared = dims[0], dims[1], dims[2]
-			if rows <= 0 || cols <= 0 || declared < 0 {
-				return nil, true, fmt.Errorf("sparse: bad MatrixMarket sizes %d %d %d", rows, cols, declared)
-			}
-			pos = min(eol+1, end)
-			rr, cc, vv = s.reserve(declared, end-pos, pattern, symSign != 0)
-			continue
-		}
 
-		iv, t1s, t1e, p1, st1, ok1 := scanInt(data, pos)
-		if st1 != scanOK {
-			return nil, false, nil // high byte; EOL is impossible here
-		}
-		if !ok1 {
-			return nil, true, fmt.Errorf("sparse: bad MatrixMarket row index %q", string(data[t1s:t1e]))
-		}
-		jv, t2s, t2e, p2, st2, ok2 := scanInt(data, p1)
-		if st2 != scanOK {
-			if st2 == scanFallback {
-				return nil, false, nil
+			i, t1s, t1e, p1, st1, ok1 := scanInt(data, pos)
+			if st1 != scanOK {
+				return nil, false, nil // high byte; EOL is impossible here
 			}
-			return nil, true, fmt.Errorf("sparse: short MatrixMarket entry %q", string(lineAt(data, lineStart)))
-		}
-		if !ok2 {
-			return nil, true, fmt.Errorf("sparse: bad MatrixMarket column index %q", string(data[t2s:t2e]))
-		}
-		pos = p2
-		v := 1.0
-		if !pattern {
-			var t3s, t3e int
-			var st3 scanStatus
-			var ok3 bool
-			v, t3s, t3e, pos, st3, ok3 = scanFloat(data, pos)
-			if st3 != scanOK {
-				if st3 == scanFallback {
+			if !ok1 {
+				return nil, true, fmt.Errorf("sparse: bad MatrixMarket row index %q", string(data[t1s:t1e]))
+			}
+			j, t2s, t2e, p2, st2, ok2 := scanInt(data, p1)
+			if st2 != scanOK {
+				if st2 == scanFallback {
 					return nil, false, nil
 				}
 				return nil, true, fmt.Errorf("sparse: short MatrixMarket entry %q", string(lineAt(data, lineStart)))
 			}
-			if !ok3 {
-				var errV error
-				v, errV = parseFloatBytes(data[t3s:t3e])
-				if errV != nil {
-					return nil, true, fmt.Errorf("sparse: bad MatrixMarket value %q: %w", string(data[t3s:t3e]), errV)
+			if !ok2 {
+				return nil, true, fmt.Errorf("sparse: bad MatrixMarket column index %q", string(data[t2s:t2e]))
+			}
+			iv, jv, v, pos = i, j, 1, p2
+			if !pattern {
+				var t3s, t3e int
+				var st3 scanStatus
+				var ok3 bool
+				v, t3s, t3e, pos, st3, ok3 = scanFloat(data, pos)
+				if st3 != scanOK {
+					if st3 == scanFallback {
+						return nil, false, nil
+					}
+					return nil, true, fmt.Errorf("sparse: short MatrixMarket entry %q", string(lineAt(data, lineStart)))
+				}
+				if !ok3 {
+					var errV error
+					v, errV = parseFloatBytes(data[t3s:t3e])
+					if errV != nil {
+						return nil, true, fmt.Errorf("sparse: bad MatrixMarket value %q: %w", string(data[t3s:t3e]), errV)
+					}
 				}
 			}
-		}
-		// Ignored trailing fields: skip to end of line, still bounded by
-		// the scanner cap so an accept here implies a streaming accept.
-		if j := bytes.IndexByte(data[pos:], '\n'); j < 0 {
-			if end-lineStart > maxSafeLine {
-				return nil, false, nil
+			// Ignored trailing fields: skip to end of line, still bounded by
+			// the scanner cap so an accept here implies a streaming accept.
+			if j := bytes.IndexByte(data[pos:], '\n'); j < 0 {
+				if end-lineStart > maxSafeLine {
+					return nil, false, nil
+				}
+				pos = end
+			} else {
+				if pos+j-lineStart > maxSafeLine {
+					return nil, false, nil
+				}
+				pos += j + 1
 			}
-			pos = end
-		} else {
-			if pos+j-lineStart > maxSafeLine {
-				return nil, false, nil
-			}
-			pos += j + 1
 		}
 		row, col := iv-1, jv-1
 		if row < 0 || row >= rows || col < 0 || col >= cols {

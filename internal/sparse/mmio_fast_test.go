@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,6 +105,35 @@ func TestReadMatrixMarketDifferential(t *testing.T) {
 		{"hex float with exponent", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 0x1p-2\n"},
 		{"leading zero indices", "%%MatrixMarket matrix coordinate real general\n2 2 1\n01 02 3\n"},
 
+		// Edges of scanCanonical, the fused scan of WriteMatrixMarket's
+		// "I J V\n" shape, and of the eight-digit steps both scanners use.
+		{"fraction of 8 digits", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 0.12345678\n"},
+		{"fraction of 16 digits", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 -1.234567890123456\n"},
+		{"fraction of 19 digits", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 9.876543210987654321\n"},
+		{"fraction of 20 digits", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.2345678901234567890\n"},
+		{"integer of 19 digits", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 9999999999999999999\n"},
+		{"8 digits then slash", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 0.12345678/0000000\n2 2 1\n"},
+		{"8 digits then colon", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 12345678:0000000\n2 2 1\n"},
+		{"8 digits then x", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.12345678x0000000\n2 2 1\n"},
+		{"slash inside 8 bytes", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 0.1234/678\n2 2 1\n"},
+		{"colon inside 8 bytes", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 0.1234:678\n2 2 1\n"},
+		{"exponent marker only", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1e\n"},
+		{"exponent sign only", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1e+\n"},
+		{"four exponent digits", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1e-0005\n"},
+		{"exponent 308", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1E+308\n"},
+		{"trailing space", "%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 2.5 \n1 1 -0.5\n"},
+		{"trailing tab", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.5\t\n"},
+		{"two spaces before column", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1  2 2.5\n"},
+		{"two spaces before value", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2  2.5\n"},
+		{"pattern trailing space", "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2 \n"},
+		{"10-digit row index", "%%MatrixMarket matrix coordinate real general\n2 2 1\n4294967297 1 1\n"},
+		{"10-digit column index", "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 4294967297\n"},
+		{"11-digit row index", "%%MatrixMarket matrix coordinate real general\n2 2 1\n42949672961 1 1\n"},
+		{"canonical index past size line", "%%MatrixMarket matrix coordinate real general\n2 3 2\n1 1 0.5\n1 4 0.25\n"},
+		{"canonical then out of order", "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1.5\n1 3 2.5\n2 2 -3\n1 2 0.75\n"},
+		{"canonical then repeat", "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1.5\n1 3 2.5\n2 2 -3\n2 2 0.75\n"},
+		{"canonical then repeat cancels", "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.5\n2 2 -3\n2 2 3\n"},
+
 		{"empty", ""},
 		{"newline only", "\n"},
 		{"garbage header", "garbage\n1 1 1\n"},
@@ -173,6 +203,8 @@ func TestReadMatrixMarketDifferential(t *testing.T) {
 			{"comment", hdr + "\n" + pad("% c") + "\n1 1 1\n1 1 2\n"},
 			{"size line", hdr + "\n" + pad("1 1 1") + "\n1 1 2\n"},
 			{"entry", hdr + "\n1 1 1\n" + pad("1 1 2") + "\n"},
+			// Canonical in shape; only a long exponent makes it that long.
+			{"canonical entry", hdr + "\n1 1 1\n1 1 1e" + strings.Repeat("0", n-len("1 1 1e")) + "\n"},
 			{"trailing blanks", hdr + "\n1 1 1\n1 1 2\n" + pad("") + "\n"},
 		} {
 			t.Run(fmt.Sprintf("%s of %d bytes", tc.name, n), func(t *testing.T) { checkParsersAgree(t, tc.data) })
@@ -333,16 +365,31 @@ func BenchmarkReadMatrixMarketStream(b *testing.B) {
 	}
 }
 
+// BenchmarkReadMatrixMarketBytes times the fast path over one set of
+// entries in two orders: as WriteMatrixMarket writes them (sorted), and
+// the same lines in a fixed random order (shuffled), which assembleCSR
+// must sort.
 func BenchmarkReadMatrixMarketBytes(b *testing.B) {
-	body := buildParseBody(b, 4000)
-	s := GetParseScratch()
-	defer PutParseScratch(s)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadMatrixMarketBytesScratch(body, s); err != nil {
-			b.Fatal(err)
-		}
+	sorted := buildParseBody(b, 4000)
+	lines := bytes.SplitAfter(sorted, []byte("\n"))
+	entries := slices.Clone(lines[2 : len(lines)-1]) // after header and size line, before the final empty split
+	rand.New(rand.NewSource(11)).Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	shuffled := bytes.Join(append(lines[:2:2], entries...), nil)
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{{"sorted", sorted}, {"shuffled", shuffled}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := GetParseScratch()
+			defer PutParseScratch(s)
+			b.SetBytes(int64(len(bc.body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadMatrixMarketBytesScratch(bc.body, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

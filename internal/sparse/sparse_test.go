@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -395,6 +397,13 @@ func TestPermutePreservesRowNNZMultiset(t *testing.T) {
 
 // TestQuickTripletCSRConsistency property-tests that matrices assembled
 // from arbitrary entry lists agree entry-wise with a map-based reference.
+// Each trial also assembles the same matrix from the reference's
+// distinct coordinates in row-major order, one entry each with zeros
+// and -0 among the values, which takes assembleCSR's in-order copy, and
+// from a row-major list that repeats one coordinate, which must take
+// the sorting path. Both must equal the shuffled assembly bit for bit:
+// the parse parity tests cannot catch a fault in the shortcut, because
+// both readers go through it.
 func TestQuickTripletCSRConsistency(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -409,18 +418,71 @@ func TestQuickTripletCSRConsistency(t *testing.T) {
 			}
 			ref[[2]int{i, j}] += v
 		}
-		m := tr.ToCSR()
-		if m.Validate() != nil {
-			return false
-		}
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				if m.At(i, j) != ref[[2]int{i, j}] {
-					return false
+		matchesRef := func(m *CSR) bool {
+			if m.Validate() != nil {
+				return false
+			}
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					if m.At(i, j) != ref[[2]int{i, j}] {
+						return false
+					}
 				}
 			}
+			return true
 		}
-		return true
+		m := tr.ToCSR()
+		if !matchesRef(m) {
+			return false
+		}
+
+		keys := make([][2]int, 0, len(ref))
+		for k := range ref {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(a, b [2]int) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+		inOrder := NewTriplet(rows, cols)
+		for k, key := range keys {
+			v := ref[key]
+			if v == 0 && k%2 == 1 {
+				v = math.Copysign(0, -1)
+			}
+			if inOrder.Add(key[0], key[1], v) != nil {
+				return false
+			}
+		}
+		if !rowMajor(inOrder.r, inOrder.c) {
+			return false
+		}
+		if m2 := inOrder.ToCSR(); !csrIdentical(m, m2) || !matchesRef(m2) {
+			return false
+		}
+		if len(keys) == 0 {
+			return true
+		}
+		// Split one coordinate's value over two adjacent entries; the
+		// small integers sum exactly in either order.
+		dup := NewTriplet(rows, cols)
+		split := rng.Intn(len(keys))
+		for k, key := range keys {
+			v := ref[key]
+			if k == split {
+				if dup.Add(key[0], key[1], v-1) != nil {
+					return false
+				}
+				v = 1
+			}
+			if dup.Add(key[0], key[1], v) != nil {
+				return false
+			}
+		}
+		if rowMajor(dup.r, dup.c) {
+			return false
+		}
+		m3 := dup.ToCSR()
+		return csrIdentical(m, m3) && matchesRef(m3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
