@@ -10,7 +10,10 @@
 #                  golden tests at 1, 2 and 4 CPUs
 #                  (the sequential and the pipelined generator must
 #                  build the same golden corpus, and ExtractAll's
-#                  per-worker scratches the same feature vectors) + the
+#                  per-worker scratches the same feature vectors) + one
+#                  iteration each of the corpus generation and Permute
+#                  benchmarks (ms and MB per corpus, so the stage's cost
+#                  shows in every CI log) + the
 #                  serving parity, batch, cascade and feature-memo
 #                  tests at 1, 2 and 4 CPUs (batch items run inline and
 #                  fanned out), with
@@ -100,6 +103,9 @@ go test -race ./...
 
 echo '== corpus generation and feature extraction at 1, 2 and 4 CPUs (sequential and pipelined paths, per-worker scratches)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestGenerate|TestPermute|TestCorpus|TestFeatures' ./internal/dataset ./internal/sparse
+
+echo '== corpus generation and Permute benchmarks (one iteration each)'
+go test -run '^$' -bench 'GenerateCorpus|Permute' -benchtime 1x ./internal/dataset
 
 echo '== serving paths at 1, 2 and 4 CPUs (direct and proxied; batch items inline and fanned out)'
 go test -race -count=1 -cpu 1,2,4 -run 'TestServingPathsMatchReference|TestProxiedPathsMatchReference|TestBatch|TestCascade|TestFeatMemo' ./internal/serve

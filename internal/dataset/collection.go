@@ -158,9 +158,13 @@ func Generate(cfg Config) ([]Item, error) {
 // permQueue is how many permutations Generate queues per permuting
 // worker before the drawing goroutine runs one itself. Base matrices
 // vary in size by two orders of magnitude, so the permuting side falls
-// behind in bursts. On 2 CPUs the seed-40 paper corpus generated in
-// 1.7-1.9 s with this depth, 1.9-2.4 s with depths 1 and 4, and no
-// faster with 64.
+// behind in bursts. On 2 CPUs the seed-5 paper corpus generated in
+// 1.22-1.79 s with depth 1, 1.21-1.38 s with 4 and 1.10-1.31 s with
+// 16 (mean of three runs per process, six rotating rounds). Depth 64
+// beat 16 by a few percent in 12 of 14 such rounds, but not with one
+// process per run, as a table run generates: the seed-40 corpus took
+// 1.13-1.33 s with 64 and 1.19-1.48 s with 16 (eight rounds, five to
+// 64).
 const permQueue = 16
 
 // ellConvertible reports whether the ELL slab stays under limit*nnz

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,6 +55,43 @@ func TestGeneratorsProduceValidMatrices(t *testing.T) {
 			if rows < 8 || cols < 8 {
 				t.Errorf("%v trial %d: degenerate dims %dx%d", f, trial, rows, cols)
 			}
+		}
+	}
+}
+
+// rmatLevelSwitch is genRMAT's corner choice as a four-way switch on
+// the draw, the form rmatLevel replaced, with the thresholds summed as
+// the switch summed them.
+func rmatLevelSwitch(r float64) (i, j int) {
+	a, b, c := 0.57, 0.19, 0.19
+	switch {
+	case r < a:
+		// top-left: nothing to add
+	case r < a+b:
+		j = 1
+	case r < a+b+c:
+		i = 1
+	default:
+		i, j = 1, 1
+	}
+	return i, j
+}
+
+// TestRMATLevelMatchesSwitch pins rmatLevel and rmatThresholds to the
+// switch where a slip would show: on each threshold and just below it.
+// The corpus goldens would almost never see a draw land there.
+func TestRMATLevelMatchesSwitch(t *testing.T) {
+	a, b, c := 0.57, 0.19, 0.19
+	rs := []float64{0, math.Nextafter(1, 0)}
+	for _, th := range []float64{a, a + b, a + b + c} {
+		rs = append(rs, th, math.Nextafter(th, 0))
+	}
+	ga, gab, gabc := rmatThresholds()
+	for _, r := range rs {
+		wi, wj := rmatLevelSwitch(r)
+		if gi, gj := rmatLevel(r, ga, gab, gabc); gi != wi || gj != wj {
+			t.Errorf("r = %v (%#x): rmatLevel gives bits (%d, %d), the switch (%d, %d)",
+				r, math.Float64bits(r), gi, gj, wi, wj)
 		}
 	}
 }

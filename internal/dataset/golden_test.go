@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/features"
@@ -237,4 +239,63 @@ func BenchmarkExtractCorpus(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(ms)), "us/matrix")
+}
+
+// BenchmarkGenerateCorpus times Generate over the seed-1, 40-base corpus
+// (40 bases, 80 permuted variants, all ten generator families): the rng
+// draws, base assembly and Permute that paper setup spends most of its
+// time in. It reports the time and the bytes allocated per corpus.
+func BenchmarkGenerateCorpus(b *testing.B) {
+	cfg := seed1Base40Config()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/corpus")
+	b.ReportMetric(float64(ms.TotalAlloc-before)/(1<<20)/float64(b.N), "MB/corpus")
+}
+
+// BenchmarkPermute times Permute alone over the same corpus's 40 bases,
+// each with AugmentPerBase variants' permutations from drawPerms, drawn
+// before the timer starts.
+func BenchmarkPermute(b *testing.B) {
+	cfg := seed1Base40Config()
+	items, err := Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	per := 1 + cfg.AugmentPerBase
+	if len(items) != cfg.BaseCount*per {
+		b.Fatalf("%d items, want %d: a dropped base shifts the bases' slots", len(items), cfg.BaseCount*per)
+	}
+	type job struct {
+		m      *sparse.CSR
+		rp, cp []int
+	}
+	var jobs []job
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for k := 0; k < len(items); k += per {
+		rows, cols := items[k].Matrix.Dims()
+		for v := 1; v < per; v++ {
+			rp, cp := drawPerms(rng, rows, cols)
+			jobs = append(jobs, job{items[k].Matrix, rp, cp})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			if _, err := j.m.Permute(j.rp, j.cp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/corpus")
 }

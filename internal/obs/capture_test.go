@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -195,9 +197,16 @@ func FuzzReadCaptureFile(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// One directory per fuzz worker, with per-exec names in it that the
+	// exec removes: a t.TempDir per exec cost as much as the exec's own
+	// reads and writes.
+	root := f.TempDir()
+	var execs atomic.Int64
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		raw := filepath.Join(dir, "raw.cap")
+		n := strconv.FormatInt(execs.Add(1), 10)
+		raw, dir := filepath.Join(root, n+".cap"), filepath.Join(root, n)
+		defer os.RemoveAll(dir)
+		defer os.Remove(raw)
 		if err := os.WriteFile(raw, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +225,7 @@ func FuzzReadCaptureFile(f *testing.F) {
 				want = append(want, rec)
 			}
 		}
-		w, err := NewCaptureWriter(filepath.Join(dir, "w"), int64(max(64, len(data)/4)))
+		w, err := NewCaptureWriter(dir, int64(max(64, len(data)/4)))
 		if err != nil {
 			t.Fatal(err)
 		}
